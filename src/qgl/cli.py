@@ -43,8 +43,9 @@ def locate_parallel(graph: MetricGraph, count: int | None = None,
                     k_max: float | None = None, workers: int = 1):
     """Window-parallel localization with a deterministic ordered merge.
 
-    Each window recomputes its own starting count, so results do not depend
-    on the window split or the worker count.
+    Each window recomputes its own starting count at an interior edge moved
+    clear of the spectrum, so results do not depend on the window split or
+    the worker count.
     """
     if workers <= 1:
         if count is not None:
@@ -56,6 +57,7 @@ def locate_parallel(graph: MetricGraph, count: int | None = None,
         k_max = (count + 2 + (graph.E + graph.V) / 2.0) * np.pi / graph.total_length
         k_max *= 1.05
     edges = np.linspace(0.0, k_max, workers + 1)
+    edges[1:-1] = [spectrum_mod.window_edge(graph, e) for e in edges[1:-1]]
     payloads = [(graph.to_json(), float(a), float(b))
                 for a, b in zip(edges[:-1], edges[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:

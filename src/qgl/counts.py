@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotGeneric
+from .errors import IdentityViolated, NotGeneric
 from .graphs import MetricGraph
 from .spectrum import Eigenpair
 
@@ -97,11 +97,15 @@ def counts(graph: MetricGraph, ep: Eigenpair) -> CountRecord:
     topo = graph.topology
     rec = CountRecord(n=ep.n, k=ep.k, phi=phi, mu=mu,
                       sigma=phi - ep.n, omega=mu - ep.n)
-    # hard range assertions; violations would falsify the computation
+    # hard range checks; violations would falsify the computation
     beta = topo.betti
     nb = len(topo.boundary)
-    assert 0 <= rec.sigma <= beta, (rec, beta)
-    assert 1 - beta - nb <= rec.omega <= 2 * beta - 1, (rec, beta, nb)
+    if not 0 <= rec.sigma <= beta:
+        raise IdentityViolated(f"nodal surplus outside [0, {beta}]: {rec}")
+    if not 1 - beta - nb <= rec.omega <= 2 * beta - 1:
+        raise IdentityViolated(
+            f"neumann surplus outside [{1 - beta - nb}, {2 * beta - 1}]: {rec}")
     # difference identity through vertex signs (integer arithmetic)
-    assert 2 * (phi - mu) == nb - vertex_sign_sum(graph, ep), rec
+    if 2 * (phi - mu) != nb - vertex_sign_sum(graph, ep):
+        raise IdentityViolated(f"2(phi - mu) != boundary - vertex signs: {rec}")
     return rec

@@ -33,11 +33,6 @@ class NonpositiveLength(GraphError):
 
 # ---- secular core ----
 
-class SingularPoint(QGLError):
-    """Kernel of (1 - U) has dimension >= 2 at this torus point; p vanishes
-    and the weight vector is undefined."""
-
-
 class UndefinedPhase(QGLError):
     """A bridge-factorization factor g_i vanishes, so its scattering phase
     is undefined at this point."""

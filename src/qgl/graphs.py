@@ -9,6 +9,7 @@ disconnected graphs and graphs with fewer than two edges.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -94,6 +95,15 @@ class MetricGraph:
     def head_of(self, d: int) -> int:
         e = self.edges[d // 2]
         return e.head if d % 2 == 0 else e.tail
+
+    @functools.cached_property
+    def scattering(self):
+        """The bond scattering matrix (`secular.bond_scattering`), built on
+        first use and shared by every caller, hence read-only."""
+        from .secular import bond_scattering    # secular imports this module
+        S = bond_scattering(self)
+        S.flags.writeable = False
+        return S
 
     # -- serialization --------------------------------------------------------
 

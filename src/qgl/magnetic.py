@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriticalPointViolated, DegenerateHessian
+from .errors import CriticalPointViolated, DegenerateHessian, IdentityViolated
 from .graphs import MetricGraph
-from .secular import bond_scattering, evaluate, evolution_matrix, root_branch
+from .secular import evaluate, evolution_matrix, root_branch
 
 FD_STEP = 1e-4
 GRADIENT_TOL = 1e-6
@@ -108,12 +108,11 @@ def hessian_alpha(graph: MetricGraph, kappa, p: float | None = None,
         tree = spanning_tree(graph)
     fluxes = flux_edges(graph, tree)
     nf = len(fluxes)
-    S = bond_scattering(graph)
     if p is None:
-        p = evaluate(graph, kappa, S=S).p
+        p = evaluate(graph, kappa).p
 
     def f(alpha):
-        return magnetic_secular(graph, kappa, alpha, fluxes, S)
+        return magnetic_secular(graph, kappa, alpha, fluxes)
 
     f0 = f(np.zeros(nf))
 
@@ -186,5 +185,8 @@ def local_indices(frame: MagneticFrame) -> list[int]:
     for grp in frame.block_fluxes:
         sub = A[np.ix_(grp, grp)]
         out.append(morse_index(sub))
-    assert sum(out) == frame.sigma_magnetic, (out, frame.sigma_magnetic)
+    if sum(out) != frame.sigma_magnetic:
+        raise IdentityViolated(
+            f"local indices {out} do not sum to sigma_magnetic "
+            f"{frame.sigma_magnetic}")
     return out

@@ -93,10 +93,15 @@ def star_observables(graph: MetricGraph, ep: Eigenpair, vertex: int) -> tuple[in
     # deg and sign_sum share parity, so this is exact integer arithmetic
     N = (deg - sign_sum) // 2
     rho /= np.pi
-    assert 1 <= N <= deg - 1, (vertex, N, deg)
+    if not 1 <= N <= deg - 1:
+        raise IdentityViolated(
+            f"vertex {vertex}: spectral position {N} outside [1, {deg - 1}]")
     # the bounds are attained in the limit of extreme trace ratios, so allow
     # a small numerical margin around them
-    assert (N + 1) / 2 - 1e-6 <= rho <= (N + deg - 1) / 2 + 1e-6, (vertex, N, rho)
+    if not (N + 1) / 2 - 1e-6 <= rho <= (N + deg - 1) / 2 + 1e-6:
+        raise IdentityViolated(
+            f"vertex {vertex}: capacity {rho} outside "
+            f"[{(N + 1) / 2}, {(N + deg - 1) / 2}] for position {N}")
     return N, rho
 
 

@@ -1,8 +1,9 @@
 """Bond scattering matrix, unitary evolution, and the secular function.
 
 The torus coordinate `kappa` is a vector over edges with values in [0, 2pi).
-All functions are pure in (graph, kappa) and build their own matrices, so they
-can be mapped over points in parallel without shared state.
+All functions are pure in (graph, kappa); the only matrix they share is the
+graph's read-only scattering matrix, so they can be mapped over points in
+parallel without shared mutable state.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NoLoops, SingularPoint, UndefinedPhase, UnsupportedDimension
+from .errors import NoLoops, UndefinedPhase, UnsupportedDimension
 from .graphs import MetricGraph
 
 TWO_PI = 2.0 * np.pi
@@ -61,7 +62,7 @@ def _phase_diag(graph: MetricGraph, kappa: np.ndarray) -> np.ndarray:
 def evolution_matrix(graph: MetricGraph, kappa, S: np.ndarray | None = None) -> np.ndarray:
     kappa = np.asarray(kappa, dtype=float)
     if S is None:
-        S = bond_scattering(graph)
+        S = graph.scattering
     return _phase_diag(graph, kappa)[:, None] * S
 
 
@@ -177,14 +178,6 @@ def evaluate(graph: MetricGraph, kappa, S: np.ndarray | None = None,
     )
 
 
-def weights(graph: MetricGraph, kappa, **kw) -> np.ndarray:
-    ev = evaluate(graph, kappa, **kw)
-    if ev.m is None:
-        raise SingularPoint(
-            f"kernel dimension {ev.kernel_dim} != 1 at kappa={ev.kappa}")
-    return ev.m
-
-
 # ---------------------------------------------------------------------------
 # torus maps
 
@@ -288,7 +281,7 @@ def bridge_factorization(graph: MetricGraph, bridge: int, kappa,
     d_f = 2 * bridge if in1[graph.edges[bridge].tail] else 2 * bridge + 1
     d_r = d_f ^ 1
 
-    S = bond_scattering(graph)
+    S = graph.scattering
     dir1 = [d for i in edges1 for d in (2 * i, 2 * i + 1)]
     dir2 = [d for i in edges2 for d in (2 * i, 2 * i + 1)]
 
@@ -376,12 +369,11 @@ def sample_manifold(graph: MetricGraph, resolution: int = 60,
     """
     if graph.E != 3:
         raise UnsupportedDimension(f"manifold sampling needs E = 3, got {graph.E}")
-    S = bond_scattering(graph)
     grid = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     loops = set(graph.topology.loops)
 
     def f_of(kappa):
-        return evaluate(graph, kappa, S=S).F
+        return evaluate(graph, kappa).F
 
     rows = []
     for axis in range(3):

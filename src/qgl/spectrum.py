@@ -1,22 +1,43 @@
 """Eigenvalue localization and eigenfunction reconstruction.
 
-Localization never sign-scans the secular function.  The eigenphase counting
-function is an exact integer step function away from eigenvalues, so bisecting
-it cannot miss roots even in near-degenerate clusters; a Newton polish on the
-eigenphase nearest 1 then brings each root to full precision.  Every accepted
-root is audited by re-evaluating the counting function on both sides.
+Localization never sign-scans the secular function.  It works on spectral
+frames of the unitary bond evolution matrix U(k): the eigenphases of U(k),
+and on request its eigenvectors, from one Hermitian eigendecomposition of the
+Cayley transform H = i(1 - V)(1 + V)^-1 of V = e^{-i phi} U, whose eigenvalues
+are tan((theta - phi) / 2).  The rotation phi keeps the transform's pole
+(theta = phi + pi) away from the eigenphases 0 and pi, where the spectra of
+bipartite graphs sit in symmetric pairs; a frame with an eigenphase too close
+to the pole is solved again with the pole moved into the widest gap.
+
+The eigenphase counting function is an exact integer step function away from
+eigenvalues, so bracketing and bisecting it cannot miss roots even in
+near-degenerate clusters.  Inside a bracket holding one crossing, a
+safeguarded Newton iteration on the eigenphase nearest 0 (slope <a, L a> for
+its eigenvector a) converges to the root; the count from the same frame
+tightens the bracket, and a step leaving the bracket is replaced by
+bisection.  Every accepted root is audited by re-evaluating the counting
+function on both sides; when that audit fails, the bracket is bisected down
+to the tolerance instead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BracketAuditFailed, Borderline, NoKernel, NonSimple
 from .graphs import MetricGraph
-from .secular import TWO_PI, bond_scattering, evolution_matrix
+from .secular import TWO_PI, evolution_matrix
 
 LOCATE_TOL = 1e-12   # absolute tolerance factor: tol * max(1, k)
+INTEGER_SLACK = 1e-6  # counting values this close to an integer are exact counts
+
+POLE_ROTATION = 1.0  # phi: the Cayley pole sits at the eigenphase phi + pi
+POLE_LIMIT = 1e4     # largest |tan((theta - phi) / 2)| accepted without re-solving
+NEWTON_ITERATIONS = 60
+PSI_EXACT = 1e-10    # nearest eigenphase farther from 0 than this: count is exact
+EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
 
 
 @dataclass(frozen=True)
@@ -31,23 +52,59 @@ class Thresholds:
         return Thresholds(**(d or {}))
 
 
+class _UnitaryFrame(NamedTuple):
+    eigenphases: np.ndarray         # in [0, 2pi)
+    vectors: np.ndarray | None      # orthonormal eigenvectors as columns
+    rotation: float                 # the phi of the transform finally used
+
+
+def _unitary_frame(U: np.ndarray, vectors: bool = False) -> _UnitaryFrame:
+    """Eigenphases (and eigenvectors) of a unitary matrix from `eigh` of its
+    Cayley transform.
+
+    Rounding in the transform grows with max |h|, so a frame whose largest
+    |h| exceeds POLE_LIMIT is solved once more with the pole rotated into the
+    widest gap between the eigenphases it found (those are accurate enough
+    to place the pole, and the widest of n gaps is at least 2pi / n).
+    """
+    eye = np.eye(U.shape[0])
+    phi = POLE_ROTATION
+    for attempt in range(2):
+        # i(1 - V)(1 + V)^-1 = 2iW - i with W = (1 + V)^-1; its Hermitian
+        # part i(W - W*) drops the rounding that breaks the symmetry
+        W = np.linalg.inv(eye + np.exp(-1j * phi) * U)
+        H = 1j * (W - W.conj().T)
+        if vectors:
+            h, Z = np.linalg.eigh(H)
+        else:
+            h, Z = np.linalg.eigvalsh(H), None
+        theta = (phi + 2.0 * np.arctan(h)) % TWO_PI
+        if attempt or np.max(np.abs(h)) <= POLE_LIMIT:
+            break
+        ordered = np.sort(theta)
+        gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
+        j = int(np.argmax(gaps))
+        phi = ordered[j] + 0.5 * gaps[j] - np.pi
+    return _UnitaryFrame(np.where(theta == TWO_PI, 0.0, theta), Z, phi)
+
+
 @dataclass
 class CountingFrame:
     k: float
-    eigenphases: np.ndarray
+    eigenphases: np.ndarray         # of U(k), in [0, 2pi)
     N: float
-    N_osc: float
+    vectors: np.ndarray | None = None   # eigenvectors, when asked for
 
 
-def counting(graph: MetricGraph, k: float, S: np.ndarray | None = None) -> CountingFrame:
-    """Number of eigenvalues in (0, k] (exact integer for generic k)."""
-    if S is None:
-        S = bond_scattering(graph)
-    lam = np.linalg.eigvals(evolution_matrix(graph, np.asarray(graph.lengths) * k % TWO_PI, S))
-    theta = np.angle(lam) % TWO_PI
+def counting(graph: MetricGraph, k: float, vectors: bool = False) -> CountingFrame:
+    """Number of eigenvalues in (0, k] (exact integer for generic k), with
+    the eigenphases of U(k) and, if `vectors`, its eigenvectors."""
+    frame = _unitary_frame(
+        evolution_matrix(graph, np.asarray(graph.lengths) * k % TWO_PI), vectors)
+    theta = frame.eigenphases
     weyl = graph.total_length * k / np.pi
     N = weyl + (graph.E + graph.V) / 2.0 - 1.0 - float(np.sum(theta)) / TWO_PI
-    return CountingFrame(k=k, eigenphases=theta, N=N, N_osc=N - weyl)
+    return CountingFrame(k=k, eigenphases=theta, N=N, vectors=frame.vectors)
 
 
 @dataclass
@@ -63,16 +120,16 @@ class _Counter:
 
     def __init__(self, graph: MetricGraph):
         self.graph = graph
-        self.S = bond_scattering(graph)
+        self.dir_lengths = np.repeat(np.asarray(graph.lengths), 2)
         self.calls = 0
 
-    def raw(self, k: float) -> float:
+    def frame(self, k: float, vectors: bool = False) -> CountingFrame:
         self.calls += 1
-        return counting(self.graph, k, self.S).N
+        return counting(self.graph, k, vectors)
 
-    def integer(self, k: float, slack: float = 1e-6) -> int:
-        val = self.raw(k)
-        if abs(val - round(val)) > slack:
+    def integer(self, k: float) -> int:
+        val = self.frame(k).N
+        if abs(val - round(val)) > INTEGER_SLACK:
             raise BracketAuditFailed(
                 f"counting value {val} at k={k} is not an integer; "
                 "evaluation too close to an eigenvalue")
@@ -87,23 +144,39 @@ def _loop_dims_at(graph: MetricGraph, k: float, tol: float) -> int:
     return hits
 
 
-def _newton_polish(graph: MetricGraph, S: np.ndarray, k: float, tol: float) -> float | None:
-    lengths = np.asarray(graph.lengths)
-    dir_lengths = np.repeat(lengths, 2)
-    for _ in range(40):
-        U = evolution_matrix(graph, lengths * k % TWO_PI, S)
-        lam, vecs = np.linalg.eig(U)
-        j = int(np.argmin(np.abs(lam - 1.0)))
-        psi = float(np.angle(lam[j]))             # signed phase in (-pi, pi]
-        a = vecs[:, j]
-        a = a / np.linalg.norm(a)
-        slope = float(dir_lengths @ (np.abs(a) ** 2))   # d(phase)/dk > 0
-        if slope <= 0:
-            return None
-        step = -psi / slope
-        k += step
-        if abs(step) < 0.25 * tol:
-            return k
+def _signed(theta: np.ndarray) -> np.ndarray:
+    """Eigenphases in [-pi, pi)."""
+    return (theta + np.pi) % TWO_PI - np.pi
+
+
+def _safeguarded_newton(ctr: _Counter, a: float, b: float, target: int,
+                        tol: float) -> float | None:
+    """Root of the eigenphase nearest 0 inside the bracket [a, b], where the
+    count is below `target` at a and reaches it at b.
+
+    Newton steps -psi / <a, L a> that stay inside the bracket are taken, the
+    others become bisections; a frame whose nearest eigenphase is clear of 0
+    is an exact count and moves one end of the bracket.  Returns None when
+    the iteration does not settle.
+    """
+    k = 0.5 * (a + b)
+    for _ in range(NEWTON_ITERATIONS):
+        frame = ctr.frame(k, vectors=True)
+        psi = _signed(frame.eigenphases)
+        j = int(np.argmin(np.abs(psi)))
+        if abs(psi[j]) > PSI_EXACT and abs(frame.N - round(frame.N)) <= INTEGER_SLACK:
+            if round(frame.N) >= target:
+                b = k
+            else:
+                a = k
+        slope = float(ctr.dir_lengths @ (np.abs(frame.vectors[:, j]) ** 2))
+        step = -psi[j] / slope
+        k_next = k + step
+        if not a <= k_next <= b:
+            k_next = 0.5 * (a + b)
+        if abs(k_next - k) < 0.25 * tol or b - a < tol:
+            return k_next
+        k = k_next
     return None
 
 
@@ -141,27 +214,30 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
         hi = lo + mean_gap
         if k_max is not None:
             hi = min(hi, k_max)
-        while ctr.integer(hi) < target:
+        n_hi = ctr.integer(hi)
+        while n_hi < target:
             if k_max is not None and hi >= k_max:
                 break
-            lo_new = hi
+            lo = hi
             hi = hi + mean_gap
             if k_max is not None:
                 hi = min(hi, k_max)
-            lo = lo_new
-        if ctr.integer(hi) < target:
+            n_hi = ctr.integer(hi)
+        if n_hi < target:
             break   # k_max reached without another eigenvalue
-        # bisect the jump to a coarse bracket
+        # bisect while the bracket holds more than one crossing, down to a
+        # coarse width for clusters
         a, b = lo, hi
         coarse = 1e-5 * max(1.0, b)
-        while b - a > coarse:
+        while n_hi > target and b - a > coarse:
             mid = 0.5 * (a + b)
-            if ctr.integer(mid) >= target:
-                b = mid
+            n_mid = ctr.integer(mid)
+            if n_mid >= target:
+                b, n_hi = mid, n_mid
             else:
                 a = mid
         abs_tol = tol * max(1.0, b)
-        k_star = _newton_polish(graph, ctr.S, b, abs_tol)
+        k_star = _safeguarded_newton(ctr, a, b, target, abs_tol)
         delta = max(1e-8, 1e-8 * b)
         ok = k_star is not None
         if ok:
@@ -192,6 +268,29 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
         if count is not None and len_done(out) >= count:
             break
     return out
+
+
+def window_edge(graph: MetricGraph, k: float) -> float:
+    """A window edge at or near `k` that no eigenvalue lies within
+    EDGE_MARGIN audit steps of, so that the counting function is an integer
+    there with margin and no audit around a root reaches across the edge.
+
+    Eigenphases move with k at speeds between the shortest and the longest
+    edge length, so |psi| >= l_max * margin at every eigenphase keeps every
+    eigenvalue at least `margin` away.  Neighbouring windows must share the
+    returned edge.
+    """
+    margin = EDGE_MARGIN * max(1e-8, 1e-8 * k)      # in units of the audit step
+    l_max, l_min = max(graph.lengths), graph.min_length
+    step = 2.0 * margin * l_max / l_min
+    for j in (0, 1, -1, 2, -2, 3, -3):
+        edge = k + j * step
+        if edge <= 0.0:
+            continue
+        psi = _signed(counting(graph, edge).eigenphases)
+        if np.min(np.abs(psi)) >= l_max * margin:
+            return edge
+    raise BracketAuditFailed(f"no window edge clear of the spectrum near k={k}")
 
 
 def len_done(levels: list[LocatedLevel]) -> int:
@@ -227,10 +326,6 @@ class Eigenpair:
             if t.vertex == vertex and t.directed_edge == directed_edge:
                 return t
         raise KeyError((vertex, directed_edge))
-
-    def vertex_value(self, graph: MetricGraph, vertex: int) -> float:
-        d = graph.outgoing[vertex][0]
-        return self.trace_at(vertex, d).value
 
 
 def _loop_kernel_vectors(graph: MetricGraph, kappa: np.ndarray, tol: float) -> list[np.ndarray]:

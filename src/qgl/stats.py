@@ -104,9 +104,9 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     n_cursor: int | None = None
 
     while dist.K < K_target:
+        k_next = spectrum_mod.window_edge(graph, k_cursor + window)
         levels = spectrum_mod.locate_spectrum(
-            graph, k_max=k_cursor + window, k_min=k_cursor,
-            n_offset=n_cursor)
+            graph, k_max=k_next, k_min=k_cursor, n_offset=n_cursor)
         for lv in levels:
             dist.N_raw += lv.multiplicity
             dist.loop_count += lv.loop_dims
@@ -176,7 +176,7 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
                 positions=positions, capacities=capacities, iota=iota))
             if dist.K >= K_target:
                 break
-        k_cursor += window
+        k_cursor = k_next
         n_cursor = (n_cursor or 0) + sum(lv.multiplicity for lv in levels)
 
     # exclusions that indicate threshold trouble: borderline cases and

@@ -51,6 +51,16 @@ def test_workers_do_not_change_output(tmp_path):
         == (tmp_path / "b/spectrum.csv").read_text()
 
 
+def test_workers_split_on_degenerate_eigenvalue(tmp_path):
+    # with 2 workers the window edge 16 pi is a double eigenvalue of lasso
+    for w, sub in (("1", "a"), ("2", "b")):
+        rc = main(["spectrum", "--graph", "lasso", "--kmax", "100.53096491487338",
+                   "--workers", w, "--out", str(tmp_path / sub)])
+        assert rc == 0
+    assert (tmp_path / "a/spectrum.csv").read_text() \
+        == (tmp_path / "b/spectrum.csv").read_text()
+
+
 def test_workers_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("QGL_WORKERS", "2")
     rc = main(["spectrum", "--graph", "star3", "--K", "8",

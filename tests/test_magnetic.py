@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qgl
 
 from qgl.counts import counts
 from qgl.errors import DegenerateHessian
@@ -153,3 +160,28 @@ def test_stability_matrix_flips_under_inversion(dumbbell):
                            -frame_inv.stability_matrix(),
                            atol=1e-4 * max(1.0, np.abs(frame.stability_matrix()).max()))
         assert frame.sigma_magnetic + frame_inv.sigma_magnetic == len(frame.fluxes)
+
+
+def test_identity_check_survives_optimized_mode():
+    # hard identities raise a typed error, so `python -O` cannot drop them
+    code = """
+import numpy as np
+from qgl.errors import IdentityViolated
+from qgl.magnetic import MagneticFrame, local_indices
+if __debug__:
+    raise SystemExit("not running under -O")
+frame = MagneticFrame(kappa=np.zeros(2), tree=(), fluxes=(0, 1),
+                      hessian=np.eye(2), p=1.0, block_fluxes=[[0], [1]],
+                      sigma_magnetic=0, off_block_residual=0.0)
+try:
+    local_indices(frame)
+except IdentityViolated:
+    raise SystemExit(0)
+raise SystemExit("local_indices accepted indices that do not sum up")
+"""
+    src = str(Path(qgl.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

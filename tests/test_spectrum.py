@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+import qgl.spectrum as spectrum
+from qgl.cli import locate_parallel
 from qgl.errors import NoKernel
 from qgl.graphs import load_graph
+from qgl.secular import evolution_matrix
 from qgl.spectrum import (
+    POLE_ROTATION,
     Thresholds,
+    _unitary_frame,
     classify,
     counting,
     eigenfunction_at,
     len_done,
     locate_spectrum,
+    window_edge,
 )
 from conftest import star_relation_roots
 
@@ -40,6 +46,80 @@ def test_counting_jumps_by_one_at_simple_eigenvalue(star3):
     below = counting(star3, k - 1e-6).N
     above = counting(star3, k + 1e-6).N
     assert round(above) - round(below) == 1
+
+
+# ---------------------------------------------------------------------------
+# Hermitian spectral frame against a general eigensolver
+
+
+def _assert_same_phases(theta, oracle, tol):
+    """Every phase of each list lies within tol of one of the other, on the
+    circle; both lists have the same length."""
+    assert len(theta) == len(oracle)
+    for xs, ys in ((theta, oracle), (oracle, theta)):
+        for x in xs:
+            assert np.min(np.abs((ys - x + np.pi) % TWO_PI - np.pi)) < tol
+
+
+def _eigvals_phases(U):
+    return np.angle(np.linalg.eigvals(U)) % TWO_PI
+
+
+@pytest.mark.parametrize("name", ("star3", "tree31_7", "dumbbell", "k6"))
+def test_frame_matches_general_eigensolver(name):
+    g = load_graph(name)
+    rng = np.random.default_rng(7)
+    for k in rng.uniform(0.1, 500.0, 40):
+        U = evolution_matrix(g, np.asarray(g.lengths) * k % TWO_PI)
+        frame = _unitary_frame(U, vectors=True)
+        assert np.all((0.0 <= frame.eigenphases) & (frame.eigenphases < TWO_PI))
+        _assert_same_phases(frame.eigenphases, _eigvals_phases(U), 1e-12)
+        # the columns are eigenvectors of U for the matching eigenphases
+        resid = U @ frame.vectors - frame.vectors * np.exp(1j * frame.eigenphases)
+        assert np.max(np.abs(resid)) < 1e-10
+        assert counting(g, k).eigenphases == pytest.approx(frame.eigenphases)
+
+
+def test_frame_moves_pole_off_an_eigenphase():
+    rng = np.random.default_rng(3)
+    n = 8
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    theta = rng.uniform(0.0, TWO_PI, n)
+    theta[0] = POLE_ROTATION + np.pi            # exactly on the Cayley pole
+    U = (Q * np.exp(1j * theta)) @ Q.conj().T
+    frame = _unitary_frame(U, vectors=True)
+    assert frame.rotation != POLE_ROTATION
+    _assert_same_phases(frame.eigenphases, _eigvals_phases(U), 1e-12)
+    resid = U @ frame.vectors - frame.vectors * np.exp(1j * frame.eigenphases)
+    assert np.max(np.abs(resid)) < 1e-10
+
+
+def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
+    # the pair near k = 775.12 is closer than the coarse bracket width 1e-5 k
+    levels = {lv.n: lv for lv in locate_spectrum(dumbbell, count=916)}
+    low, high = levels[914], levels[915]
+    assert low.multiplicity == 1 and high.multiplicity == 1
+    assert low.k == pytest.approx(775.1219, abs=1e-4)
+    assert high.k == pytest.approx(775.1257, abs=1e-4)
+    assert high.k - low.k < 1e-5 * high.k
+
+    # Newton inside a bracket holding both roots may settle on the upper one;
+    # the both-sides audit rejects it and bisection finds the lower one
+    newton = spectrum._safeguarded_newton
+    steered = []
+
+    def to_upper_root(ctr, a, b, target, tol):
+        if target == 914:
+            steered.append(target)
+            return high.k
+        return newton(ctr, a, b, target, tol)
+
+    monkeypatch.setattr(spectrum, "_safeguarded_newton", to_upper_root)
+    again = locate_spectrum(dumbbell, k_min=775.0, k_max=775.2, n_offset=913)
+    assert steered == [914]
+    assert [(lv.n, lv.multiplicity) for lv in again] == [(914, 1), (915, 1)]
+    assert again[0].k == pytest.approx(low.k, rel=1e-12)
+    assert again[1].k == pytest.approx(high.k, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +168,44 @@ def test_window_split_is_consistent(k4):
     assert len(merged) == len(full)
     for a, b in zip(merged, full):
         assert a.n == b.n and a.k == pytest.approx(b.k, abs=1e-10)
+
+
+def _assert_same_levels(got, want):
+    assert [(lv.n, lv.multiplicity, lv.loop_dims) for lv in got] \
+        == [(lv.n, lv.multiplicity, lv.loop_dims) for lv in want]
+    for a, b in zip(got, want):
+        assert a.k == pytest.approx(b.k, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ("lasso", "flower3", "mandarin3"))
+def test_window_split_on_eigenvalues(name):
+    # every one of these graphs has eigenvalues at k = 2 pi m
+    g = load_graph(name)
+    k_top = 12 * TWO_PI + 0.5
+    full = locate_spectrum(g, k_max=k_top)
+    for m in range(1, 12):
+        split = m * TWO_PI
+        assert min(abs(lv.k - split) for lv in full) < 1e-9 * split
+        edge = window_edge(g, split)
+        assert 0.0 < abs(edge - split) < 1e-6 * split
+        merged = (locate_spectrum(g, k_max=edge)
+                  + locate_spectrum(g, k_min=edge, k_max=k_top))
+        _assert_same_levels(merged, full)
+
+
+@pytest.mark.parametrize("name", ("lasso", "flower3", "mandarin3"))
+def test_workers_split_on_eigenvalues(name):
+    # with 2 and 3 workers every interior window edge starts on an eigenvalue
+    g = load_graph(name)
+    k_top = 6 * TWO_PI
+    full = locate_spectrum(g, k_max=k_top)
+    for workers in (1, 2, 3):
+        _assert_same_levels(locate_parallel(g, k_max=k_top, workers=workers), full)
+
+
+def test_window_edge_keeps_generic_points():
+    g = load_graph("k6")
+    assert window_edge(g, 17.3) == 17.3
 
 
 def test_count_mode_counts_multiplicity(lasso):
