@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid input or graph, 3 a requested assertion
-failed.  Results go to --out as CSV or JSON; a short summary goes to stdout.
+failed, 4 a computation failed one of its own checks (an audit, an identity,
+a kernel, a Hessian or the exclusion limit).  Results go to --out as CSV or
+JSON; a short summary goes to stdout.
 """
 from __future__ import annotations
 
@@ -20,13 +22,14 @@ from . import magnetic as magnetic_mod
 from . import neumann as neumann_mod
 from . import stats as stats_mod
 from . import spectrum as spectrum_mod
-from .errors import QGLError
+from .errors import ComputationFailed, QGLError
 from .graphs import MetricGraph, load_graph
 from .secular import sample_manifold
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_ASSERT = 3
+EXIT_COMPUTATION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +218,9 @@ def cmd_magnetic(args, graph, thresholds, out_dir) -> int:
             skipped += 1
             continue
         rec = counts_mod.counts(graph, ep)
-        frame = magnetic_mod.hessian_alpha(graph, ep.kappa)
+        frame = magnetic_mod.hessian_alpha(
+            graph, ep.kappa,
+            kernel_tol=spectrum_mod.kernel_cutoff(graph, lv.k, thresholds))
         iota = magnetic_mod.local_indices(frame)
         if frame.sigma_magnetic != rec.sigma:
             agree = False
@@ -313,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="locate all eigenvalues up to this k")
         sp.add_argument("--seed", type=int, default=None,
                         help="redraw edge lengths uniformly from [1, 2]")
-        sp.add_argument("--workers", type=int,
-                        default=int(os.environ.get("QGL_WORKERS", "1")))
+        if not sp.prog.endswith("stats"):   # stats runs single-process
+            sp.add_argument("--workers", type=int,
+                            default=int(os.environ.get("QGL_WORKERS", "1")))
         sp.add_argument("--out", type=Path, default=Path("."),
                         help="output directory")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -358,6 +364,8 @@ def main(argv=None) -> int:
         return handler(args, graph, thresholds, args.out)
     except (QGLError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ComputationFailed):
+            return EXIT_COMPUTATION
         return EXIT_INVALID
 
 

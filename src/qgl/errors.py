@@ -9,6 +9,12 @@ class QGLError(Exception):
     """Base class for all library errors."""
 
 
+class ComputationFailed(QGLError):
+    """A computation on valid input failed a check it makes on itself
+    (an audit, an identity, a kernel or a Hessian), as opposed to input
+    that the library rejects."""
+
+
 # ---- graph validation ----
 
 class GraphError(QGLError):
@@ -48,16 +54,16 @@ class UnsupportedDimension(QGLError):
 
 # ---- spectrum ----
 
-class BracketAuditFailed(QGLError):
+class BracketAuditFailed(ComputationFailed):
     """Counting-function audit around a refined bracket disagreed with the
     expected spectral index; signals tolerance misconfiguration."""
 
 
-class NonSimple(QGLError):
+class NonSimple(ComputationFailed):
     pass
 
 
-class NoKernel(QGLError):
+class NoKernel(ComputationFailed):
     pass
 
 
@@ -75,18 +81,19 @@ class NotStarRegime(QGLError):
     """k <= pi / l_min, so the domain around a vertex need not be a star."""
 
 
-class IdentityViolated(QGLError):
+class IdentityViolated(ComputationFailed):
     pass
 
 
 # ---- magnetic ----
 
-class CriticalPointViolated(QGLError):
-    """The flux gradient at zero flux is not small; the supplied point is not
-    on the zero set of the secular function."""
+class CriticalPointViolated(ComputationFailed):
+    """Zero flux is not a critical point of the flux map at the supplied
+    point: no eigenphase of U(kappa) lies within the kernel tolerance of 0
+    (the point is off the zero set), or the flux gradient is not zero."""
 
 
-class DegenerateHessian(QGLError):
+class DegenerateHessian(ComputationFailed):
     pass
 
 
@@ -96,5 +103,5 @@ class WrongFamily(QGLError):
     pass
 
 
-class ExcessiveExclusions(QGLError):
+class ExcessiveExclusions(ComputationFailed):
     pass

@@ -1,25 +1,38 @@
 """Magnetic secular function and flux Hessian at zero flux.
 
 Fluxes live on the non-tree edges of a spanning tree (canonical choice:
-minimum edge index).  The Hessian at a spectrum point is computed by central
-finite differences with one Richardson extrapolation step; the number of
-negative eigenvalues of -H/p is the magnetic stability index, and the
-edge-separation blocks give local indices that sum to it.
+minimum edge index).  A flux alpha_j on edge i turns U(kappa) into
+e^{i alpha_j A_j} U(kappa), with A_j = diag(+1 on 2i, -1 on 2i+1).  On the
+zero set, U(kappa) has an eigenphase theta_0 = 0 with eigenvector a, and the
+secular function equals p * theta_0(alpha) up to second order in the fluxes,
+so its flux Hessian is p times the Hessian of that eigenphase.  Second-order
+perturbation theory gives both exactly from one spectral frame (theta_m, z_m)
+of U(kappa) (Berkolaiko, Anal. PDE 6, 2013; Berkolaiko-Weyand, Phil. Trans.
+R. Soc. A 372, 2014):
+
+    d_j theta_0       = a* A_j a      (zero by time-reversal symmetry)
+    d_j d_l theta_0   = -sum_{m != 0} cot((theta_m - theta_0) / 2) Re(conj(b_jm) b_lm)
+    p                 = Re(-i R(kappa) prod_{m != 0} (1 - e^{i theta_m}))
+
+where b_jm = z_m* A_j a and R is the branch of det(U)^(-1/2).  The number of
+negative eigenvalues of -H/p = -d^2 theta_0 is the magnetic stability index,
+and the edge-separation blocks give local indices that sum to it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CriticalPointViolated, DegenerateHessian, IdentityViolated
 from .graphs import MetricGraph
-from .secular import evaluate, evolution_matrix, root_branch
+from .secular import KERNEL_TOL, evolution_matrix, reduce_torus, root_branch
+from .spectrum import unitary_frame
 
-FD_STEP = 1e-4
-GRADIENT_TOL = 1e-6
+GRADIENT_TOL = 1e-9      # max |d theta_0| per unit of max |cot|: roundoff only
 DEGENERACY_TOL = 1e-8
-OFF_BLOCK_TOL = 1e-6
+OFF_BLOCK_TOL = 1e-9     # off-block Hessian entries relative to max(1, max |H|)
 
 
 def spanning_tree(graph: MetricGraph, maximize: bool = False) -> tuple[int, ...]:
@@ -72,6 +85,38 @@ def magnetic_secular(graph: MetricGraph, kappa, alpha,
     return float(val.real)
 
 
+@dataclass(frozen=True)
+class _FluxLayout:
+    """Flux edges of a spanning tree and their grouping by block."""
+    tree: tuple[int, ...]
+    fluxes: tuple[int, ...]
+    block_fluxes: tuple[tuple[int, ...], ...]   # flux positions per block
+    off_block: np.ndarray                       # pairs in different blocks
+
+
+@functools.lru_cache(maxsize=32)
+def _flux_layout(graph: MetricGraph, tree: tuple[int, ...] | None) -> _FluxLayout:
+    """Built once per (graph, tree) rather than once per eigenpair; graphs
+    are immutable and hash by identity."""
+    if tree is None:
+        tree = spanning_tree(graph)
+    fluxes = flux_edges(graph, tree)
+    nf = len(fluxes)
+    block_fluxes = []
+    for b in graph.topology.blocks:
+        members = tuple(j for j, e in enumerate(fluxes) if e in set(b.edges))
+        if members:
+            block_fluxes.append(members)
+    if {j for grp in block_fluxes for j in grp} != set(range(nf)):
+        raise ValueError("some flux edge belongs to no block")
+    off_block = np.ones((nf, nf), dtype=bool)
+    for grp in block_fluxes:
+        off_block[np.ix_(grp, grp)] = False
+    off_block.flags.writeable = False
+    return _FluxLayout(tree=tree, fluxes=fluxes, block_fluxes=tuple(block_fluxes),
+                       off_block=off_block)
+
+
 @dataclass
 class MagneticFrame:
     kappa: np.ndarray
@@ -98,84 +143,56 @@ def morse_index(sym: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> int:
     return int(np.sum(w < 0))
 
 
-def hessian_alpha(graph: MetricGraph, kappa, p: float | None = None,
+def hessian_alpha(graph: MetricGraph, kappa,
                   tree: tuple[int, ...] | None = None,
-                  step: float = FD_STEP) -> MagneticFrame:
+                  kernel_tol: float = KERNEL_TOL) -> MagneticFrame:
     """Flux Hessian of the secular function at zero flux over a located
-    spectrum point, with the block structure checked, never assumed."""
-    kappa = np.asarray(kappa, dtype=float)
-    if tree is None:
-        tree = spanning_tree(graph)
-    fluxes = flux_edges(graph, tree)
-    nf = len(fluxes)
-    if p is None:
-        p = evaluate(graph, kappa).p
+    spectrum point, with the block structure checked, never assumed.
 
-    def f(alpha):
-        return magnetic_secular(graph, kappa, alpha, fluxes)
-
-    f0 = f(np.zeros(nf))
-
-    # the point must be a critical point of the flux map
-    grad = np.zeros(nf)
-    for j in range(nf):
-        a = np.zeros(nf)
-        a[j] = step
-        grad[j] = (f(a) - f(-a)) / (2 * step)
-
-    def second(j, l, h):
-        if j == l:
-            a = np.zeros(nf)
-            a[j] = h
-            return (f(a) - 2 * f0 + f(-a)) / (h * h)
-        a = np.zeros(nf)
-        a[j], a[l] = h, h
-        fpp = f(a)
-        a[l] = -h
-        fpm = f(a)
-        a[j], a[l] = -h, h
-        fmp = f(a)
-        a[l] = -h
-        fmm = f(a)
-        return (fpp + fmm - fpm - fmp) / (4 * h * h)
-
-    H = np.zeros((nf, nf))
-    for j in range(nf):
-        for l in range(j, nf):
-            coarse = second(j, l, step)
-            fine = second(j, l, step / 2)
-            H[j, l] = H[l, j] = (4 * fine - coarse) / 3.0   # Richardson
-
-    scale = max(1.0, float(np.max(np.abs(H)))) if nf else 1.0
-    if np.linalg.norm(grad) > GRADIENT_TOL * scale:
+    The point must have an eigenphase theta_0 with |1 - e^{i theta_0}| at most
+    `kernel_tol`; at an eigenvalue k located by `spectrum`, pass
+    `spectrum.kernel_cutoff(graph, k)`, which grows with k.
+    """
+    kappa = reduce_torus(kappa)
+    layout = _flux_layout(graph, tree)
+    frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
+    theta = frame.eigenphases
+    distance = np.abs(1.0 - np.exp(1j * theta))
+    j0 = int(np.argmin(distance))
+    if distance[j0] > kernel_tol:
         raise CriticalPointViolated(
-            f"flux gradient norm {np.linalg.norm(grad):.2e} at kappa={kappa}")
+            f"no eigenphase within {kernel_tol:.1e} of 0 (nearest "
+            f"|1 - e^(i theta)| = {distance[j0]:.2e}) at kappa={kappa}")
 
-    # group fluxes by edge-separation block and verify off-block decay
-    blocks = graph.topology.blocks
-    block_fluxes: list[list[int]] = []
-    for b in blocks:
-        members = [j for j, e in enumerate(fluxes) if e in set(b.edges)]
-        if members:
-            block_fluxes.append(members)
-    assigned = {j for grp in block_fluxes for j in grp}
-    if assigned != set(range(nf)):
-        raise ValueError("some flux edge belongs to no block")
-    off = 0.0
-    for j in range(nf):
-        for l in range(nf):
-            same = any(j in grp and l in grp for grp in block_fluxes)
-            if not same:
-                off = max(off, abs(H[j, l]))
-    off_rel = off / scale
-    if nf and off_rel > OFF_BLOCK_TOL:
+    # b[j, m] = z_m* A_j a for the eigenvector a of theta_0
+    Z = frame.vectors
+    a = Z[:, j0]
+    plus = 2 * np.asarray(layout.fluxes, dtype=int)
+    b = Z[plus].conj() * a[plus, None] - Z[plus + 1].conj() * a[plus + 1, None]
+    rest = np.arange(len(theta)) != j0
+    cot = 1.0 / np.tan(0.5 * (theta[rest] - theta[j0]))
+    # d theta_0 vanishes exactly; the roundoff in a, and so in the computed
+    # gradient, grows like 1 / (gap to the next eigenphase) ~ max |cot|
+    grad = np.max(np.abs(b[:, j0].real), initial=0.0)
+    if grad > GRADIENT_TOL * max(1.0, float(np.max(np.abs(cot)))):
+        raise CriticalPointViolated(f"flux gradient {grad:.2e} at kappa={kappa}")
+    b = b[:, rest]
+    d2theta = -((b.conj() * cot) @ b.T).real
+    p = float((-1j * root_branch(graph, kappa)
+               * np.prod(1.0 - np.exp(1j * theta[rest]))).real)
+    H = p * d2theta
+
+    scale = max(1.0, float(np.max(np.abs(H), initial=0.0)))
+    off = float(np.max(np.abs(H[layout.off_block]), initial=0.0))
+    if off > OFF_BLOCK_TOL * scale:
         raise DegenerateHessian(
             f"off-block Hessian entry {off:.2e} exceeds tolerance")
 
-    sigma = morse_index(-H / p) if nf else 0
-    return MagneticFrame(kappa=kappa, tree=tree, fluxes=fluxes, hessian=H,
-                         p=float(p), block_fluxes=block_fluxes,
-                         sigma_magnetic=sigma, off_block_residual=off_rel)
+    return MagneticFrame(kappa=kappa, tree=layout.tree, fluxes=layout.fluxes,
+                         hessian=H, p=p,
+                         block_fluxes=[list(grp) for grp in layout.block_fluxes],
+                         sigma_magnetic=morse_index(-H / p),
+                         off_block_residual=off / scale)
 
 
 def local_indices(frame: MagneticFrame) -> list[int]:

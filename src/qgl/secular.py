@@ -79,30 +79,6 @@ def unitary_eig(U: np.ndarray):
     return np.diag(T).copy(), Z
 
 
-def adjugate(M: np.ndarray) -> np.ndarray:
-    """adj(M) with adj(M) M = det(M) I, for a general square matrix.
-
-    Uses det * inv when M is comfortably invertible and falls back to minors
-    otherwise.  The secular path never calls this; it uses the unitary
-    eigen-decomposition form below.
-    """
-    M = np.asarray(M)
-    n = M.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=M.dtype)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] > 1e-8 * max(1.0, sv[0]):
-        return np.linalg.det(M) * np.linalg.inv(M)
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        rows = [r for r in range(n) if r != i]
-        for j in range(n):
-            cols = [c for c in range(n) if c != j]
-            minor = M[np.ix_(rows, cols)]
-            out[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return out
-
-
 def adjugate_from_unitary_spectrum(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """adj(1 - U) for unitary U = basis diag(eigenvalues) basis*."""
     w = 1.0 - eigenvalues

@@ -52,13 +52,13 @@ class Thresholds:
         return Thresholds(**(d or {}))
 
 
-class _UnitaryFrame(NamedTuple):
+class UnitaryFrame(NamedTuple):
     eigenphases: np.ndarray         # in [0, 2pi)
     vectors: np.ndarray | None      # orthonormal eigenvectors as columns
     rotation: float                 # the phi of the transform finally used
 
 
-def _unitary_frame(U: np.ndarray, vectors: bool = False) -> _UnitaryFrame:
+def unitary_frame(U: np.ndarray, vectors: bool = False) -> UnitaryFrame:
     """Eigenphases (and eigenvectors) of a unitary matrix from `eigh` of its
     Cayley transform.
 
@@ -85,7 +85,7 @@ def _unitary_frame(U: np.ndarray, vectors: bool = False) -> _UnitaryFrame:
         gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
         j = int(np.argmax(gaps))
         phi = ordered[j] + 0.5 * gaps[j] - np.pi
-    return _UnitaryFrame(np.where(theta == TWO_PI, 0.0, theta), Z, phi)
+    return UnitaryFrame(np.where(theta == TWO_PI, 0.0, theta), Z, phi)
 
 
 @dataclass
@@ -99,7 +99,7 @@ class CountingFrame:
 def counting(graph: MetricGraph, k: float, vectors: bool = False) -> CountingFrame:
     """Number of eigenvalues in (0, k] (exact integer for generic k), with
     the eigenphases of U(k) and, if `vectors`, its eigenvectors."""
-    frame = _unitary_frame(
+    frame = unitary_frame(
         evolution_matrix(graph, np.asarray(graph.lengths) * k % TWO_PI), vectors)
     theta = frame.eigenphases
     weyl = graph.total_length * k / np.pi
@@ -348,6 +348,18 @@ def _align_phase(w: np.ndarray) -> complex:
     return np.exp(0.5j * np.angle(s))
 
 
+def kernel_cutoff(graph: MetricGraph, k: float,
+                  thresholds: Thresholds = Thresholds()) -> float:
+    """Largest |1 - e^{i theta}| over an eigenphase theta of U(k) that still
+    counts as a kernel direction of 1 - U at a located eigenvalue k.
+
+    A root located to relative precision LOCATE_TOL leaves a kernel residual
+    of order tol * k * L, so the cutoff grows with k.
+    """
+    return max(thresholds.kernel,
+               10.0 * LOCATE_TOL * max(1.0, k) * graph.total_length)
+
+
 def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
                      thresholds: Thresholds = Thresholds(),
                      multiplicity: int = 1) -> Eigenpair:
@@ -362,10 +374,7 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
     U = evolution_matrix(graph, kappa)
     one_minus = np.eye(2 * graph.E) - U
     _, sv, vh = np.linalg.svd(one_minus)
-    # a root located to relative precision LOCATE_TOL leaves a kernel
-    # residual of order tol * k * L, so the cutoff must grow with k
-    ker_tol = max(thresholds.kernel,
-                  10.0 * LOCATE_TOL * max(1.0, k) * graph.total_length)
+    ker_tol = kernel_cutoff(graph, k, thresholds)
     kdim = int(np.sum(sv < ker_tol))
     if kdim == 0:
         raise NoKernel(f"smallest singular value {sv[-1]:.2e} at k={k}")

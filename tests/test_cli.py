@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import qgl.cli
+from qgl import errors
 from qgl.cli import main
 from qgl.graphs import load_graph, save_graph
 
@@ -125,6 +127,41 @@ def test_failed_assert_exits_3(tmp_path):
     rc = main(["stats", "--graph", "dumbbell", "--K", "200", "--seed", "5",
                "--out", str(tmp_path), "--assert", "binomial"])
     assert rc == 3
+
+
+def test_stats_rejects_workers(tmp_path):
+    # stats runs single-process, so a worker count must not be dropped silently
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--graph", "dumbbell", "--K", "20", "--workers", "2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_excessive_exclusions_exits_4(tmp_path, capsys):
+    # thresholds this coarse make far more than 5% of the eigenpairs borderline
+    rc = main(["stats", "--graph", "dumbbell", "--K", "30", "--seed", "7",
+               "--out", str(tmp_path),
+               "--thresholds", '{"value": 1e-2, "derivative": 1e-2}'])
+    assert rc == 4
+    assert "suspicious exclusions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (errors.BracketAuditFailed, 4), (errors.IdentityViolated, 4),
+    (errors.CriticalPointViolated, 4), (errors.DegenerateHessian, 4),
+    (errors.NoKernel, 4), (errors.NonSimple, 4),
+    (errors.ExcessiveExclusions, 4),
+    (errors.DisconnectedGraph, 2), (errors.UnsupportedDimension, 2),
+    (errors.WrongFamily, 2), (errors.QGLError, 2), (ValueError, 2),
+])
+def test_exit_code_separates_failed_computation_from_bad_input(
+        tmp_path, monkeypatch, exc, code):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(qgl.cli, "locate_parallel", fail)
+    assert main(["spectrum", "--graph", "star3", "--K", "5",
+                 "--out", str(tmp_path)]) == code
 
 
 def test_unknown_assert_rejected(tmp_path):

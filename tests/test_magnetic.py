@@ -9,7 +9,7 @@ import pytest
 import qgl
 
 from qgl.counts import counts
-from qgl.errors import DegenerateHessian
+from qgl.errors import CriticalPointViolated, DegenerateHessian
 from qgl.graphs import load_graph
 from qgl.magnetic import (
     flux_edges,
@@ -23,6 +23,39 @@ from qgl.secular import evaluate, inversion, reduce_torus
 from qgl.spectrum import classify, eigenfunction_at, locate_spectrum
 
 GRAPHS = ("lasso", "dumbbell", "mandarin3", "k4", "flower3", "chain4", "tree31_7")
+FD_STEP = 1e-4
+
+
+def fd_hessian(graph, kappa, tree=None, step=FD_STEP):
+    """Oracle: flux gradient and Hessian of the magnetic secular function at
+    zero flux by central differences, the Hessian with one Richardson step
+    (21 determinants for two fluxes, 43 for three)."""
+    fluxes = flux_edges(graph, tree)
+    nf = len(fluxes)
+
+    def f(*shifts):
+        alpha = np.zeros(nf)
+        for j, h in shifts:
+            alpha[j] += h
+        return magnetic_secular(graph, kappa, alpha, fluxes)
+
+    f0 = f()
+    grad = np.array([(f((j, step)) - f((j, -step))) / (2 * step)
+                     for j in range(nf)])
+
+    def second(j, l, h):
+        if j == l:
+            return (f((j, h)) - 2 * f0 + f((j, -h))) / (h * h)
+        return (f((j, h), (l, h)) + f((j, -h), (l, -h))
+                - f((j, h), (l, -h)) - f((j, -h), (l, h))) / (4 * h * h)
+
+    H = np.zeros((nf, nf))
+    for j in range(nf):
+        for l in range(j, nf):
+            coarse = second(j, l, step)
+            fine = second(j, l, step / 2)
+            H[j, l] = H[l, j] = (4 * fine - coarse) / 3.0   # Richardson
+    return grad, H
 
 
 def _generic_levels(graph, want):
@@ -118,6 +151,30 @@ def test_magnetic_index_equals_nodal_surplus(name):
         assert sum(iota) == frame.sigma_magnetic
         assert all(0 <= i_j <= b for i_j, b in
                    zip(iota, [len(grp) for grp in frame.block_fluxes]))
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_closed_form_hessian_matches_finite_differences(name):
+    g = load_graph(name)
+    for ep in _generic_levels(g, 10):
+        frame = hessian_alpha(g, ep.kappa)
+        grad, H = fd_hessian(g, ep.kappa)
+        p = evaluate(g, ep.kappa).p
+        scale = max(1.0, float(np.max(np.abs(H), initial=0.0)))
+        assert np.linalg.norm(grad) <= 1e-6 * scale, (name, ep.n)
+        assert np.max(np.abs(frame.hessian - H), initial=0.0) <= 1e-5 * scale, (name, ep.n)
+        assert frame.p == pytest.approx(p, rel=1e-10), (name, ep.n)
+        assert frame.sigma_magnetic == morse_index(-H / p), (name, ep.n)
+
+
+def test_point_off_the_zero_set_raises(dumbbell):
+    ep = _generic_levels(dumbbell, 1)[0]
+    hessian_alpha(dumbbell, ep.kappa)
+    moved = ep.kappa + np.array([1e-5, 0.0, 0.0])
+    with pytest.raises(CriticalPointViolated):
+        hessian_alpha(dumbbell, moved)
+    with pytest.raises(CriticalPointViolated):
+        hessian_alpha(dumbbell, np.array([0.3, 1.1, 2.0]))
 
 
 def test_local_indices_one_per_cycle_block(dumbbell):

@@ -7,7 +7,6 @@ from qgl.errors import NoLoops, UnsupportedDimension
 from qgl.graphs import load_graph
 from qgl.secular import (
     TWO_PI,
-    adjugate,
     adjugate_from_unitary_spectrum,
     bond_scattering,
     bridge_extension,
@@ -86,6 +85,29 @@ def test_evolution_unitary(dumbbell):
 
 # ---------------------------------------------------------------------------
 # adjugate
+
+
+def adjugate(M: np.ndarray) -> np.ndarray:
+    """Oracle: adj(M) with adj(M) M = det(M) I, for a general square matrix.
+
+    Uses det * inv when M is comfortably invertible and falls back to minors
+    otherwise.
+    """
+    M = np.asarray(M)
+    n = M.shape[0]
+    if n == 1:
+        return np.ones((1, 1), dtype=M.dtype)
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] > 1e-8 * max(1.0, sv[0]):
+        return np.linalg.det(M) * np.linalg.inv(M)
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        rows = [r for r in range(n) if r != i]
+        for j in range(n):
+            cols = [c for c in range(n) if c != j]
+            minor = M[np.ix_(rows, cols)]
+            out[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return out
 
 
 def test_adjugate_two_by_two():

@@ -9,12 +9,12 @@ from qgl.secular import evolution_matrix
 from qgl.spectrum import (
     POLE_ROTATION,
     Thresholds,
-    _unitary_frame,
     classify,
     counting,
     eigenfunction_at,
     len_done,
     locate_spectrum,
+    unitary_frame,
     window_edge,
 )
 from conftest import star_relation_roots
@@ -71,7 +71,7 @@ def test_frame_matches_general_eigensolver(name):
     rng = np.random.default_rng(7)
     for k in rng.uniform(0.1, 500.0, 40):
         U = evolution_matrix(g, np.asarray(g.lengths) * k % TWO_PI)
-        frame = _unitary_frame(U, vectors=True)
+        frame = unitary_frame(U, vectors=True)
         assert np.all((0.0 <= frame.eigenphases) & (frame.eigenphases < TWO_PI))
         _assert_same_phases(frame.eigenphases, _eigvals_phases(U), 1e-12)
         # the columns are eigenvectors of U for the matching eigenphases
@@ -87,7 +87,7 @@ def test_frame_moves_pole_off_an_eigenphase():
     theta = rng.uniform(0.0, TWO_PI, n)
     theta[0] = POLE_ROTATION + np.pi            # exactly on the Cayley pole
     U = (Q * np.exp(1j * theta)) @ Q.conj().T
-    frame = _unitary_frame(U, vectors=True)
+    frame = unitary_frame(U, vectors=True)
     assert frame.rotation != POLE_ROTATION
     _assert_same_phases(frame.eigenphases, _eigvals_phases(U), 1e-12)
     resid = U @ frame.vectors - frame.vectors * np.exp(1j * frame.eigenphases)
