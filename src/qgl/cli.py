@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import neumann as neumann_mod
 from . import stats as stats_mod
 from . import spectrum as spectrum_mod
 from .errors import ComputationFailed, QGLError
-from .graphs import MetricGraph, load_graph
+from .graphs import load_graph
 from .secular import sample_manifold
 
 EXIT_OK = 0
@@ -33,76 +32,19 @@ EXIT_COMPUTATION = 4
 
 
 # ---------------------------------------------------------------------------
-# parallel localization
-
-
-def _locate_window(payload):
-    gjson, k_min, k_max = payload
-    g = MetricGraph.from_json(gjson)
-    return spectrum_mod.locate_spectrum(g, k_max=k_max, k_min=k_min)
-
-
-def locate_parallel(graph: MetricGraph, count: int | None = None,
-                    k_max: float | None = None, workers: int = 1):
-    """Window-parallel localization with a deterministic ordered merge.
-
-    Each window recomputes its own starting count at an interior edge moved
-    clear of the spectrum, so results do not depend on the window split or
-    the worker count.
-    """
-    if workers <= 1:
-        if count is not None:
-            return spectrum_mod.locate_spectrum(graph, count=count)
-        return spectrum_mod.locate_spectrum(graph, k_max=k_max)
-
-    if k_max is None:
-        # Weyl estimate for the k reaching `count` eigenvalues, padded
-        k_max = (count + 2 + (graph.E + graph.V) / 2.0) * np.pi / graph.total_length
-        k_max *= 1.05
-    edges = np.linspace(0.0, k_max, workers + 1)
-    edges[1:-1] = [spectrum_mod.window_edge(graph, e) for e in edges[1:-1]]
-    payloads = [(graph.to_json(), float(a), float(b))
-                for a, b in zip(edges[:-1], edges[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_locate_window, payloads))
-    levels = [lv for chunk in chunks for lv in chunk]
-
-    if count is not None:
-        while spectrum_mod.len_done(levels) < count:
-            n_off = levels[-1].n - 1 + levels[-1].multiplicity if levels else 0
-            k_lo = levels[-1].k * (1 + 1e-8) if levels else 0.0
-            more = spectrum_mod.locate_spectrum(
-                graph, k_max=k_max * 1.2, k_min=k_lo, n_offset=n_off)
-            levels.extend(more)
-            k_max *= 1.2
-        kept, done = [], 0
-        for lv in levels:
-            if done >= count:
-                break
-            kept.append(lv)
-            done += lv.multiplicity
-        levels = kept
-    return levels
-
-
-# ---------------------------------------------------------------------------
 # output helpers
 
 
 def _write_rows(out_dir: Path, name: str, fmt: str, header: list[str],
                 rows: list[list]) -> Path:
+    if fmt == "json":
+        return _write_json(out_dir, name, [dict(zip(header, r)) for r in rows])
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = out_dir / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        path = out_dir / f"{name}.json"
-        with open(path, "w") as fh:
-            json.dump([dict(zip(header, r)) for r in rows], fh, indent=1)
-            fh.write("\n")
+    path = out_dir / f"{name}.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
     return path
 
 
@@ -123,41 +65,30 @@ def _fmt_k(k: float) -> str:
 # subcommands
 
 
-def _expand(graph, levels, thresholds, need_eigenfunction=True):
-    """Yield (n, level, eigenpair-or-None, flags-or-None) per spectral index."""
-    for lv in levels:
-        if lv.multiplicity == 1 and need_eigenfunction:
-            ep = spectrum_mod.eigenfunction_at(graph, lv.k, n=lv.n,
-                                               thresholds=thresholds)
-            flags = spectrum_mod.classify(graph, ep, thresholds)
-            yield lv.n, lv, ep, flags
-        else:
-            for j in range(lv.multiplicity):
-                yield lv.n + j, lv, None, None
+def _stream(args, graph, thresholds):
+    return spectrum_mod.stream_eigenpairs(
+        graph, count=args.K, k_max=args.kmax, thresholds=thresholds,
+        workers=args.workers)
 
 
 def cmd_spectrum(args, graph, thresholds, out_dir) -> int:
-    levels = locate_parallel(graph, count=args.K, k_max=args.kmax,
-                             workers=args.workers)
     rows = []
-    for n, lv, ep, flags in _expand(graph, levels, thresholds):
-        if flags is not None:
-            simple = flags.simple
-            generic = flags.generic
-            loop = flags.loop_supported is not None
-        else:
-            simple = False
-            generic = False
-            loop = (n - lv.n) < lv.loop_dims
-        rows.append([n, _fmt_k(lv.k), int(simple), int(generic), int(loop)])
+    for lv, _, flags, _ in _stream(args, graph, thresholds):
+        for j in range(lv.multiplicity):
+            if flags is not None:
+                bits = (flags.simple, flags.generic, flags.loop_supported is not None)
+            else:
+                bits = (lv.multiplicity == 1, False, j < lv.loop_dims)
+            rows.append([lv.n + j, _fmt_k(lv.k), *map(int, bits)])
     path = _write_rows(out_dir, "spectrum", args.format,
                        ["n", "k", "simple", "generic", "loop_supported"], rows)
     total = len(rows)
     generic_n = sum(int(r[3]) for r in rows)
     loops_n = sum(int(r[4]) for r in rows)
+    span = f", k in (0, {rows[-1][1]}]" if rows else ""
     print(f"graph: V={graph.V} E={graph.E} betti={graph.topology.betti} "
           f"families={list(graph.topology.families)}")
-    print(f"eigenvalues: {total} located, k in (0, {_fmt_k(levels[-1].k)}]")
+    print(f"eigenvalues: {total} located{span}")
     print(f"generic: {generic_n}  loop-supported: {loops_n}  "
           f"other: {total - generic_n - loops_n}")
     print(f"wrote {path}")
@@ -165,15 +96,13 @@ def cmd_spectrum(args, graph, thresholds, out_dir) -> int:
 
 
 def cmd_counts(args, graph, thresholds, out_dir) -> int:
-    levels = locate_parallel(graph, count=args.K, k_max=args.kmax,
-                             workers=args.workers)
     rows, skipped = [], 0
-    for n, lv, ep, flags in _expand(graph, levels, thresholds):
+    for lv, ep, flags, _ in _stream(args, graph, thresholds):
         if flags is None or not flags.generic:
-            skipped += 1
+            skipped += lv.multiplicity
             continue
         rec = counts_mod.counts(graph, ep)
-        rows.append([n, _fmt_k(lv.k), rec.phi, rec.mu, rec.sigma, rec.omega])
+        rows.append([lv.n, _fmt_k(lv.k), rec.phi, rec.mu, rec.sigma, rec.omega])
     path = _write_rows(out_dir, "counts", args.format,
                        ["n", "k", "phi", "mu", "sigma", "omega"], rows)
     print(f"counts for {len(rows)} generic eigenpairs ({skipped} skipped)")
@@ -186,18 +115,16 @@ def cmd_counts(args, graph, thresholds, out_dir) -> int:
 
 
 def cmd_domains(args, graph, thresholds, out_dir) -> int:
-    levels = locate_parallel(graph, count=args.K, k_max=args.kmax,
-                             workers=args.workers)
     star_threshold = np.pi / graph.min_length
     rows, skipped = [], 0
-    for n, lv, ep, flags in _expand(graph, levels, thresholds):
+    for lv, ep, flags, _ in _stream(args, graph, thresholds):
         if flags is None or not flags.generic or lv.k <= star_threshold:
-            skipped += 1
+            skipped += lv.multiplicity
             continue
         part = neumann_mod.partition(graph, ep)
         for v in sorted(part.stars):
             s = part.stars[v]
-            rows.append([n, v, s.N, f"{s.rho:.12g}"])
+            rows.append([lv.n, v, s.N, f"{s.rho:.12g}"])
     path = _write_rows(out_dir, "domains", args.format,
                        ["n", "vertex", "N_v", "rho_v"], rows)
     print(f"star observables for {len(set(r[0] for r in rows))} eigenpairs "
@@ -207,15 +134,13 @@ def cmd_domains(args, graph, thresholds, out_dir) -> int:
 
 
 def cmd_magnetic(args, graph, thresholds, out_dir) -> int:
-    levels = locate_parallel(graph, count=args.K, k_max=args.kmax,
-                             workers=args.workers)
     n_blocks = sum(1 for b in graph.topology.blocks if b.betti > 0)
     header = (["n", "k", "sigma_counting", "sigma_magnetic"]
               + [f"iota_{j + 1}" for j in range(n_blocks)])
     rows, skipped, agree = [], 0, True
-    for n, lv, ep, flags in _expand(graph, levels, thresholds):
+    for lv, ep, flags, _ in _stream(args, graph, thresholds):
         if flags is None or not flags.generic:
-            skipped += 1
+            skipped += lv.multiplicity
             continue
         rec = counts_mod.counts(graph, ep)
         frame = magnetic_mod.hessian_alpha(
@@ -224,7 +149,7 @@ def cmd_magnetic(args, graph, thresholds, out_dir) -> int:
         iota = magnetic_mod.local_indices(frame)
         if frame.sigma_magnetic != rec.sigma:
             agree = False
-        rows.append([n, _fmt_k(lv.k), rec.sigma, frame.sigma_magnetic] + iota)
+        rows.append([lv.n, _fmt_k(lv.k), rec.sigma, frame.sigma_magnetic] + iota)
     path = _write_rows(out_dir, "magnetic", args.format, header, rows)
     print(f"magnetic indices for {len(rows)} generic eigenpairs "
           f"({skipped} skipped); counting/magnetic agree: {agree}")
@@ -255,21 +180,7 @@ def cmd_stats(args, graph, thresholds, out_dir) -> int:
         "sigma_mean": dist.sigma_mean(), "sigma_var": dist.sigma_var(),
         "omega_mean": dist.omega_mean(),
     }
-    reports = {}
-    failed = []
-    for name in args.asserts:
-        if name == "symmetry":
-            rep = stats_mod.symmetry_test(dist)
-        elif name == "binomial":
-            rep = stats_mod.binomial_test(dist)
-        elif name == "recurrence":
-            rep = stats_mod.signature_recurrence(dist)
-        else:
-            raise QGLError(f"unknown assertion '{name}' "
-                           "(expected symmetry, binomial, recurrence)")
-        reports[name] = rep
-        if not rep["ok"]:
-            failed.append(name)
+    reports = {name: STATS_TESTS[name](dist) for name in args.asserts}
     summary["tests"] = reports
     spath = _write_json(out_dir, "stats_summary", summary)
 
@@ -280,9 +191,7 @@ def cmd_stats(args, graph, thresholds, out_dir) -> int:
     for name, rep in reports.items():
         print(f"ASSERT {name}: {'ok' if rep['ok'] else 'FAIL'}")
     print(f"wrote {path} and {spath}")
-    if failed:
-        return EXIT_ASSERT
-    return EXIT_OK
+    return EXIT_OK if all(rep["ok"] for rep in reports.values()) else EXIT_ASSERT
 
 
 def cmd_manifold(args, graph, thresholds, out_dir) -> int:
@@ -299,6 +208,18 @@ def cmd_manifold(args, graph, thresholds, out_dir) -> int:
 # ---------------------------------------------------------------------------
 
 
+STATS_TESTS = {"symmetry": stats_mod.symmetry_test,
+               "binomial": stats_mod.binomial_test,
+               "recurrence": stats_mod.signature_recurrence}
+ASSERTIONS = {"stats": tuple(STATS_TESTS), "magnetic": ("agreement",)}
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qgl",
@@ -306,21 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "of metric graphs with standard vertex conditions.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, spectral=True):
+    def common(sp, spectral=True, kmax=True, workers=True):
         sp.add_argument("--graph", required=True,
                         help="graph JSON file or builtin graph name")
         if spectral:
-            g = sp.add_mutually_exclusive_group(required=(sp.prog.endswith("stats")))
-            g.add_argument("--K", "--count", dest="K", type=int,
+            g = sp.add_mutually_exclusive_group(required=not kmax)
+            g.add_argument("--K", "--count", dest="K", type=positive_int,
                            help="number of eigenvalues to locate")
-            if not sp.prog.endswith("stats"):
+            if kmax:
                 g.add_argument("--kmax", type=float,
                                help="locate all eigenvalues up to this k")
         sp.add_argument("--seed", type=int, default=None,
                         help="redraw edge lengths uniformly from [1, 2]")
-        if not sp.prog.endswith("stats"):   # stats runs single-process
-            sp.add_argument("--workers", type=int,
-                            default=int(os.environ.get("QGL_WORKERS", "1")))
+        if workers:
+            sp.add_argument("--workers", type=positive_int,
+                            default=os.environ.get("QGL_WORKERS", "1"))
         sp.add_argument("--out", type=Path, default=Path("."),
                         help="output directory")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -333,12 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("counts", help="nodal and Neumann counts"))
     common(sub.add_parser("domains", help="Neumann domain observables"))
     common(sub.add_parser("magnetic", help="magnetic stability indices"))
+    # stats and manifold run single-process
     sp = sub.add_parser("stats", help="surplus distribution experiment")
-    common(sp)
+    common(sp, kmax=False, workers=False)
     sp.add_argument("--magnetic", action="store_true",
                     help="also accumulate local magnetic indices")
     sp = sub.add_parser("manifold", help="sample the secular zero set (E = 3)")
-    common(sp, spectral=False)
+    common(sp, spectral=False, workers=False)
     sp.add_argument("--res", type=int, default=60, help="grid resolution")
     return p
 
@@ -346,6 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.asserts = [s for s in args.asserts.split(",") if s]
+    accepted = ASSERTIONS.get(args.command, ())
+    unknown = [name for name in args.asserts if name not in accepted]
+    if unknown:
+        print(f"error: unknown assertion '{unknown[0]}' for {args.command} "
+              f"(accepted: {', '.join(accepted) or 'none'})", file=sys.stderr)
+        return EXIT_INVALID
     if getattr(args, "K", None) is None and getattr(args, "kmax", None) is None \
             and args.command != "manifold":
         print("error: one of --K, --kmax is required", file=sys.stderr)

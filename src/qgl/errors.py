@@ -67,10 +67,6 @@ class NoKernel(ComputationFailed):
     pass
 
 
-class Borderline(QGLError):
-    """A classification quantity fell within a factor 10 of its threshold."""
-
-
 # ---- counts / neumann domains ----
 
 class NotGeneric(QGLError):

@@ -31,7 +31,9 @@ from .secular import KERNEL_TOL, evolution_matrix, reduce_torus, root_branch
 from .spectrum import unitary_frame
 
 GRADIENT_TOL = 1e-9      # max |d theta_0| per unit of max |cot|: roundoff only
-DEGENERACY_TOL = 1e-8
+# 50x the worst error of the smallest relative eigenvalue against 50-digit
+# mpmath (2.2e-14); the root's location error moves it by < 1e-6 of itself
+DEGENERACY_TOL = 50 * 2.2e-14
 OFF_BLOCK_TOL = 1e-9     # off-block Hessian entries relative to max(1, max |H|)
 
 

@@ -162,16 +162,20 @@ class LocalGlobalReport:
 
 def local_global_check(graph: MetricGraph, ep: Eigenpair, record: CountRecord,
                        part: NeumannPartition | None = None,
-                       raise_on_violation: bool = True) -> LocalGlobalReport:
-    """The two sum rules tying per-vertex observables to global counts."""
-    if part is None:
-        part = partition(graph, ep)
-    if not part.star_regime:
+                       raise_on_violation: bool = True,
+                       stars: dict[int, tuple[int, float]] | None = None
+                       ) -> LocalGlobalReport:
+    """The two sum rules tying per-vertex observables to global counts, over
+    `stars` (vertex -> `star_observables`) or else the stars of `part`."""
+    if ep.k <= np.pi / graph.min_length:
         raise NotStarRegime(f"k={ep.k} below star-regime threshold")
+    if stars is None:
+        stars = {v: (s.N, s.rho)
+                 for v, s in (part or partition(graph, ep)).stars.items()}
     topo = graph.topology
     nb = len(topo.boundary)
-    sum_N = sum(s.N for s in part.stars.values())
-    sum_rho = sum(s.rho for s in part.stars.values())
+    sum_N = sum(N for N, _ in stars.values())
+    sum_rho = sum(rho for _, rho in stars.values())
     rhs_N = record.phi - record.mu + graph.E - nb
     rhs_rho = graph.total_length * ep.k / np.pi - record.mu + graph.E - nb
     ok = (sum_N == rhs_N) and abs(sum_rho - rhs_rho) <= 1e-8 * max(1.0, abs(rhs_rho))

@@ -22,11 +22,12 @@ to the tolerance instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import BracketAuditFailed, Borderline, NoKernel, NonSimple
+from .errors import BracketAuditFailed, NoKernel, NonSimple
 from .graphs import MetricGraph
 from .secular import TWO_PI, evolution_matrix
 
@@ -182,7 +183,6 @@ def _safeguarded_newton(ctr: _Counter, a: float, b: float, target: int,
 
 def locate_spectrum(graph: MetricGraph, count: int | None = None,
                     k_max: float | None = None, k_min: float = 0.0,
-                    tol: float = LOCATE_TOL,
                     n_offset: int | None = None) -> list[LocatedLevel]:
     """Locate eigenvalues, either the first `count` of them or all in
     (k_min, k_max].  Indexing starts at n = 1 for the first positive
@@ -190,41 +190,37 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
     """
     if (count is None) == (k_max is None):
         raise ValueError("specify exactly one of count, k_max")
+    return list(_first(_walk(graph, k_min, k_max, n_offset), count))
+
+
+def _walk(graph: MetricGraph, k_min: float = 0.0, k_max: float | None = None,
+          n_offset: int | None = None) -> Iterator[LocatedLevel]:
+    """The levels in (k_min, k_max] in order, each located when asked for;
+    without `k_max` the walk does not end.  `n_offset` is the count at k_min
+    when known (it is measured otherwise)."""
     ctr = _Counter(graph)
     mean_gap = np.pi / graph.total_length
 
     if k_min <= 0.0:
         lo = 1e-6 * mean_gap
-        n_at_lo = ctr.integer(lo)
-        if n_at_lo != 0:
-            raise BracketAuditFailed(f"counting at k->0+ gives {n_at_lo}, not 0")
+        n = ctr.integer(lo)
+        if n != 0:
+            raise BracketAuditFailed(f"counting at k->0+ gives {n}, not 0")
     else:
         lo = k_min
-        n_at_lo = ctr.integer(lo) if n_offset is None else n_offset
+        n = ctr.integer(lo) if n_offset is None else n_offset
 
-    out: list[LocatedLevel] = []
-    n = n_at_lo
-    while True:
-        if count is not None and len_done(out) >= count:
-            break
-        if k_max is not None and lo >= k_max:
-            break
+    top = np.inf if k_max is None else k_max
+    while lo < top:
         target = n + 1
         # bracket: walk right until the count reaches the target
-        hi = lo + mean_gap
-        if k_max is not None:
-            hi = min(hi, k_max)
+        hi = min(lo + mean_gap, top)
         n_hi = ctr.integer(hi)
-        while n_hi < target:
-            if k_max is not None and hi >= k_max:
-                break
-            lo = hi
-            hi = hi + mean_gap
-            if k_max is not None:
-                hi = min(hi, k_max)
+        while n_hi < target and hi < top:
+            lo, hi = hi, min(hi + mean_gap, top)
             n_hi = ctr.integer(hi)
         if n_hi < target:
-            break   # k_max reached without another eigenvalue
+            return   # k_max reached without another eigenvalue
         # bisect while the bracket holds more than one crossing, down to a
         # coarse width for clusters
         a, b = lo, hi
@@ -236,7 +232,7 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
                 b, n_hi = mid, n_mid
             else:
                 a = mid
-        abs_tol = tol * max(1.0, b)
+        abs_tol = LOCATE_TOL * max(1.0, b)
         k_star = _safeguarded_newton(ctr, a, b, target, abs_tol)
         delta = max(1e-8, 1e-8 * b)
         ok = k_star is not None
@@ -261,13 +257,10 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
                     f"expected {n}..>={target}")
         mult = n_above - n_below
         loop_dims = _loop_dims_at(graph, k_star, 1e-6)
-        out.append(LocatedLevel(n=n + 1, k=float(k_star),
-                                multiplicity=mult, loop_dims=min(loop_dims, mult)))
+        yield LocatedLevel(n=n + 1, k=float(k_star),
+                           multiplicity=mult, loop_dims=min(loop_dims, mult))
         n = n_above
         lo = k_star + delta
-        if count is not None and len_done(out) >= count:
-            break
-    return out
 
 
 def window_edge(graph: MetricGraph, k: float) -> float:
@@ -457,7 +450,7 @@ def _band(q: float, eps: float) -> bool:
 
 
 def classify(graph: MetricGraph, ep: Eigenpair,
-             thresholds: Thresholds = Thresholds(), strict: bool = False) -> Flags:
+             thresholds: Thresholds = Thresholds()) -> Flags:
     borderline: list[str] = []
 
     interior = set(graph.topology.interior)
@@ -503,6 +496,111 @@ def classify(graph: MetricGraph, ep: Eigenpair,
         borderline=borderline,
     )
     ep.flags = flags
-    if strict and borderline:
-        raise Borderline("; ".join(borderline))
     return flags
+
+
+# ---------------------------------------------------------------------------
+# windowed and parallel localization, and the eigenpair stream
+
+
+def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
+                  workers: int) -> Iterator[LocatedLevel]:
+    """(0, k_max] in `workers` windows located on a process pool.  For
+    `count`, k_max is a padded Weyl estimate, and the walk goes on past it
+    if that holds too few eigenvalues."""
+    from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
+
+    if k_max is None:
+        k_max = (count + 2 + (graph.E + graph.V) / 2.0) * np.pi / graph.total_length
+        k_max = window_edge(graph, k_max * 1.05)
+    edges = np.linspace(0.0, k_max, workers + 1).tolist()
+    edges[1:-1] = [window_edge(graph, e) for e in edges[1:-1]]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # locate_spectrum(graph, count=None, k_max=b, k_min=a) per window
+        windows = pool.map(locate_spectrum, repeat(graph), repeat(None),
+                           edges[1:], edges[:-1])
+        levels = [lv for window in windows for lv in window]
+    yield from levels
+    if count is not None:
+        yield from _walk(graph, k_min=k_max, n_offset=len_done(levels))
+
+
+def _chained_windows(graph: MetricGraph, chunk: int,
+                     k_max: float | None) -> Iterator[LocatedLevel]:
+    """Windows `chunk` mean level spacings wide, each walked on demand."""
+    width = chunk * np.pi / graph.total_length
+    top = np.inf if k_max is None else k_max
+    k_lo, n = 0.0, 0
+    while k_lo < top:
+        k_hi = min(window_edge(graph, k_lo + width), top)
+        for lv in _walk(graph, k_lo, k_hi, n):
+            n = lv.n + lv.multiplicity - 1
+            yield lv
+        k_lo = k_hi
+
+
+def _first(levels: Iterator[LocatedLevel], count: int | None) -> Iterator[LocatedLevel]:
+    """Whole levels until they hold `count` eigenvalues; no level is asked
+    for once they do."""
+    done = 0
+    while count is None or done < count:
+        lv = next(levels, None)
+        if lv is None:
+            return
+        yield lv
+        done += lv.multiplicity
+
+
+def stream_levels(graph: MetricGraph, count: int | None = None,
+                  k_max: float | None = None, workers: int = 1,
+                  chunk: int | None = None) -> Iterator[LocatedLevel]:
+    """Levels in order: whole levels up to the first `count` eigenvalues,
+    all in (0, k_max], or, given neither, without end.
+
+    One worker locates each level in-process when it is asked for, in
+    windows `chunk` mean level spacings wide (one window without `chunk`);
+    more split the range into `workers` windows located on a process pool.
+    Window edges are moved clear of the spectrum (`window_edge`), so the
+    levels do not depend on the split.
+    """
+    if count is not None and k_max is not None:
+        raise ValueError("specify at most one of count, k_max")
+    if workers > 1 and (chunk is not None or (count is None and k_max is None)):
+        raise ValueError("a process pool takes count or k_max, and no chunk")
+    if workers > 1 and (k_max is None or k_max > 0.0):
+        levels = _pool_windows(graph, count, k_max, workers)
+    elif chunk is None:
+        levels = _walk(graph, k_max=k_max)
+    else:
+        levels = _chained_windows(graph, chunk, k_max)
+    return _first(levels, count)
+
+
+def stream_eigenpairs(graph: MetricGraph, count: int | None = None,
+                      k_max: float | None = None,
+                      thresholds: Thresholds = Thresholds(), workers: int = 1,
+                      chunk: int | None = None) -> Iterator[tuple]:
+    """(level, eigenpair, flags, reason) per level of `stream_levels`.  A
+    simple level off every loop resonance carries its eigenpair and
+    classification; other levels carry None for both (at a resonance the
+    loop state is the eigenfunction, so none is reconstructed).
+
+    `reason` is None for a generic eigenpair, or else one of
+      loop_supported      every kernel direction is a loop state
+      degenerate_at_loop  a multiple level holding loop states and more
+      non_simple          a multiple level away from loop resonances
+      borderline          a classification within a factor 10 of a threshold
+      non_generic         property I or II fails
+    """
+    for lv in stream_levels(graph, count, k_max, workers, chunk):
+        if lv.multiplicity > 1 or lv.loop_dims:
+            yield lv, None, None, (
+                "loop_supported" if lv.loop_dims == lv.multiplicity
+                else "degenerate_at_loop" if lv.loop_dims else "non_simple")
+            continue
+        ep = eigenfunction_at(graph, lv.k, n=lv.n, thresholds=thresholds)
+        flags = classify(graph, ep, thresholds)
+        yield lv, ep, flags, (
+            "loop_supported" if flags.loop_supported is not None
+            else "borderline" if flags.borderline
+            else None if flags.generic else "non_generic")

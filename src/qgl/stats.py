@@ -85,7 +85,9 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
                    check_identities: bool = False,
                    chunk: int = 512,
                    exclusion_limit: float = 0.05) -> SurplusDistribution:
-    """Locate eigenvalues until K_target generic eigenpairs accumulate.
+    """Fold the eigenpair stream until K_target generic eigenpairs
+    accumulate; no level past the one that gives the last of them is
+    located.  `chunk` is the localization window, in mean level spacings.
 
     With `seed` given (and no explicit lengths) the edge lengths are redrawn
     uniformly from [1, 2]; the run is then fully determined by
@@ -99,87 +101,56 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     dist = SurplusDistribution(graph=graph)
     topo = graph.topology
     star_threshold = np.pi / graph.min_length
-    window = chunk * np.pi / graph.total_length
-    k_cursor = 0.0
-    n_cursor: int | None = None
-
+    stream = spectrum_mod.stream_eigenpairs(graph, thresholds=thresholds,
+                                            chunk=chunk)
     while dist.K < K_target:
-        k_next = spectrum_mod.window_edge(graph, k_cursor + window)
-        levels = spectrum_mod.locate_spectrum(
-            graph, k_max=k_next, k_min=k_cursor, n_offset=n_cursor)
-        for lv in levels:
-            dist.N_raw += lv.multiplicity
-            dist.loop_count += lv.loop_dims
-            if lv.multiplicity > 1:
-                extra = lv.multiplicity - lv.loop_dims
-                if extra:
-                    key = "degenerate_at_loop" if lv.loop_dims else "non_simple"
-                    dist.excluded[key] += extra
-                continue
-            if lv.loop_dims == 1:
-                continue    # simple loop-supported state, already tallied
-            ep = spectrum_mod.eigenfunction_at(graph, lv.k, n=lv.n,
-                                               thresholds=thresholds)
-            flags = spectrum_mod.classify(graph, ep, thresholds)
-            if flags.loop_supported is not None:
-                # classified by support rather than by the torus coordinate
-                dist.loop_count += 1
-                continue
-            if flags.borderline:
-                dist.excluded["borderline"] += 1
-                continue
-            if not flags.generic:
-                dist.excluded["non_generic"] += 1
+        lv, ep, _, reason = next(stream)
+        dist.N_raw += lv.multiplicity
+        if reason == "loop_supported":
+            dist.loop_count += lv.multiplicity
+            continue
+        dist.loop_count += lv.loop_dims
+        if reason is not None:
+            dist.excluded[reason] += lv.multiplicity - lv.loop_dims
+            continue
+
+        rec_counts = counts_mod.counts(graph, ep)
+        stars = {}
+        if ep.k > star_threshold:
+            stars = {v: neumann_mod.star_observables(graph, ep, v)
+                     for v in topo.interior}
+            if check_identities and not neumann_mod.local_global_check(
+                    graph, ep, rec_counts, stars=stars,
+                    raise_on_violation=False).ok:
+                dist.identity_failures += 1
+
+        iota = None
+        if magnetic:
+            try:
+                frame = magnetic_mod.hessian_alpha(
+                    graph, ep.kappa, kernel_tol=spectrum_mod.kernel_cutoff(
+                        graph, ep.k, thresholds))
+                iota = tuple(magnetic_mod.local_indices(frame))
+                if check_identities and frame.sigma_magnetic != rec_counts.sigma:
+                    dist.identity_failures += 1
+            except magnetic_mod.DegenerateHessian:
+                dist.excluded["degenerate_hessian"] += 1
                 continue
 
-            rec_counts = counts_mod.counts(graph, ep)
-            positions: dict[int, int] = {}
-            capacities: dict[int, float] = {}
-            if ep.k > star_threshold:
-                for v in topo.interior:
-                    N_v, rho_v = neumann_mod.star_observables(graph, ep, v)
-                    positions[v] = N_v
-                    capacities[v] = rho_v
-                if check_identities:
-                    nb = len(topo.boundary)
-                    rhs_N = rec_counts.phi - rec_counts.mu + graph.E - nb
-                    rhs_rho = (graph.total_length * ep.k / np.pi
-                               - rec_counts.mu + graph.E - nb)
-                    if (sum(positions.values()) != rhs_N
-                            or abs(sum(capacities.values()) - rhs_rho)
-                            > 1e-8 * max(1.0, abs(rhs_rho))):
-                        dist.identity_failures += 1
-
-            iota = None
-            if magnetic:
-                try:
-                    frame = magnetic_mod.hessian_alpha(
-                        graph, ep.kappa, kernel_tol=spectrum_mod.kernel_cutoff(
-                            graph, ep.k, thresholds))
-                    iota = tuple(magnetic_mod.local_indices(frame))
-                    if check_identities and frame.sigma_magnetic != rec_counts.sigma:
-                        dist.identity_failures += 1
-                except magnetic_mod.DegenerateHessian:
-                    dist.excluded["degenerate_hessian"] += 1
-                    continue
-
-            dist.K += 1
-            dist.joint[(rec_counts.sigma, rec_counts.omega)] += 1
-            dist.sigma_hist[rec_counts.sigma] += 1
-            dist.omega_hist[rec_counts.omega] += 1
-            for v, N_v in positions.items():
-                dist.vertex_hist.setdefault(v, Counter())[N_v] += 1
-                dist.rho_values.setdefault(v, []).append(capacities[v])
-            if iota is not None:
-                for j, i_j in enumerate(iota):
-                    dist.iota_hist.setdefault(j, Counter())[i_j] += 1
-            dist.records.append(EigenRecord(
-                n=lv.n, k=lv.k, sigma=rec_counts.sigma, omega=rec_counts.omega,
-                positions=positions, capacities=capacities, iota=iota))
-            if dist.K >= K_target:
-                break
-        k_cursor = k_next
-        n_cursor = (n_cursor or 0) + sum(lv.multiplicity for lv in levels)
+        dist.K += 1
+        dist.joint[(rec_counts.sigma, rec_counts.omega)] += 1
+        dist.sigma_hist[rec_counts.sigma] += 1
+        dist.omega_hist[rec_counts.omega] += 1
+        for v, (N_v, rho_v) in stars.items():
+            dist.vertex_hist.setdefault(v, Counter())[N_v] += 1
+            dist.rho_values.setdefault(v, []).append(rho_v)
+        if iota is not None:
+            for j, i_j in enumerate(iota):
+                dist.iota_hist.setdefault(j, Counter())[i_j] += 1
+        dist.records.append(EigenRecord(
+            n=lv.n, k=lv.k, sigma=rec_counts.sigma, omega=rec_counts.omega,
+            positions={v: N_v for v, (N_v, _) in stars.items()},
+            capacities={v: rho_v for v, (_, rho_v) in stars.items()}, iota=iota))
 
     # exclusions that indicate threshold trouble: borderline cases and
     # unexplained near-degeneracies away from loop points

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-import qgl.cli
+import qgl.spectrum
 from qgl import errors
 from qgl.cli import main
 from qgl.graphs import load_graph, save_graph
@@ -159,9 +159,41 @@ def test_exit_code_separates_failed_computation_from_bad_input(
     def fail(*args, **kwargs):
         raise exc("injected")
 
-    monkeypatch.setattr(qgl.cli, "locate_parallel", fail)
+    monkeypatch.setattr(qgl.spectrum, "stream_levels", fail)
     assert main(["spectrum", "--graph", "star3", "--K", "5",
                  "--out", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--graph", "star3", "--K", "0"],
+    ["stats", "--graph", "dumbbell", "--K", "0"],
+    ["counts", "--graph", "star3", "--K", "-3"],
+    ["spectrum", "--graph", "star3", "--K", "5", "--workers", "0"],
+    ["counts", "--graph", "star3", "--K", "5", "--assert", "bogus"],
+    ["magnetic", "--graph", "dumbbell", "--K", "5", "--assert", "symmetry"],
+    ["stats", "--graph", "dumbbell", "--K", "20", "--assert", "nosuchtest"],
+    ["manifold", "--graph", "flower3", "--res", "3", "--workers", "2"],
+])
+def test_invalid_arguments_exit_2_before_computing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    try:
+        rc = main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kmax", ["0.1", "-1"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_kmax_below_first_eigenvalue_is_empty(tmp_path, capsys, kmax, workers):
+    rc = main(["spectrum", "--graph", "star3", "--kmax", kmax,
+               "--workers", workers, "--out", str(tmp_path)])
+    assert rc == 0
+    assert _read_csv(tmp_path / "spectrum.csv") == [
+        ["n", "k", "simple", "generic", "loop_supported"]]
+    assert "eigenvalues: 0 located" in capsys.readouterr().out
 
 
 def test_unknown_assert_rejected(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import qgl.spectrum as spectrum
-from qgl.cli import locate_parallel
 from qgl.errors import NoKernel
 from qgl.graphs import load_graph
 from qgl.secular import evolution_matrix
@@ -14,6 +13,8 @@ from qgl.spectrum import (
     eigenfunction_at,
     len_done,
     locate_spectrum,
+    stream_eigenpairs,
+    stream_levels,
     unitary_frame,
     window_edge,
 )
@@ -200,7 +201,11 @@ def test_workers_split_on_eigenvalues(name):
     k_top = 6 * TWO_PI
     full = locate_spectrum(g, k_max=k_top)
     for workers in (1, 2, 3):
-        _assert_same_levels(locate_parallel(g, k_max=k_top, workers=workers), full)
+        _assert_same_levels(
+            list(stream_levels(g, k_max=k_top, workers=workers)), full)
+        _assert_same_levels(
+            [lv for lv, *_ in stream_eigenpairs(g, k_max=k_top, workers=workers)],
+            full)
 
 
 def test_window_edge_keeps_generic_points():

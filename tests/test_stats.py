@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import qgl.spectrum as spectrum
 from qgl.errors import WrongFamily
 from qgl.graphs import load_graph, loop_chain
 from qgl.stats import (
@@ -46,6 +49,44 @@ def test_dumbbell_run_tallies(dumbbell):
     assert d.excluded == {}
     assert d.loop_count > 0
     assert set(d.sigma_hist) == {0, 1, 2}
+
+
+def test_run_locates_no_level_past_last_record(dumbbell, monkeypatch):
+    located = []
+    walk = spectrum._walk
+
+    def recording_walk(*args, **kwargs):
+        for lv in walk(*args, **kwargs):
+            located.append(lv)
+            yield lv
+
+    monkeypatch.setattr(spectrum, "_walk", recording_walk)
+    d = run_experiment(dumbbell, 50, seed=7, chunk=16)
+    assert located[-1].k == d.records[-1].k
+    assert sum(lv.multiplicity for lv in located) == d.N_raw
+
+
+@pytest.mark.parametrize("name, K, seed", [
+    ("lasso", 300, None), ("dumbbell", 300, 7), ("k4", 150, 4)])
+def test_stream_reasons_reproduce_run_tallies(name, K, seed):
+    d = run_experiment(load_graph(name), K, seed=seed)
+    excluded, loop_count, generic = Counter(), 0, 0
+    # one window, unlike the run's 512-level windows
+    for lv, ep, flags, reason in spectrum.stream_eigenpairs(d.graph, count=d.N_raw):
+        if reason == "loop_supported":
+            loop_count += lv.multiplicity
+            continue
+        loop_count += lv.loop_dims
+        if reason is None:
+            assert flags.generic and not flags.borderline
+            generic += 1
+        else:
+            excluded[reason] += lv.multiplicity - lv.loop_dims
+    assert generic == d.K
+    assert excluded == d.excluded
+    assert loop_count == d.loop_count
+    if name == "lasso":
+        assert excluded["degenerate_at_loop"] > 0 and loop_count > 0
 
 
 def test_lasso_loop_density(lasso):
