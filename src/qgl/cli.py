@@ -220,6 +220,13 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qgl",
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--K", "--count", dest="K", type=positive_int,
                            help="number of eigenvalues to locate")
             if kmax:
-                g.add_argument("--kmax", type=float,
+                g.add_argument("--kmax", type=finite_float,
                                help="locate all eigenvalues up to this k")
         sp.add_argument("--seed", type=int, default=None,
                         help="redraw edge lengths uniformly from [1, 2]")
@@ -261,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also accumulate local magnetic indices")
     sp = sub.add_parser("manifold", help="sample the secular zero set (E = 3)")
     common(sp, spectral=False, workers=False)
-    sp.add_argument("--res", type=int, default=60, help="grid resolution")
+    sp.add_argument("--res", type=positive_int, default=60,
+                    help="grid resolution")
     return p
 
 

@@ -7,10 +7,11 @@ parallel without shared mutable state.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError, lapack
 
 from .errors import NoLoops, UndefinedPhase, UnsupportedDimension
 from .graphs import MetricGraph
@@ -72,11 +73,30 @@ def root_branch(graph: MetricGraph, kappa) -> complex:
     return (1j) ** (beta - 1) * np.exp(-1j * float(np.sum(kappa)))
 
 
-def unitary_eig(U: np.ndarray):
+def _no_sort(_):
+    return None   # zgees' eigenvalue-ordering callback, unused with sort_t=0
+
+
+@functools.cache
+def _schur_lwork(n: int) -> int:
+    """The workspace size zgees asks for; it depends on the order alone."""
+    query = lapack.zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)
+    return int(query[-2][0].real)
+
+
+def unitary_schur(U: np.ndarray):
     """Eigenvalues and an orthonormal eigenbasis of a unitary matrix via the
-    complex Schur form (exact-arithmetic diagonal for normal matrices)."""
-    T, Z = scipy.linalg.schur(U, output="complex")
-    return np.diag(T).copy(), Z
+    complex Schur form (exact-arithmetic diagonal for normal matrices).
+
+    Makes the LAPACK call of scipy.linalg.schur(U, output="complex"), with its
+    finiteness check and errors, but queries the workspace size once per
+    matrix order instead of before every factorization; the factors are
+    bit-identical."""
+    U = np.asarray_chkfinite(U, dtype=complex)
+    T, _, _, Z, _, info = lapack.zgees(_no_sort, U, lwork=_schur_lwork(U.shape[0]))
+    if info != 0:
+        raise LinAlgError(f"Schur form not found (zgees info {info})")
+    return np.diagonal(T), Z
 
 
 def adjugate_from_unitary_spectrum(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -111,11 +131,19 @@ class SecularEvaluation:
     kernel_vector: np.ndarray | None
 
 
+def secular_value(graph: MetricGraph, kappa) -> float:
+    """F(kappa) alone: the same arithmetic as `evaluate(graph, kappa).F`,
+    without the adjugate, gradient and kernel."""
+    kappa = reduce_torus(kappa)
+    lam, _ = unitary_schur(evolution_matrix(graph, kappa))
+    return float((root_branch(graph, kappa) * np.prod(1.0 - lam)).real)
+
+
 def evaluate(graph: MetricGraph, kappa, S: np.ndarray | None = None,
              kernel_tol: float = KERNEL_TOL) -> SecularEvaluation:
     kappa = reduce_torus(kappa)
     U = evolution_matrix(graph, kappa, S)
-    lam, Z = unitary_eig(U)
+    lam, Z = unitary_schur(U)
     pref = root_branch(graph, kappa)
 
     det_one_minus = np.prod(1.0 - lam)
@@ -348,9 +376,6 @@ def sample_manifold(graph: MetricGraph, resolution: int = 60,
     grid = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     loops = set(graph.topology.loops)
 
-    def f_of(kappa):
-        return evaluate(graph, kappa).F
-
     rows = []
     for axis in range(3):
         others = [a for a in range(3) if a != axis]
@@ -363,14 +388,14 @@ def sample_manifold(graph: MetricGraph, resolution: int = 60,
                 for t in np.append(grid, TWO_PI):
                     pt = base.copy()
                     pt[axis] = t
-                    ft = f_of(pt)
+                    ft = secular_value(graph, pt)
                     if prev_f is not None and np.sign(prev_f) * np.sign(ft) < 0:
                         lo, hi, flo = prev_t, t, prev_f
                         while hi - lo > tol:
                             mid = 0.5 * (lo + hi)
                             pm = base.copy()
                             pm[axis] = mid
-                            fm = f_of(pm)
+                            fm = secular_value(graph, pm)
                             if np.sign(flo) * np.sign(fm) <= 0:
                                 hi = mid
                             else:

@@ -173,6 +173,11 @@ def test_exit_code_separates_failed_computation_from_bad_input(
     ["magnetic", "--graph", "dumbbell", "--K", "5", "--assert", "symmetry"],
     ["stats", "--graph", "dumbbell", "--K", "20", "--assert", "nosuchtest"],
     ["manifold", "--graph", "flower3", "--res", "3", "--workers", "2"],
+    ["spectrum", "--graph", "star3", "--kmax", "inf"],
+    ["counts", "--graph", "star3", "--kmax", "-inf"],
+    ["spectrum", "--graph", "star3", "--kmax", "nan"],
+    ["manifold", "--graph", "flower3", "--res", "0"],
+    ["manifold", "--graph", "flower3", "--res", "-2"],
 ])
 def test_invalid_arguments_exit_2_before_computing(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,8 @@ from qgl.secular import (
     reduce_torus,
     root_branch,
     sample_manifold,
-    unitary_eig,
+    secular_value,
+    unitary_schur,
 )
 from qgl.spectrum import locate_spectrum
 
@@ -132,7 +134,7 @@ def test_adjugate_defining_identity():
 def test_adjugate_from_spectrum_matches_general(k4):
     rng = np.random.default_rng(2)
     U = evolution_matrix(k4, _rand_kappa(rng, k4.E))
-    lam, Z = unitary_eig(U)
+    lam, Z = unitary_schur(U)
     A1 = adjugate_from_unitary_spectrum(lam, Z)
     A2 = adjugate(np.eye(2 * k4.E) - U)
     assert np.allclose(A1, A2, atol=1e-8)
@@ -154,6 +156,37 @@ def test_secular_real_and_matches_direct_determinant(name):
         direct = root_branch(g, kappa) * np.linalg.det(
             np.eye(2 * g.E) - evolution_matrix(g, kappa))
         assert ev.F == pytest.approx(direct.real, abs=1e-9 * scale)
+
+
+@pytest.mark.parametrize("name", GRAPHS + ("flower3",))
+def test_secular_value_is_bit_identical_to_evaluate(name):
+    # exact equality: on flower3 F vanishes identically on the loop planes
+    # kappa_e = 0, so the manifold scan depends on the roundoff sign of F
+    g = load_graph(name)
+    plane_edges = g.topology.loops or range(g.E)
+    rng = np.random.default_rng(11)
+    points = [np.zeros(g.E)]
+    for j in range(199):
+        kappa = _rand_kappa(rng, g.E)
+        if j % 4 == 0:
+            kappa[rng.choice(plane_edges)] = 0.0
+        points.append(kappa)
+    for kappa in points:
+        assert secular_value(g, kappa) == evaluate(g, kappa).F
+
+
+def test_unitary_schur_matches_scipy_schur(k4):
+    U = evolution_matrix(k4, _rand_kappa(np.random.default_rng(12), k4.E))
+    T, Z = scipy.linalg.schur(U, output="complex")
+    lam, Z2 = unitary_schur(U)
+    assert np.array_equal(lam, np.diag(T)) and np.array_equal(Z2, Z)
+
+
+def test_unitary_schur_rejects_non_finite_matrix(star3):
+    U = evolution_matrix(star3, np.zeros(3))
+    U[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        unitary_schur(U)
 
 
 def test_star_relation_zero_is_secular_zero(star3):
@@ -308,6 +341,52 @@ def test_sample_manifold_tags_loop_sheets():
     for k1, k2, k3, comp in rows:
         if comp.startswith("loop:"):
             assert (k1, k2, k3)[int(comp.split(":")[1])] == 0.0
+
+
+def _oracle_manifold_scan(graph, resolution, tol=1e-10):
+    """The manifold scan written against `evaluate(...).F`."""
+    grid = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
+    rows = []
+    for axis in range(3):
+        others = [a for a in range(3) if a != axis]
+        for u in grid:
+            for v in grid:
+                base = np.zeros(3)
+                base[others] = u, v
+                prev_t, prev_f = None, None
+                for t in np.append(grid, TWO_PI):
+                    pt = base.copy()
+                    pt[axis] = t
+                    ft = evaluate(graph, pt).F
+                    if prev_f is not None and np.sign(prev_f) * np.sign(ft) < 0:
+                        lo, hi, flo = prev_t, t, prev_f
+                        while hi - lo > tol:
+                            mid = 0.5 * (lo + hi)
+                            pm = base.copy()
+                            pm[axis] = mid
+                            fm = evaluate(graph, pm).F
+                            if np.sign(flo) * np.sign(fm) <= 0:
+                                hi = mid
+                            else:
+                                lo, flo = mid, fm
+                        pt[axis] = 0.5 * (lo + hi)
+                        rows.append((*(pt % TWO_PI), "regular"))
+                    prev_t, prev_f = t, ft
+    for i in graph.topology.loops:
+        others = [a for a in range(3) if a != i]
+        for u in grid:
+            for v in grid:
+                pt = np.zeros(3)
+                pt[others] = u, v
+                if abs(loop_reduced_determinant(graph, pt)) > 1e-10:
+                    rows.append((*pt, f"loop:{i}"))
+    return rows
+
+
+@pytest.mark.parametrize("name, res", [("flower3", 3), ("star3", 4)])
+def test_sample_manifold_matches_evaluate_scan(name, res):
+    g = load_graph(name)
+    assert sample_manifold(g, resolution=res) == _oracle_manifold_scan(g, res)
 
 
 def test_sample_manifold_rejects_wrong_dimension(k4):
