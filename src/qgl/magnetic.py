@@ -1,4 +1,4 @@
-"""Magnetic secular function and flux Hessian at zero flux.
+"""Flux Hessian of the secular function at zero flux.
 
 Fluxes live on the non-tree edges of a spanning tree (canonical choice:
 minimum edge index).  A flux alpha_j on edge i turns U(kappa) into
@@ -64,27 +64,6 @@ def flux_edges(graph: MetricGraph, tree: tuple[int, ...] | None = None) -> tuple
     if tree is None:
         tree = spanning_tree(graph)
     return tuple(i for i in range(graph.E) if i not in set(tree))
-
-
-def magnetic_secular(graph: MetricGraph, kappa, alpha,
-                     fluxes: tuple[int, ...] | None = None,
-                     S: np.ndarray | None = None) -> float:
-    """Secular function with flux phases e^{+-i alpha_j} on the non-tree
-    directed edge pairs; equals the plain secular function at alpha = 0."""
-    kappa = np.asarray(kappa, dtype=float)
-    if fluxes is None:
-        fluxes = flux_edges(graph)
-    alpha = np.asarray(alpha, dtype=float)
-    if len(alpha) != len(fluxes):
-        raise ValueError(f"expected {len(fluxes)} fluxes, got {len(alpha)}")
-    U = evolution_matrix(graph, kappa, S)
-    phase = np.ones(2 * graph.E, dtype=complex)
-    for a, i in zip(alpha, fluxes):
-        phase[2 * i] = np.exp(1j * a)
-        phase[2 * i + 1] = np.exp(-1j * a)
-    val = root_branch(graph, kappa) * np.linalg.det(
-        np.eye(2 * graph.E) - phase[:, None] * U)
-    return float(val.real)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,40 @@ from qgl.magnetic import (
     flux_edges,
     hessian_alpha,
     local_indices,
-    magnetic_secular,
     morse_index,
     spanning_tree,
 )
-from qgl.secular import evaluate, inversion, reduce_torus
+from qgl.secular import (
+    evaluate,
+    evolution_matrix,
+    inversion,
+    reduce_torus,
+    root_branch,
+)
 from qgl.spectrum import classify, eigenfunction_at, locate_spectrum
 
 GRAPHS = ("lasso", "dumbbell", "mandarin3", "k4", "flower3", "chain4", "tree31_7")
 FD_STEP = 1e-4
+
+
+def magnetic_secular(graph, kappa, alpha, fluxes=None):
+    """Oracle: the secular function with flux phases e^{+-i alpha_j} on the
+    non-tree directed edge pairs, as a determinant; equals the plain secular
+    function at alpha = 0."""
+    kappa = np.asarray(kappa, dtype=float)
+    if fluxes is None:
+        fluxes = flux_edges(graph)
+    alpha = np.asarray(alpha, dtype=float)
+    if len(alpha) != len(fluxes):
+        raise ValueError(f"expected {len(fluxes)} fluxes, got {len(alpha)}")
+    U = evolution_matrix(graph, kappa)
+    phase = np.ones(2 * graph.E, dtype=complex)
+    for a, i in zip(alpha, fluxes):
+        phase[2 * i] = np.exp(1j * a)
+        phase[2 * i + 1] = np.exp(-1j * a)
+    val = root_branch(graph, kappa) * np.linalg.det(
+        np.eye(2 * graph.E) - phase[:, None] * U)
+    return float(val.real)
 
 
 def fd_hessian(graph, kappa, tree=None, step=FD_STEP):

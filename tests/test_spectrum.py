@@ -109,11 +109,11 @@ def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
     newton = spectrum._safeguarded_newton
     steered = []
 
-    def to_upper_root(ctr, a, b, target, tol):
+    def to_upper_root(ctr, a, b, target, tol, start):
         if target == 914:
             steered.append(target)
-            return high.k
-        return newton(ctr, a, b, target, tol)
+            return high.k, ctr.frame(high.k, vectors=True)
+        return newton(ctr, a, b, target, tol, start)
 
     monkeypatch.setattr(spectrum, "_safeguarded_newton", to_upper_root)
     again = locate_spectrum(dumbbell, k_min=775.0, k_max=775.2, n_offset=913)
@@ -121,6 +121,161 @@ def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
     assert [(lv.n, lv.multiplicity) for lv in again] == [(914, 1), (915, 1)]
     assert again[0].k == pytest.approx(low.k, rel=1e-12)
     assert again[1].k == pytest.approx(high.k, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# certified localization: the final Newton frame audits each root and
+# brackets the next
+
+
+def _counting_calls(monkeypatch):
+    """Every spectral frame goes through `spectrum.counting`; count them."""
+    ks = []
+    counting_fn = spectrum.counting
+
+    def counted(graph, k, vectors=False):
+        ks.append(k)
+        return counting_fn(graph, k, vectors)
+
+    monkeypatch.setattr(spectrum, "counting", counted)
+    return ks
+
+
+@pytest.mark.parametrize("name", ("k6", "dumbbell", "tree31_7"))
+def test_at_most_four_frames_per_level(name, monkeypatch):
+    g = load_graph(name)
+    ks = _counting_calls(monkeypatch)
+    levels = locate_spectrum(g, count=1000)
+    assert len(levels) >= 990
+    assert len(ks) <= 4 * len(levels)
+
+
+def test_loop_state_on_the_upper_bound(dumbbell, monkeypatch):
+    # the loop state at n = 33 turns at exactly the shortest length, that of
+    # its loop, so the upper bound from the frame of level 32 lands on it
+    brackets = []
+    phase_bracket = spectrum._phase_bracket
+
+    def recorded(ctr, frame, phases, lo):
+        out = phase_bracket(ctr, frame, phases, lo)
+        brackets.append((frame.k, phases, out))
+        return out
+
+    monkeypatch.setattr(spectrum, "_phase_bracket", recorded)
+    levels = locate_spectrum(dumbbell, count=33)
+    i, lv = next((i, lv) for i, lv in enumerate(levels) if lv.n == 33)
+    assert (lv.multiplicity, lv.loop_dims) == (1, 1)
+    assert lv.k == pytest.approx(29.360679005512083, rel=1e-12)
+    k_f, phases, (a, b, _, _) = brackets[i]
+    bound = k_f + np.min(TWO_PI - phases) / dumbbell.min_length
+    assert abs(bound - lv.k) < 1e-12 * lv.k
+    # the bracket ends at least an audit step past it
+    assert a < lv.k and b - lv.k > spectrum._audit_step(lv.k)
+
+
+def test_forced_certificate_failure_recounts(dumbbell, monkeypatch):
+    certified = locate_spectrum(dumbbell, count=60)
+    recounted = []
+    recount = spectrum._recount
+
+    def recorded(ctr, k_star, delta):
+        recounted.append(k_star)
+        return recount(ctr, k_star, delta)
+
+    monkeypatch.setattr(spectrum, "_certified_counts", lambda *args: None)
+    monkeypatch.setattr(spectrum, "_recount", recorded)
+    ks = _counting_calls(monkeypatch)
+    again = locate_spectrum(dumbbell, count=60)
+    _assert_same_levels(again, certified)
+    # one fresh count on each side of every root
+    assert recounted == [lv.k for lv in again]
+    for lv in again:
+        side = 1e-7 * lv.k
+        assert any(lv.k - side < k < lv.k for k in ks)
+        assert any(lv.k < k < lv.k + side for k in ks)
+
+
+def _frame(k, N, phases):
+    return spectrum.CountingFrame(k=k, eigenphases=np.asarray(phases), N=N)
+
+
+def test_certificate_decides_crossing_from_the_raw_eigenphase(dumbbell):
+    ctr = spectrum._Counter(dumbbell)
+    k, delta = 50.0, spectrum._audit_step(50.0)
+    below_two_pi = np.nextafter(TWO_PI, 0.0)
+    assert spectrum._signed(np.array([below_two_pi]))[0] == 0.0
+    # not yet past 0, so not in the count of 7
+    audit = spectrum._certified_counts(
+        ctr, _frame(k, 7.0, [below_two_pi, 1.0, 3.0, 5.0, 2.0, 4.0]), k, delta)
+    assert (audit.n_below, audit.n_above) == (7, 8)
+    # just past 0, and in the count of 8
+    audit = spectrum._certified_counts(
+        ctr, _frame(k, 8.0, [1e-15, 1.0, 3.0, 5.0, 2.0, 4.0]), k, delta)
+    assert (audit.n_below, audit.n_above) == (7, 8)
+    assert audit.phases[0] == 0.0
+
+
+def test_certificate_declines_an_undecided_eigenphase(dumbbell):
+    ctr = spectrum._Counter(dumbbell)
+    k, delta = 50.0, spectrum._audit_step(50.0)
+    # an eigenphase 1.2 delta short of 0 may or may not cross within delta
+    near = TWO_PI - 1.2 * delta
+    assert spectrum._certified_counts(
+        ctr, _frame(k, 7.0, [near, 1.0, 3.0, 5.0, 2.0, 4.0]), k, delta) is None
+    # so may one 1.2 delta past 0 when the root is a delta away from the frame
+    assert spectrum._certified_counts(
+        ctr, _frame(k, 8.0, [1.2 * delta, 1.0, 3.0, 5.0, 2.0, 4.0]), k + delta,
+        delta) is None
+    # and a count that is no integer decides nothing
+    assert spectrum._certified_counts(
+        ctr, _frame(k, 7.3, [1.0, 3.0, 5.0, 2.0, 4.0, 0.5]), k, delta) is None
+
+
+def _bisection_levels(graph, count):
+    """Oracle: levels from the integer count alone.  Steps of a quarter mean
+    spacing find a rise of the count, bisection narrows it to 1e-11 relative,
+    and the multiplicity is the rise over one audit step."""
+    def integer(k):
+        val = counting(graph, k).N
+        assert abs(val - round(val)) < 1e-6
+        return int(round(val))
+
+    step = 0.25 * np.pi / graph.total_length
+    a, n, levels = 1e-6 * step, 0, []
+    assert integer(a) == 0
+    while n < count:
+        b = a + step
+        if integer(b) == n:
+            a = b
+            continue
+        while b - a > 1e-11 * b:
+            mid = 0.5 * (a + b)
+            if integer(mid) > n:
+                b = mid
+            else:
+                a = mid
+        k = 0.5 * (a + b)
+        delta = max(1e-8, 1e-8 * k)
+        above = integer(k + delta)
+        loops = sum(abs(np.exp(1j * k * graph.lengths[i]) - 1.0) < 1e-6
+                    for i in graph.topology.loops)
+        levels.append(spectrum.LocatedLevel(
+            n=n + 1, k=k, multiplicity=above - n, loop_dims=min(loops, above - n)))
+        n, a = above, k + delta
+    return levels
+
+
+@pytest.mark.parametrize("name", ("chain2", "chain4", "chain8", "dumbbell",
+                                  "flower3", "k4", "k6", "lasso", "mandarin3",
+                                  "star3", "tree31_7"))
+def test_first_levels_match_count_bisection(name):
+    g = load_graph(name)
+    got = locate_spectrum(g, count=200)
+    want = _bisection_levels(g, 200)
+    assert [(lv.n, lv.multiplicity, lv.loop_dims) for lv in got] \
+        == [(lv.n, lv.multiplicity, lv.loop_dims) for lv in want]
+    for a, b in zip(got, want):
+        assert a.k == pytest.approx(b.k, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
