@@ -143,9 +143,7 @@ def cmd_magnetic(args, graph, thresholds, out_dir) -> int:
             skipped += lv.multiplicity
             continue
         rec = counts_mod.counts(graph, ep)
-        frame = magnetic_mod.hessian_alpha(
-            graph, ep.kappa,
-            kernel_tol=spectrum_mod.kernel_cutoff(graph, lv.k, thresholds))
+        frame = magnetic_mod.hessian_alpha(graph, ep)
         iota = magnetic_mod.local_indices(frame)
         if frame.sigma_magnetic != rec.sigma:
             agree = False

@@ -29,19 +29,13 @@ class CountRecord:
     omega: int      # neumann surplus, mu - n
 
 
-def _endpoint_traces(graph: MetricGraph, ep: Eigenpair, edge: int):
-    e = graph.edges[edge]
-    t_tail = ep.trace_at(e.tail, 2 * edge)
-    t_head = ep.trace_at(e.head, 2 * edge + 1)
-    return t_tail, t_head
-
-
 def nodal_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int,
                      value_tol: float = 1e-6) -> int:
-    t_tail, t_head = _endpoint_traces(graph, ep, edge)
-    if abs(t_tail.value) < value_tol or abs(t_head.value) < value_tol:
+    # directed edge 2i leaves the tail of edge i, 2i + 1 its head
+    tail, head = ep.values[2 * edge], ep.values[2 * edge + 1]
+    if abs(tail) < value_tol or abs(head) < value_tol:
         raise NotGeneric(f"edge {edge}: endpoint value within {value_tol} of 0")
-    product = t_tail.value * t_head.value
+    product = tail * head
     kl = ep.k * graph.lengths[edge]
     r0 = kl % TWO_PI
     base = 2 * int(np.floor(kl / TWO_PI))
@@ -60,10 +54,10 @@ def neumann_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int,
     if e.tail in boundary or e.head in boundary:
         # tail edge: the cosine is pinned flat at the boundary vertex
         return int(np.floor(kl / np.pi))
-    t_tail, t_head = _endpoint_traces(graph, ep, edge)
-    if abs(t_tail.derivative) < derivative_tol or abs(t_head.derivative) < derivative_tol:
+    tail, head = ep.derivatives[2 * edge], ep.derivatives[2 * edge + 1]
+    if abs(tail) < derivative_tol or abs(head) < derivative_tol:
         raise NotGeneric(f"edge {edge}: endpoint derivative within {derivative_tol} of 0")
-    product = t_tail.derivative * t_head.derivative
+    product = tail * head
     r0 = kl % TWO_PI
     base = 2 * int(np.floor(kl / TWO_PI))
     if product > 0:
@@ -76,17 +70,13 @@ def neumann_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int,
 def vertex_sign_sum(graph: MetricGraph, ep: Eigenpair) -> int:
     """Sum over interior vertices and incident directed edges of
     sign(f(v) * outgoing derivative)."""
-    interior = set(graph.topology.interior)
-    total = 0
-    for t in ep.trace:
-        if t.vertex in interior:
-            s = np.sign(t.value * t.derivative)
-            if s == 0:
-                raise NotGeneric(
-                    f"vertex {t.vertex}, directed edge {t.directed_edge}: "
-                    "zero value or derivative")
-            total += int(s)
-    return total
+    dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
+    signs = np.sign(ep.values[dirs] * ep.derivatives[dirs])
+    if not np.all(signs):
+        d = dirs[int(np.argmin(np.abs(signs)))]
+        raise NotGeneric(f"vertex {graph.tail_of(d)}, directed edge {d}: "
+                         "zero value or derivative")
+    return int(np.sum(signs))
 
 
 def counts(graph: MetricGraph, ep: Eigenpair) -> CountRecord:

@@ -7,8 +7,8 @@ zero set, U(kappa) has an eigenphase theta_0 = 0 with eigenvector a, and the
 secular function equals p * theta_0(alpha) up to second order in the fluxes,
 so its flux Hessian is p times the Hessian of that eigenphase.  Second-order
 perturbation theory gives both exactly from one spectral frame (theta_m, z_m)
-of U(kappa) (Berkolaiko, Anal. PDE 6, 2013; Berkolaiko-Weyand, Phil. Trans.
-R. Soc. A 372, 2014):
+of U(kappa), the one an eigenpair keeps from its reconstruction (Berkolaiko,
+Anal. PDE 6, 2013; Berkolaiko-Weyand, Phil. Trans. R. Soc. A 372, 2014):
 
     d_j theta_0       = a* A_j a      (zero by time-reversal symmetry)
     d_j d_l theta_0   = -sum_{m != 0} cot((theta_m - theta_0) / 2) Re(conj(b_jm) b_lm)
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CriticalPointViolated, DegenerateHessian, IdentityViolated
 from .graphs import MetricGraph
 from .secular import KERNEL_TOL, evolution_matrix, reduce_torus, root_branch
-from .spectrum import unitary_frame
+from .spectrum import Eigenpair, unitary_frame
 
 GRADIENT_TOL = 1e-9      # max |d theta_0| per unit of max |cot|: roundoff only
 # 50x the worst error of the smallest relative eigenvalue against 50-digit
@@ -124,19 +124,24 @@ def morse_index(sym: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> int:
     return int(np.sum(w < 0))
 
 
-def hessian_alpha(graph: MetricGraph, kappa,
-                  tree: tuple[int, ...] | None = None,
-                  kernel_tol: float = KERNEL_TOL) -> MagneticFrame:
+def hessian_alpha(graph: MetricGraph, point,
+                  tree: tuple[int, ...] | None = None) -> MagneticFrame:
     """Flux Hessian of the secular function at zero flux over a located
     spectrum point, with the block structure checked, never assumed.
 
-    The point must have an eigenphase theta_0 with |1 - e^{i theta_0}| at most
-    `kernel_tol`; at an eigenvalue k located by `spectrum`, pass
-    `spectrum.kernel_cutoff(graph, k)`, which grows with k.
+    `point` is an `Eigenpair`, whose spectral frame of U(kappa) is read as
+    it stands (`eigenfunction_at` has checked its kernel against the cutoff
+    that grows with k), or a bare kappa, for which one frame is built and
+    must have an eigenphase theta_0 with |1 - e^{i theta_0}| at most
+    KERNEL_TOL.
     """
-    kappa = reduce_torus(kappa)
     layout = _flux_layout(graph, tree)
-    frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
+    if isinstance(point, Eigenpair):
+        kappa, frame, kernel_tol = point.kappa, point.frame, np.inf
+    else:
+        kappa = reduce_torus(point)
+        frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
+        kernel_tol = KERNEL_TOL
     theta = frame.eigenphases
     distance = np.abs(1.0 - np.exp(1j * theta))
     j0 = int(np.argmin(distance))

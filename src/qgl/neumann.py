@@ -30,9 +30,8 @@ def offset_atan(x: float) -> float:
 def neumann_points_on_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> list[float]:
     """Arc-length positions (measured from the edge tail) of the interior
     critical points of the eigenfunction on this edge."""
-    t = ep.trace_at(graph.edges[edge].tail, 2 * edge)
     # profile from the tail: f(x) = value cos(kx) + derivative sin(kx)
-    first = np.arctan2(t.derivative, t.value) % np.pi
+    first = np.arctan2(ep.derivatives[2 * edge], ep.values[2 * edge]) % np.pi
     length = graph.lengths[edge]
     # a boundary endpoint is itself flat, so roundoff can park a critical
     # point on top of it; keep a small exclusion zone at both ends
@@ -84,12 +83,12 @@ def star_observables(graph: MetricGraph, ep: Eigenpair, vertex: int) -> tuple[in
     sign_sum = 0
     rho = 0.0
     for d in graph.outgoing[vertex]:
-        t = ep.trace_at(vertex, d)
-        prod = t.value * t.derivative
-        if prod == 0.0 or abs(t.value) == 0.0:
+        value = ep.values[d]
+        prod = value * ep.derivatives[d]
+        if prod == 0.0 or abs(value) == 0.0:
             raise NotGeneric(f"vertex {vertex}: trace vanishes on edge {d // 2}")
         sign_sum += 1 if prod > 0 else -1
-        rho += offset_atan(prod / t.value ** 2)
+        rho += offset_atan(prod / value ** 2)
     # deg and sign_sum share parity, so this is exact integer arithmetic
     N = (deg - sign_sum) // 2
     rho /= np.pi

@@ -18,7 +18,7 @@ from .graphs import MetricGraph
 
 TWO_PI = 2.0 * np.pi
 
-KERNEL_TOL = 1e-8   # singular values of (1 - U) below this count as zero
+KERNEL_TOL = 1e-8   # |1 - e^{i theta}| below this puts theta in the kernel of 1 - U
 
 
 def reduce_torus(x):
@@ -56,15 +56,12 @@ def bond_scattering(graph: MetricGraph) -> np.ndarray:
     return S
 
 
-def _phase_diag(graph: MetricGraph, kappa: np.ndarray) -> np.ndarray:
+def _phase_diag(kappa: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.repeat(kappa, 2))
 
 
-def evolution_matrix(graph: MetricGraph, kappa, S: np.ndarray | None = None) -> np.ndarray:
-    kappa = np.asarray(kappa, dtype=float)
-    if S is None:
-        S = graph.scattering
-    return _phase_diag(graph, kappa)[:, None] * S
+def evolution_matrix(graph: MetricGraph, kappa) -> np.ndarray:
+    return _phase_diag(np.asarray(kappa, dtype=float))[:, None] * graph.scattering
 
 
 def root_branch(graph: MetricGraph, kappa) -> complex:
@@ -139,10 +136,10 @@ def secular_value(graph: MetricGraph, kappa) -> float:
     return float((root_branch(graph, kappa) * np.prod(1.0 - lam)).real)
 
 
-def evaluate(graph: MetricGraph, kappa, S: np.ndarray | None = None,
+def evaluate(graph: MetricGraph, kappa,
              kernel_tol: float = KERNEL_TOL) -> SecularEvaluation:
     kappa = reduce_torus(kappa)
-    U = evolution_matrix(graph, kappa, S)
+    U = evolution_matrix(graph, kappa)
     lam, Z = unitary_schur(U)
     pref = root_branch(graph, kappa)
 

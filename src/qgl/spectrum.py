@@ -30,6 +30,11 @@ to cross it there, with a rounding bound that grows with k; otherwise they
 are re-counted afresh.  When the audit fails, the bracket is bisected down to
 the tolerance instead.  The frame that audited a root, with the eigenphases
 that crossed there set to 0, brackets the next one.
+
+An eigenfunction is read from one more frame, with eigenvectors, at the
+located k: its eigenvectors whose eigenphases lie at 0 span the kernel of
+1 - U(k).  The eigenpair keeps that frame, which the flux Hessian reuses, and
+its vertex trace as two arrays indexed by directed edge.
 """
 from __future__ import annotations
 
@@ -410,30 +415,18 @@ def len_done(levels: list[LocatedLevel]) -> int:
 
 
 @dataclass
-class TraceEntry:
-    vertex: int
-    directed_edge: int
-    value: float            # f(v) seen from this directed edge
-    derivative: float       # outgoing derivative at v, canonical k = 1 scale
-
-
-@dataclass
 class Eigenpair:
     k: float
     n: int
     kappa: np.ndarray
     amplitudes: np.ndarray          # unit norm, phase aligned
-    trace: list[TraceEntry]
+    values: np.ndarray              # f at the tail of each directed edge
+    derivatives: np.ndarray         # outgoing derivative there, canonical k = 1 scale
+    frame: UnitaryFrame             # of U(kappa), with eigenvectors
     residual: float
     multiplicity: int = 1
     resolved_loop_degeneracy: bool = False
     flags: "Flags | None" = None
-
-    def trace_at(self, vertex: int, directed_edge: int) -> TraceEntry:
-        for t in self.trace:
-            if t.vertex == vertex and t.directed_edge == directed_edge:
-                return t
-        raise KeyError((vertex, directed_edge))
 
 
 def _loop_kernel_vectors(graph: MetricGraph, kappa: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -473,20 +466,26 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
                      multiplicity: int = 1) -> Eigenpair:
     """Reconstruct the (canonical, real) eigenfunction at a located k.
 
+    The kernel of 1 - U is spanned by the eigenvectors of one spectral frame
+    of U whose eigenphases lie within `kernel_cutoff` of 0 (as
+    |1 - e^{i theta}|); the eigenpair keeps that frame, from which
+    `magnetic.hessian_alpha` reads the flux Hessian.  The vertex trace is
+    the value and the outgoing derivative at the tail of every directed
+    edge, indexed by directed edge.
+
     At a loop-degenerate point (kernel = loop vectors + one regular vector)
     the regular vector is recovered by projecting the loop directions out of
     the kernel; genuinely non-simple points raise NonSimple.
     """
-    lengths = np.asarray(graph.lengths)
-    kappa = lengths * k % TWO_PI
+    kappa = np.asarray(graph.lengths) * k % TWO_PI
     U = evolution_matrix(graph, kappa)
-    one_minus = np.eye(2 * graph.E) - U
-    _, sv, vh = np.linalg.svd(one_minus)
+    frame = unitary_frame(U, vectors=True)
+    distance = np.abs(1.0 - np.exp(1j * frame.eigenphases))
     ker_tol = kernel_cutoff(graph, k, thresholds)
-    kdim = int(np.sum(sv < ker_tol))
+    kernel = frame.vectors[:, distance < ker_tol]   # columns span the kernel
+    kdim = kernel.shape[1]
     if kdim == 0:
-        raise NoKernel(f"smallest singular value {sv[-1]:.2e} at k={k}")
-    kernel = vh[2 * graph.E - kdim:].conj().T   # columns span the kernel
+        raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance):.2e} at k={k}")
     resolved = False
     if kdim == 1:
         a = kernel[:, 0]
@@ -505,10 +504,10 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
         resolved = True
     a = a / np.linalg.norm(a)
 
-    phase = np.exp(-1j * kappa)
+    phase = np.repeat(np.exp(-1j * kappa), 2)
     rev = a.reshape(-1, 2)[:, ::-1].reshape(-1)     # a with (d, d-hat) swapped
-    values_dir = a * np.repeat(phase, 2) + rev
-    derivs_dir = 1j * (a * np.repeat(phase, 2) - rev)
+    values_dir = a * phase + rev
+    derivs_dir = 1j * (a * phase - rev)
     w = np.concatenate([values_dir, derivs_dir])
     rot = _align_phase(w)
     a = a * np.conj(rot)
@@ -517,29 +516,18 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
     imag_res = float(max(np.max(np.abs(values_dir.imag)),
                          np.max(np.abs(derivs_dir.imag))))
 
-    trace = []
-    for v in range(graph.V):
-        for d in graph.outgoing[v]:
-            trace.append(TraceEntry(vertex=v, directed_edge=d,
-                                    value=float(values_dir[d].real),
-                                    derivative=float(derivs_dir[d].real)))
-    # canonical sign: first significant trace entry positive
-    sign = 0.0
-    for t in trace:
-        for q in (t.value, t.derivative):
-            if abs(q) > 1e-6:
-                sign = np.sign(q)
-                break
-        if sign:
-            break
-    if sign < 0:
-        a = -a
-        for t in trace:
-            t.value = -t.value
-            t.derivative = -t.derivative
+    values, derivatives = values_dir.real.copy(), derivs_dir.real.copy()
+    # canonical sign: the first significant value or derivative, taken
+    # vertex by vertex in the order of graph.outgoing, is positive
+    order = [d for ds in graph.outgoing for d in ds]
+    trace = np.column_stack([values[order], derivatives[order]]).ravel()
+    significant = trace[np.abs(trace) > 1e-6]
+    if significant.size and significant[0] < 0:
+        a, values, derivatives = -a, -values, -derivatives
 
-    residual = float(np.linalg.norm(one_minus @ a))
-    return Eigenpair(k=float(k), n=n, kappa=kappa, amplitudes=a, trace=trace,
+    residual = float(np.linalg.norm(a - U @ a))
+    return Eigenpair(k=float(k), n=n, kappa=kappa, amplitudes=a, values=values,
+                     derivatives=derivatives, frame=frame,
                      residual=max(residual, imag_res), multiplicity=multiplicity,
                      resolved_loop_degeneracy=resolved)
 
@@ -568,10 +556,9 @@ def classify(graph: MetricGraph, ep: Eigenpair,
              thresholds: Thresholds = Thresholds()) -> Flags:
     borderline: list[str] = []
 
-    interior = set(graph.topology.interior)
-    min_val = min(abs(t.value) for t in ep.trace)
-    vals_int = [abs(t.derivative) for t in ep.trace if t.vertex in interior]
-    min_der = min(vals_int) if vals_int else np.inf
+    interior_dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
+    min_val = float(np.min(np.abs(ep.values)))
+    min_der = float(np.min(np.abs(ep.derivatives[interior_dirs]), initial=np.inf))
 
     prop1 = min_val > thresholds.value
     prop2 = min_der > thresholds.derivative

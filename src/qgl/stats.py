@@ -127,9 +127,7 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
         iota = None
         if magnetic:
             try:
-                frame = magnetic_mod.hessian_alpha(
-                    graph, ep.kappa, kernel_tol=spectrum_mod.kernel_cutoff(
-                        graph, ep.k, thresholds))
+                frame = magnetic_mod.hessian_alpha(graph, ep)
                 iota = tuple(magnetic_mod.local_indices(frame))
                 if check_identities and frame.sigma_magnetic != rec_counts.sigma:
                     dist.identity_failures += 1

@@ -87,11 +87,11 @@ def edge_profile(graph: MetricGraph, ep, edge: int, samples: int):
     the first interior sample is the only trace of a root hugging the vertex.
     Exact zeros at the endpoints themselves are stripped by the counters.
     """
-    t = ep.trace_at(graph.edges[edge].tail, 2 * edge)
+    value, derivative = ep.values[2 * edge], ep.derivatives[2 * edge]
     l = graph.lengths[edge]
     x = np.linspace(0.0, l, samples + 2)
-    f = t.value * np.cos(ep.k * x) + t.derivative * np.sin(ep.k * x)
-    df = -t.value * np.sin(ep.k * x) + t.derivative * np.cos(ep.k * x)
+    f = value * np.cos(ep.k * x) + derivative * np.sin(ep.k * x)
+    df = -value * np.sin(ep.k * x) + derivative * np.cos(ep.k * x)
     return f, df
 
 

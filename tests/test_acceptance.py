@@ -12,7 +12,6 @@ import scipy.stats
 from qgl.counts import counts
 from qgl.graphs import load_graph, loop_chain
 from qgl.secular import (
-    bond_scattering,
     bridge_extension,
     bridge_factorization,
     evaluate,
@@ -217,23 +216,22 @@ def test_criterion_8_secular_properties():
     rng = np.random.default_rng(8)
     for name in ("star3", "lasso", "dumbbell", "mandarin3", "k4"):
         g = load_graph(name)
-        S = bond_scattering(g)
         sign = (-1.0) ** (g.topology.betti - 1)
         bridges = g.topology.bridges
         for _ in range(1000):
             kappa = rng.uniform(0, 2 * np.pi, g.E)
-            ev = evaluate(g, kappa, S=S)
+            ev = evaluate(g, kappa)
             scale = max(1.0, abs(ev.F))
             assert ev.imag_residual <= 1e-9 * scale
-            f_inv = evaluate(g, inversion(kappa), S=S).F
+            f_inv = evaluate(g, inversion(kappa)).F
             assert abs(f_inv - sign * ev.F) <= 1e-8 * scale
             if bridges:
                 b = bridges[0]
-                f_ext = evaluate(g, bridge_extension(g, kappa, b), S=S).F
+                f_ext = evaluate(g, bridge_extension(g, kappa, b)).F
                 assert abs(f_ext + ev.F) <= 1e-8 * scale
                 fac = bridge_factorization(g, b, kappa)
                 full = root_branch(g, kappa) * np.linalg.det(
-                    np.eye(2 * g.E) - evolution_matrix(g, kappa, S))
+                    np.eye(2 * g.E) - evolution_matrix(g, kappa))
                 assert abs(fac.secular_value(kappa[b]) - full) <= 1e-8 * scale
                 assert abs(abs(fac.phase1) - 1.0) <= 1e-10
                 assert abs(abs(fac.phase2) - 1.0) <= 1e-10

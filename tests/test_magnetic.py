@@ -170,7 +170,7 @@ def test_magnetic_index_equals_nodal_surplus(name):
     g = load_graph(name)
     for ep in _generic_levels(g, 10):
         rec = counts(g, ep)
-        frame = hessian_alpha(g, ep.kappa)
+        frame = hessian_alpha(g, ep)
         assert frame.sigma_magnetic == rec.sigma, (name, ep.n)
         iota = local_indices(frame)
         assert sum(iota) == frame.sigma_magnetic
@@ -182,7 +182,7 @@ def test_magnetic_index_equals_nodal_surplus(name):
 def test_closed_form_hessian_matches_finite_differences(name):
     g = load_graph(name)
     for ep in _generic_levels(g, 10):
-        frame = hessian_alpha(g, ep.kappa)
+        frame = hessian_alpha(g, ep)
         grad, H = fd_hessian(g, ep.kappa)
         p = evaluate(g, ep.kappa).p
         scale = max(1.0, float(np.max(np.abs(H), initial=0.0)))
@@ -190,6 +190,15 @@ def test_closed_form_hessian_matches_finite_differences(name):
         assert np.max(np.abs(frame.hessian - H), initial=0.0) <= 1e-5 * scale, (name, ep.n)
         assert frame.p == pytest.approx(p, rel=1e-10), (name, ep.n)
         assert frame.sigma_magnetic == morse_index(-H / p), (name, ep.n)
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_eigenpair_frame_gives_the_kappa_hessian(name):
+    g = load_graph(name)
+    for ep in _generic_levels(g, 10):
+        a, b = hessian_alpha(g, ep), hessian_alpha(g, ep.kappa)
+        assert np.array_equal(a.hessian, b.hessian), (name, ep.n)
+        assert a.p == b.p
 
 
 def test_point_off_the_zero_set_raises(dumbbell):
@@ -204,7 +213,7 @@ def test_point_off_the_zero_set_raises(dumbbell):
 
 def test_local_indices_one_per_cycle_block(dumbbell):
     ep = _generic_levels(dumbbell, 3)[-1]
-    frame = hessian_alpha(dumbbell, ep.kappa)
+    frame = hessian_alpha(dumbbell, ep)
     assert len(frame.block_fluxes) == 2
     assert all(len(grp) == 1 for grp in frame.block_fluxes)
     assert all(i_j in (0, 1) for i_j in local_indices(frame))
@@ -212,13 +221,13 @@ def test_local_indices_one_per_cycle_block(dumbbell):
 
 def test_hessian_off_block_is_small(dumbbell):
     ep = _generic_levels(dumbbell, 1)[0]
-    frame = hessian_alpha(dumbbell, ep.kappa)
+    frame = hessian_alpha(dumbbell, ep)
     assert frame.off_block_residual < 1e-6
 
 
 def test_tree_has_no_fluxes(tree31):
     ep = _generic_levels(tree31, 1)[0]
-    frame = hessian_alpha(tree31, ep.kappa)
+    frame = hessian_alpha(tree31, ep)
     assert frame.fluxes == ()
     assert frame.sigma_magnetic == 0
     assert local_indices(frame) == []
@@ -226,8 +235,8 @@ def test_tree_has_no_fluxes(tree31):
 
 def test_index_invariant_under_tree_choice(k4):
     for ep in _generic_levels(k4, 4):
-        a = hessian_alpha(k4, ep.kappa)
-        b = hessian_alpha(k4, ep.kappa, tree=spanning_tree(k4, maximize=True))
+        a = hessian_alpha(k4, ep)
+        b = hessian_alpha(k4, ep, tree=spanning_tree(k4, maximize=True))
         assert a.sigma_magnetic == b.sigma_magnetic
 
 
@@ -235,7 +244,7 @@ def test_stability_matrix_flips_under_inversion(dumbbell):
     # the inverted point lies on the zero set as well, with p of opposite
     # sign and the same Hessian, so the stability matrix changes sign
     for ep in _generic_levels(dumbbell, 3):
-        frame = hessian_alpha(dumbbell, ep.kappa)
+        frame = hessian_alpha(dumbbell, ep)
         kappa_inv = reduce_torus(inversion(ep.kappa))
         frame_inv = hessian_alpha(dumbbell, kappa_inv)
         assert np.allclose(frame.stability_matrix(),

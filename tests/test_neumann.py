@@ -64,17 +64,16 @@ def test_points_match_profile_extrema(name):
             n = max(4000, 200 * (int(ep.k * l / np.pi) + 2))
             # sample the same closed window the point finder reports on
             eps = 1e-7 / ep.k
-            t = ep.trace_at(g.edges[i].tail, 2 * i)
+            value, derivative = ep.values[2 * i], ep.derivatives[2 * i]
             x = np.linspace(eps, l - eps, n)
-            df = -t.value * np.sin(ep.k * x) + t.derivative * np.cos(ep.k * x)
+            df = -value * np.sin(ep.k * x) + derivative * np.cos(ep.k * x)
             s = np.sign(df)
             s = s[s != 0]
             sampled = int(np.sum(s[:-1] * s[1:] < 0))
             assert len(xs) == sampled, (name, ep.n, i)
             # every reported point is a zero of the derivative profile
-            t = ep.trace_at(g.edges[i].tail, 2 * i)
             for x in xs:
-                val = -t.value * np.sin(ep.k * x) + t.derivative * np.cos(ep.k * x)
+                val = -value * np.sin(ep.k * x) + derivative * np.cos(ep.k * x)
                 assert abs(val) < 1e-8
                 assert 0.0 < x < l
 

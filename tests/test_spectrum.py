@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -402,16 +404,13 @@ def test_eigenfunction_invariants(name):
         # |a_d| = |a_d-hat| edge by edge
         mags = np.abs(ep.amplitudes)
         assert np.allclose(mags[0::2], mags[1::2], atol=1e-10)
-        by_vertex = {}
-        for t in ep.trace:
-            by_vertex.setdefault(t.vertex, []).append(t)
-        for v, entries in by_vertex.items():
-            vals = [t.value for t in entries]
+        for v, entries in enumerate(g.outgoing):
+            vals = [ep.values[d] for d in entries]
             # continuity: every directed edge at v sees the same value
             assert max(vals) - min(vals) < 1e-9
             if v in interior:
                 # current conservation of outgoing derivatives
-                assert abs(sum(t.derivative for t in entries)) < 1e-9
+                assert abs(sum(ep.derivatives[d] for d in entries)) < 1e-9
 
 
 def test_eigenfunction_energy_split(star3):
@@ -419,8 +418,7 @@ def test_eigenfunction_energy_split(star3):
     lv = locate_spectrum(star3, count=3)[-1]
     ep = eigenfunction_at(star3, lv.k, n=lv.n)
     for i in range(star3.E):
-        t = ep.trace_at(star3.edges[i].tail, 2 * i)
-        lhs = t.value ** 2 + t.derivative ** 2
+        lhs = ep.values[2 * i] ** 2 + ep.derivatives[2 * i] ** 2
         rhs = 2.0 * (np.abs(ep.amplitudes[2 * i]) ** 2
                      + np.abs(ep.amplitudes[2 * i + 1]) ** 2)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -431,13 +429,41 @@ def test_eigenfunction_requires_kernel(star3):
         eigenfunction_at(star3, 0.379)
 
 
+def _svd_kernel_vector(g, k):
+    """Oracle: the right singular vector of 1 - U(k) for its smallest
+    singular value."""
+    U = evolution_matrix(g, np.asarray(g.lengths) * k % TWO_PI)
+    return np.linalg.svd(np.eye(2 * g.E) - U)[2][-1].conj()
+
+
+@pytest.mark.parametrize("name, k_min", [
+    ("star3", 0.0), ("lasso", 0.0), ("dumbbell", 0.0), ("k4", 0.0),
+    ("k6", 0.0), ("tree31_7", 0.0), ("dumbbell", 12000.0)])
+def test_kernel_matches_svd_oracle(name, k_min):
+    g = load_graph(name)
+    if k_min:
+        edge = window_edge(g, k_min)
+        levels = locate_spectrum(g, k_max=edge + 50.0, k_min=edge)
+    else:
+        levels = stream_levels(g)
+    simple = (lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims)
+    checked = 0
+    for lv in itertools.islice(simple, 100):
+        a = eigenfunction_at(g, lv.k, n=lv.n).amplitudes
+        v = _svd_kernel_vector(g, lv.k)
+        c = np.vdot(v, a)
+        assert np.max(np.abs(v * (c / abs(c)) - a)) < 1e-10, (name, lv.n)
+        checked += 1
+    assert checked >= 20
+
+
 def test_canonical_sign_is_deterministic(dumbbell):
     lv = locate_spectrum(dumbbell, count=1)[0]
     a = eigenfunction_at(dumbbell, lv.k)
     b = eigenfunction_at(dumbbell, lv.k)
     assert np.allclose(a.amplitudes, b.amplitudes)
-    first = next(q for t in a.trace for q in (t.value, t.derivative)
-                 if abs(q) > 1e-6)
+    first = next(q for ds in dumbbell.outgoing for d in ds
+                 for q in (a.values[d], a.derivatives[d]) if abs(q) > 1e-6)
     assert first > 0
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import qgl.magnetic as magnetic
 import qgl.spectrum as spectrum
 from qgl.errors import WrongFamily
 from qgl.graphs import load_graph, loop_chain
@@ -64,6 +65,32 @@ def test_run_locates_no_level_past_last_record(dumbbell, monkeypatch):
     d = run_experiment(dumbbell, 50, seed=7, chunk=16)
     assert located[-1].k == d.records[-1].k
     assert sum(lv.multiplicity for lv in located) == d.N_raw
+
+
+def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
+    # a reconstructed eigenpair costs one spectral frame of U, which the
+    # flux Hessian reuses, and no SVD
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    frame = counted("frame", spectrum.unitary_frame)
+    monkeypatch.setattr(spectrum, "unitary_frame", frame)
+    monkeypatch.setattr(magnetic, "unitary_frame", frame)
+    monkeypatch.setattr(spectrum, "counting", counted("counting", spectrum.counting))
+    monkeypatch.setattr(spectrum, "eigenfunction_at",
+                        counted("eigenpair", spectrum.eigenfunction_at))
+    monkeypatch.setattr(magnetic, "hessian_alpha",
+                        counted("hessian", magnetic.hessian_alpha))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    d = run_experiment(dumbbell, 50, seed=7, magnetic=True)
+    assert calls["hessian"] >= d.K == 50
+    assert calls["svd"] == 0
+    assert calls["frame"] == calls["counting"] + calls["eigenpair"]
 
 
 @pytest.mark.parametrize("name, K, seed", [
