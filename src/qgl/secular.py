@@ -57,11 +57,11 @@ def bond_scattering(graph: MetricGraph) -> np.ndarray:
 
 
 def _phase_diag(kappa: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.repeat(kappa, 2))
+    return np.exp(1j * np.repeat(kappa, 2, axis=-1))
 
 
 def evolution_matrix(graph: MetricGraph, kappa) -> np.ndarray:
-    return _phase_diag(np.asarray(kappa, dtype=float))[:, None] * graph.scattering
+    return _phase_diag(np.asarray(kappa, dtype=float))[..., None] * graph.scattering
 
 
 def root_branch(graph: MetricGraph, kappa) -> complex:

@@ -33,13 +33,18 @@ that crossed there set to 0, brackets the next one.
 
 An eigenfunction is read from one more frame, with eigenvectors, at the
 located k: its eigenvectors whose eigenphases lie at 0 span the kernel of
-1 - U(k).  The eigenpair keeps that frame, which the flux Hessian reuses, and
-its vertex trace as two arrays indexed by directed edge.
+1 - U(k).  Located levels are reconstructed in batches bounded by memory
+(about BATCH_ENTRIES complex entries per stacked array): one stacked `inv`
+and `eigh` gives the frames of a batch, and the kernel pick, phase
+alignment, vertex trace, canonical sign and residual are array operations
+over it, each row computed as it would be alone.  The eigenpair keeps its
+frame, which the flux Hessian reuses, and its vertex trace as two arrays
+indexed by directed edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -59,6 +64,7 @@ EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
 # bound on the eigensolver's rounding of an eigenphase: 500 times the worst
 # error against np.linalg.eigvals over 15000 frames of five graphs (2e-12)
 PHASE_ROUNDING = 1e-9
+BATCH_ENTRIES = 2 ** 15  # complex entries per stacked array of a reconstruction batch
 
 
 @dataclass(frozen=True)
@@ -76,37 +82,50 @@ class Thresholds:
 class UnitaryFrame(NamedTuple):
     eigenphases: np.ndarray         # in [0, 2pi)
     vectors: np.ndarray | None      # orthonormal eigenvectors as columns
-    rotation: float                 # the phi of the transform finally used
+    rotation: float | np.ndarray    # the phi finally used (per matrix of a stack)
+
+
+def _cayley_frame(U: np.ndarray, phi: float, vectors: bool):
+    """(h, theta, Z): eigenvalues of the Cayley transform of e^{-i phi} U
+    (a matrix or a stack), the eigenphases they give and, if `vectors`, the
+    eigenvectors."""
+    # i(1 - V)(1 + V)^-1 = 2iW - i with W = (1 + V)^-1; its Hermitian
+    # part i(W - W*) drops the rounding that breaks the symmetry
+    W = np.linalg.inv(np.eye(U.shape[-1]) + np.exp(-1j * phi) * U)
+    H = 1j * (W - W.conj().mT)
+    if vectors:
+        h, Z = np.linalg.eigh(H)
+    else:
+        h, Z = np.linalg.eigvalsh(H), None
+    return h, (phi + 2.0 * np.arctan(h)) % TWO_PI, Z
 
 
 def unitary_frame(U: np.ndarray, vectors: bool = False) -> UnitaryFrame:
-    """Eigenphases (and eigenvectors) of a unitary matrix from `eigh` of its
-    Cayley transform.
+    """Eigenphases (and eigenvectors) of a unitary matrix, or of each matrix
+    of a stack (..., n, n), from `eigh` of its Cayley transform.
 
-    Rounding in the transform grows with max |h|, so a frame whose largest
-    |h| exceeds POLE_LIMIT is solved once more with the pole rotated into the
-    widest gap between the eigenphases it found (those are accurate enough
-    to place the pole, and the widest of n gaps is at least 2pi / n).
+    Rounding in the transform grows with max |h|, so a matrix whose largest
+    |h| exceeds POLE_LIMIT is solved once more, alone, with the pole rotated
+    into the widest gap between the eigenphases it found (those are
+    accurate enough to place the pole, and the widest of n gaps is at least
+    2pi / n).  Each matrix of a stack gets the frame it would get alone;
+    `rotation` is then an array over the stack.
     """
-    eye = np.eye(U.shape[0])
-    phi = POLE_ROTATION
-    for attempt in range(2):
-        # i(1 - V)(1 + V)^-1 = 2iW - i with W = (1 + V)^-1; its Hermitian
-        # part i(W - W*) drops the rounding that breaks the symmetry
-        W = np.linalg.inv(eye + np.exp(-1j * phi) * U)
-        H = 1j * (W - W.conj().T)
-        if vectors:
-            h, Z = np.linalg.eigh(H)
-        else:
-            h, Z = np.linalg.eigvalsh(H), None
-        theta = (phi + 2.0 * np.arctan(h)) % TWO_PI
-        if attempt or np.max(np.abs(h)) <= POLE_LIMIT:
-            break
-        ordered = np.sort(theta)
+    h, theta, Z = _cayley_frame(U, POLE_ROTATION, vectors)
+    rotation = np.full(U.shape[:-2], POLE_ROTATION)
+    far = np.max(np.abs(h), axis=-1) > POLE_LIMIT
+    # np.any first: np.argwhere costs more than the check it usually skips
+    indices = map(tuple, np.argwhere(far)) if np.any(far) else ()
+    for i in indices:
+        ordered = np.sort(theta[i])
         gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
         j = int(np.argmax(gaps))
-        phi = ordered[j] + 0.5 * gaps[j] - np.pi
-    return UnitaryFrame(np.where(theta == TWO_PI, 0.0, theta), Z, phi)
+        rotation[i] = ordered[j] + 0.5 * gaps[j] - np.pi
+        _, theta[i], Z_i = _cayley_frame(U[i], rotation[i], vectors)
+        if vectors:
+            Z[i] = Z_i
+    return UnitaryFrame(np.where(theta == TWO_PI, 0.0, theta), Z,
+                        float(rotation) if rotation.ndim == 0 else rotation)
 
 
 @dataclass
@@ -441,30 +460,110 @@ def _loop_kernel_vectors(graph: MetricGraph, kappa: np.ndarray, tol: float) -> l
     return vecs
 
 
-def _align_phase(w: np.ndarray) -> complex:
-    """Phase factor e^{i phi} with w = e^{i phi} r for a real vector r."""
-    s = np.sum(w * w)
-    if abs(s) < 1e-300:
-        return 1.0 + 0j
-    return np.exp(0.5j * np.angle(s))
-
-
-def kernel_cutoff(graph: MetricGraph, k: float,
-                  thresholds: Thresholds = Thresholds()) -> float:
+def kernel_cutoff(graph: MetricGraph, k: float | np.ndarray,
+                  thresholds: Thresholds = Thresholds()) -> float | np.ndarray:
     """Largest |1 - e^{i theta}| over an eigenphase theta of U(k) that still
-    counts as a kernel direction of 1 - U at a located eigenvalue k.
+    counts as a kernel direction of 1 - U at a located eigenvalue k (or at
+    each of an array of them).
 
     A root located to relative precision LOCATE_TOL leaves a kernel residual
     of order tol * k * L, so the cutoff grows with k.
     """
-    return max(thresholds.kernel,
-               10.0 * LOCATE_TOL * max(1.0, k) * graph.total_length)
+    return np.maximum(thresholds.kernel,
+                      10.0 * LOCATE_TOL * np.maximum(1.0, k) * graph.total_length)
+
+
+def _projected_kernel(graph: MetricGraph, k: float, kappa: np.ndarray,
+                      kernel: np.ndarray, distance: np.ndarray,
+                      ker_tol: float) -> np.ndarray:
+    """The one regular kernel vector left when the loop states are projected
+    out of a kernel that is not one-dimensional."""
+    kdim = kernel.shape[1]
+    if kdim == 0:
+        raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance):.2e} at k={k}")
+    proj = kernel.copy()
+    for lv in _loop_kernel_vectors(graph, kappa, ker_tol):
+        coeff = lv.conj() @ proj
+        proj = proj - np.outer(lv, coeff)
+    q, r = np.linalg.qr(proj)
+    keep = [i for i in range(proj.shape[1]) if abs(r[i, i]) > 1e-6]
+    if len(keep) != 1:
+        raise NonSimple(
+            f"kernel dimension {kdim} at k={k} not resolvable by loops")
+    return q[:, keep[0]]
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, with the arithmetic np.linalg.norm uses
+    for one vector."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _reconstruct(graph: MetricGraph, ks: list[float], ns: list[int],
+                 multiplicities: list[int], thresholds: Thresholds) -> list[Eigenpair]:
+    """Eigenpairs at located ks from one stacked frame of U(kappa).
+
+    Each row is computed as it would be alone: the stacked `inv` and `eigh`
+    solve each matrix separately, and every later step is elementwise or
+    reduces along a row.
+    """
+    k = np.asarray(ks, dtype=float)
+    kappa = k[:, None] * np.asarray(graph.lengths) % TWO_PI
+    U = evolution_matrix(graph, kappa)
+    frame = unitary_frame(U, vectors=True)
+    distance = np.abs(1.0 - np.exp(1j * frame.eigenphases))
+    ker_tol = kernel_cutoff(graph, k, thresholds)
+    inside = distance < ker_tol[:, None]
+    rows = np.arange(len(k))
+    a = frame.vectors[rows, :, np.argmax(inside, axis=1)]
+    resolved = np.count_nonzero(inside, axis=1) != 1
+    for i in np.flatnonzero(resolved):
+        a[i] = _projected_kernel(graph, ks[i], kappa[i], frame.vectors[i][:, inside[i]],
+                                 distance[i], ker_tol[i])
+    a = a / _norm(a)[:, None]
+
+    phase = np.repeat(np.exp(-1j * kappa), 2, axis=-1)
+    rev = a.reshape(len(k), graph.E, 2)[:, :, ::-1].reshape(a.shape)  # (d, d-hat) swapped
+    values_dir = a * phase + rev
+    derivs_dir = 1j * (a * phase - rev)
+    w = np.concatenate([values_dir, derivs_dir], axis=1)
+    # the phase factor e^{i phi} with w = e^{i phi} r for a real vector r
+    s = np.sum(w * w, axis=1)
+    rot = np.conj(np.where(np.abs(s) < 1e-300, 1.0 + 0j, np.exp(0.5j * np.angle(s))))
+    a = a * rot[:, None]
+    values_dir = values_dir * rot[:, None]
+    derivs_dir = derivs_dir * rot[:, None]
+    imag_res = np.maximum(np.max(np.abs(values_dir.imag), axis=1),
+                          np.max(np.abs(derivs_dir.imag), axis=1))
+
+    values, derivatives = values_dir.real.copy(), derivs_dir.real.copy()
+    # canonical sign: the first significant value or derivative, taken
+    # vertex by vertex in the order of graph.outgoing, is positive
+    order = [d for ds in graph.outgoing for d in ds]
+    trace = np.stack([values[:, order], derivatives[:, order]], axis=2).reshape(
+        len(k), 2 * len(order))
+    significant = np.abs(trace) > 1e-6
+    flip = trace[rows, np.argmax(significant, axis=1)] < 0
+    flip &= np.any(significant, axis=1)
+    a[flip], values[flip], derivatives[flip] = -a[flip], -values[flip], -derivatives[flip]
+
+    residual = np.maximum(_norm(a - (U @ a[:, :, None])[:, :, 0]), imag_res)
+    return [Eigenpair(k=float(ks[i]), n=ns[i], kappa=kappa[i], amplitudes=a[i],
+                      values=values[i], derivatives=derivatives[i],
+                      # copies, so that no kept frame holds the whole stack
+                      frame=UnitaryFrame(frame.eigenphases[i].copy(),
+                                         frame.vectors[i].copy(),
+                                         float(frame.rotation[i])),
+                      residual=float(residual[i]), multiplicity=multiplicities[i],
+                      resolved_loop_degeneracy=bool(resolved[i]))
+            for i in rows]
 
 
 def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
                      thresholds: Thresholds = Thresholds(),
                      multiplicity: int = 1) -> Eigenpair:
-    """Reconstruct the (canonical, real) eigenfunction at a located k.
+    """Reconstruct the (canonical, real) eigenfunction at a located k: the
+    batch of one of `eigenpairs`.
 
     The kernel of 1 - U is spanned by the eigenvectors of one spectral frame
     of U whose eigenphases lie within `kernel_cutoff` of 0 (as
@@ -477,59 +576,7 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
     the regular vector is recovered by projecting the loop directions out of
     the kernel; genuinely non-simple points raise NonSimple.
     """
-    kappa = np.asarray(graph.lengths) * k % TWO_PI
-    U = evolution_matrix(graph, kappa)
-    frame = unitary_frame(U, vectors=True)
-    distance = np.abs(1.0 - np.exp(1j * frame.eigenphases))
-    ker_tol = kernel_cutoff(graph, k, thresholds)
-    kernel = frame.vectors[:, distance < ker_tol]   # columns span the kernel
-    kdim = kernel.shape[1]
-    if kdim == 0:
-        raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance):.2e} at k={k}")
-    resolved = False
-    if kdim == 1:
-        a = kernel[:, 0]
-    else:
-        loops = _loop_kernel_vectors(graph, kappa, ker_tol)
-        proj = kernel.copy()
-        for lv in loops:
-            coeff = lv.conj() @ proj
-            proj = proj - np.outer(lv, coeff)
-        q, r = np.linalg.qr(proj)
-        keep = [i for i in range(proj.shape[1]) if abs(r[i, i]) > 1e-6]
-        if len(keep) != 1:
-            raise NonSimple(
-                f"kernel dimension {kdim} at k={k} not resolvable by loops")
-        a = q[:, keep[0]]
-        resolved = True
-    a = a / np.linalg.norm(a)
-
-    phase = np.repeat(np.exp(-1j * kappa), 2)
-    rev = a.reshape(-1, 2)[:, ::-1].reshape(-1)     # a with (d, d-hat) swapped
-    values_dir = a * phase + rev
-    derivs_dir = 1j * (a * phase - rev)
-    w = np.concatenate([values_dir, derivs_dir])
-    rot = _align_phase(w)
-    a = a * np.conj(rot)
-    values_dir = values_dir * np.conj(rot)
-    derivs_dir = derivs_dir * np.conj(rot)
-    imag_res = float(max(np.max(np.abs(values_dir.imag)),
-                         np.max(np.abs(derivs_dir.imag))))
-
-    values, derivatives = values_dir.real.copy(), derivs_dir.real.copy()
-    # canonical sign: the first significant value or derivative, taken
-    # vertex by vertex in the order of graph.outgoing, is positive
-    order = [d for ds in graph.outgoing for d in ds]
-    trace = np.column_stack([values[order], derivatives[order]]).ravel()
-    significant = trace[np.abs(trace) > 1e-6]
-    if significant.size and significant[0] < 0:
-        a, values, derivatives = -a, -values, -derivatives
-
-    residual = float(np.linalg.norm(a - U @ a))
-    return Eigenpair(k=float(k), n=n, kappa=kappa, amplitudes=a, values=values,
-                     derivatives=derivatives, frame=frame,
-                     residual=max(residual, imag_res), multiplicity=multiplicity,
-                     resolved_loop_degeneracy=resolved)
+    return _reconstruct(graph, [k], [n], [multiplicity], thresholds)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +655,12 @@ def classify(graph: MetricGraph, ep: Eigenpair,
 def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
                   workers: int) -> Iterator[LocatedLevel]:
     """(0, k_max] in `workers` windows located on a process pool.  For
-    `count`, k_max is a padded Weyl estimate, and the walk goes on past it
-    if that holds too few eigenvalues."""
+    `count`, k_max is past the count-th eigenvalue by the exact Weyl bound
+    (`_weyl_edge`)."""
     from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
 
     if k_max is None:
-        k_max = (count + 2 + (graph.E + graph.V) / 2.0) * np.pi / graph.total_length
-        k_max = window_edge(graph, k_max * 1.05)
+        k_max = _weyl_edge(graph, count)
     edges = np.linspace(0.0, k_max, workers + 1).tolist()
     edges[1:-1] = [window_edge(graph, e) for e in edges[1:-1]]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -622,9 +668,24 @@ def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
         windows = pool.map(locate_spectrum, repeat(graph), repeat(None),
                            edges[1:], edges[:-1])
         levels = [lv for window in windows for lv in window]
+    if count is not None and len_done(levels) < count:
+        raise BracketAuditFailed(
+            f"{len_done(levels)} eigenvalues in (0, {k_max}], below the Weyl "
+            f"bound for {count}")
     yield from levels
-    if count is not None:
-        yield from _walk(graph, k_min=k_max, n_offset=len_done(levels))
+
+
+def _weyl_edge(graph: MetricGraph, count: int) -> float:
+    """A window edge with at least `count` eigenvalues below it.
+
+    With every eigenphase in [0, 2pi), the counting function
+    N(k) = Lk/pi + (E + V)/2 - 1 - sum theta / 2pi exceeds
+    Lk/pi - (3E - V)/2 - 1, so N > count + 1 at the k where that bound is
+    count + 1.  `window_edge` moves the edge by a few audit steps, far less
+    than the spare level spacing, and N there is at most count + 2E + 1.
+    """
+    bound = count + (3 * graph.E - graph.V) / 2.0 + 2.0
+    return window_edge(graph, np.pi * bound / graph.total_length)
 
 
 def _chained_windows(graph: MetricGraph, chunk: int,
@@ -678,14 +739,19 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
     return _first(levels, count)
 
 
-def stream_eigenpairs(graph: MetricGraph, count: int | None = None,
-                      k_max: float | None = None,
-                      thresholds: Thresholds = Thresholds(), workers: int = 1,
-                      chunk: int | None = None) -> Iterator[tuple]:
-    """(level, eigenpair, flags, reason) per level of `stream_levels`.  A
-    simple level off every loop resonance carries its eigenpair and
-    classification; other levels carry None for both (at a resonance the
-    loop state is the eigenfunction, so none is reconstructed).
+def batch_levels(graph: MetricGraph) -> int:
+    """Levels per reconstruction batch: as many as keep each stacked array
+    of the batch near BATCH_ENTRIES complex entries."""
+    return max(1, BATCH_ENTRIES // (2 * graph.E) ** 2)
+
+
+def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
+               thresholds: Thresholds = Thresholds()) -> list[tuple]:
+    """(level, eigenpair, flags, reason) per level, the simple levels off
+    every loop resonance reconstructed as one batch (`_reconstruct`) and
+    classified; other levels carry None for both (at a resonance the loop
+    state is the eigenfunction, so none is reconstructed).  NoKernel or
+    NonSimple at any level is raised for the whole batch.
 
     `reason` is None for a generic eigenpair, or else one of
       loop_supported      every kernel direction is a loop state
@@ -694,15 +760,33 @@ def stream_eigenpairs(graph: MetricGraph, count: int | None = None,
       borderline          a classification within a factor 10 of a threshold
       non_generic         property I or II fails
     """
-    for lv in stream_levels(graph, count, k_max, workers, chunk):
+    simple = [lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims]
+    built = iter(_reconstruct(graph, [lv.k for lv in simple], [lv.n for lv in simple],
+                              [1] * len(simple), thresholds))
+    out = []
+    for lv in levels:
         if lv.multiplicity > 1 or lv.loop_dims:
-            yield lv, None, None, (
-                "loop_supported" if lv.loop_dims == lv.multiplicity
-                else "degenerate_at_loop" if lv.loop_dims else "non_simple")
+            out.append((lv, None, None,
+                        "loop_supported" if lv.loop_dims == lv.multiplicity
+                        else "degenerate_at_loop" if lv.loop_dims else "non_simple"))
             continue
-        ep = eigenfunction_at(graph, lv.k, n=lv.n, thresholds=thresholds)
+        ep = next(built)
         flags = classify(graph, ep, thresholds)
-        yield lv, ep, flags, (
-            "loop_supported" if flags.loop_supported is not None
-            else "borderline" if flags.borderline
-            else None if flags.generic else "non_generic")
+        out.append((lv, ep, flags,
+                    "loop_supported" if flags.loop_supported is not None
+                    else "borderline" if flags.borderline
+                    else None if flags.generic else "non_generic"))
+    return out
+
+
+def stream_eigenpairs(graph: MetricGraph, count: int | None = None,
+                      k_max: float | None = None,
+                      thresholds: Thresholds = Thresholds(), workers: int = 1,
+                      chunk: int | None = None) -> Iterator[tuple]:
+    """`eigenpairs` of the levels of `stream_levels`, in consecutive batches
+    of `batch_levels(graph)`; a batch is located in full before its first
+    item is yielded."""
+    levels = stream_levels(graph, count, k_max, workers, chunk)
+    size = batch_levels(graph)
+    while batch := list(islice(levels, size)):
+        yield from eigenpairs(graph, batch, thresholds)

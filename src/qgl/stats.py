@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.stats
@@ -101,54 +102,57 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     dist = SurplusDistribution(graph=graph)
     topo = graph.topology
     star_threshold = np.pi / graph.min_length
-    stream = spectrum_mod.stream_eigenpairs(graph, thresholds=thresholds,
-                                            chunk=chunk)
+    levels = spectrum_mod.stream_levels(graph, chunk=chunk)
+    size = spectrum_mod.batch_levels(graph)
     while dist.K < K_target:
-        lv, ep, _, reason = next(stream)
-        dist.N_raw += lv.multiplicity
-        if reason == "loop_supported":
-            dist.loop_count += lv.multiplicity
-            continue
-        dist.loop_count += lv.loop_dims
-        if reason is not None:
-            dist.excluded[reason] += lv.multiplicity - lv.loop_dims
-            continue
-
-        rec_counts = counts_mod.counts(graph, ep)
-        stars = {}
-        if ep.k > star_threshold:
-            stars = {v: neumann_mod.star_observables(graph, ep, v)
-                     for v in topo.interior}
-            if check_identities and not neumann_mod.local_global_check(
-                    graph, ep, rec_counts, stars=stars,
-                    raise_on_violation=False).ok:
-                dist.identity_failures += 1
-
-        iota = None
-        if magnetic:
-            try:
-                frame = magnetic_mod.hessian_alpha(graph, ep)
-                iota = tuple(magnetic_mod.local_indices(frame))
-                if check_identities and frame.sigma_magnetic != rec_counts.sigma:
-                    dist.identity_failures += 1
-            except magnetic_mod.DegenerateHessian:
-                dist.excluded["degenerate_hessian"] += 1
+        # each level gives at most one record, so a batch of at most
+        # K_target - K levels locates none past the last record
+        batch = list(islice(levels, min(size, K_target - dist.K)))
+        for lv, ep, _, reason in spectrum_mod.eigenpairs(graph, batch, thresholds):
+            dist.N_raw += lv.multiplicity
+            if reason == "loop_supported":
+                dist.loop_count += lv.multiplicity
+                continue
+            dist.loop_count += lv.loop_dims
+            if reason is not None:
+                dist.excluded[reason] += lv.multiplicity - lv.loop_dims
                 continue
 
-        dist.K += 1
-        dist.joint[(rec_counts.sigma, rec_counts.omega)] += 1
-        dist.sigma_hist[rec_counts.sigma] += 1
-        dist.omega_hist[rec_counts.omega] += 1
-        for v, (N_v, rho_v) in stars.items():
-            dist.vertex_hist.setdefault(v, Counter())[N_v] += 1
-            dist.rho_values.setdefault(v, []).append(rho_v)
-        if iota is not None:
-            for j, i_j in enumerate(iota):
-                dist.iota_hist.setdefault(j, Counter())[i_j] += 1
-        dist.records.append(EigenRecord(
-            n=lv.n, k=lv.k, sigma=rec_counts.sigma, omega=rec_counts.omega,
-            positions={v: N_v for v, (N_v, _) in stars.items()},
-            capacities={v: rho_v for v, (_, rho_v) in stars.items()}, iota=iota))
+            rec_counts = counts_mod.counts(graph, ep)
+            stars = {}
+            if ep.k > star_threshold:
+                stars = {v: neumann_mod.star_observables(graph, ep, v)
+                         for v in topo.interior}
+                if check_identities and not neumann_mod.local_global_check(
+                        graph, ep, rec_counts, stars=stars,
+                        raise_on_violation=False).ok:
+                    dist.identity_failures += 1
+
+            iota = None
+            if magnetic:
+                try:
+                    frame = magnetic_mod.hessian_alpha(graph, ep)
+                    iota = tuple(magnetic_mod.local_indices(frame))
+                    if check_identities and frame.sigma_magnetic != rec_counts.sigma:
+                        dist.identity_failures += 1
+                except magnetic_mod.DegenerateHessian:
+                    dist.excluded["degenerate_hessian"] += 1
+                    continue
+
+            dist.K += 1
+            dist.joint[(rec_counts.sigma, rec_counts.omega)] += 1
+            dist.sigma_hist[rec_counts.sigma] += 1
+            dist.omega_hist[rec_counts.omega] += 1
+            for v, (N_v, rho_v) in stars.items():
+                dist.vertex_hist.setdefault(v, Counter())[N_v] += 1
+                dist.rho_values.setdefault(v, []).append(rho_v)
+            if iota is not None:
+                for j, i_j in enumerate(iota):
+                    dist.iota_hist.setdefault(j, Counter())[i_j] += 1
+            dist.records.append(EigenRecord(
+                n=lv.n, k=lv.k, sigma=rec_counts.sigma, omega=rec_counts.omega,
+                positions={v: N_v for v, (N_v, _) in stars.items()},
+                capacities={v: rho_v for v, (_, rho_v) in stars.items()}, iota=iota))
 
     # exclusions that indicate threshold trouble: borderline cases and
     # unexplained near-degeneracies away from loop points

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qgl.spectrum as spectrum
-from qgl.errors import NoKernel
+from qgl.errors import BracketAuditFailed, NoKernel
 from qgl.graphs import load_graph
 from qgl.secular import evolution_matrix
 from qgl.spectrum import (
@@ -23,6 +23,8 @@ from qgl.spectrum import (
 from conftest import star_relation_roots
 
 TWO_PI = 2.0 * np.pi
+ALL_GRAPHS = ("chain2", "chain4", "chain8", "dumbbell", "flower3", "k4", "k6",
+              "lasso", "mandarin3", "star3", "tree31_7")
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +97,27 @@ def test_frame_moves_pole_off_an_eigenphase():
     _assert_same_phases(frame.eigenphases, _eigvals_phases(U), 1e-12)
     resid = U @ frame.vectors - frame.vectors * np.exp(1j * frame.eigenphases)
     assert np.max(np.abs(resid)) < 1e-10
+
+
+def test_stacked_frame_resolves_each_matrix_alone():
+    # one matrix of the stack has an eigenphase on the Cayley pole; each
+    # matrix gets the frame it gets alone, that one with its own rotation
+    rng = np.random.default_rng(5)
+    n, stack = 8, []
+    for m in range(4):
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        theta = rng.uniform(0.0, TWO_PI, n)
+        if m == 2:
+            theta[0] = POLE_ROTATION + np.pi
+        stack.append((Q * np.exp(1j * theta)) @ Q.conj().T)
+    frames = unitary_frame(np.array(stack), vectors=True)
+    assert [r != POLE_ROTATION for r in frames.rotation] == [False, False, True, False]
+    for m, U in enumerate(stack):
+        alone = unitary_frame(U, vectors=True)
+        assert frames.rotation[m] == alone.rotation
+        assert frames.eigenphases[m].tobytes() == alone.eigenphases.tobytes()
+        assert frames.vectors[m].tobytes() == alone.vectors.tobytes()
+    assert unitary_frame(np.array(stack)).vectors is None
 
 
 def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
@@ -267,9 +290,7 @@ def _bisection_levels(graph, count):
     return levels
 
 
-@pytest.mark.parametrize("name", ("chain2", "chain4", "chain8", "dumbbell",
-                                  "flower3", "k4", "k6", "lasso", "mandarin3",
-                                  "star3", "tree31_7"))
+@pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_first_levels_match_count_bisection(name):
     g = load_graph(name)
     got = locate_spectrum(g, count=200)
@@ -365,6 +386,22 @@ def test_workers_split_on_eigenvalues(name):
             full)
 
 
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_weyl_edge_holds_the_count(name):
+    # the pool's windows end at this edge; they hold the count, and at most
+    # 2E + 1 eigenvalues more
+    g = load_graph(name)
+    for count in (1, 7, 100, 1000):
+        held = spectrum._Counter(g).integer(spectrum._weyl_edge(g, count))
+        assert count <= held <= count + 2 * g.E + 1, (count, held)
+
+
+def test_pool_short_of_the_count_raises(dumbbell, monkeypatch):
+    monkeypatch.setattr(spectrum, "_weyl_edge", lambda g, count: window_edge(g, 10.0))
+    with pytest.raises(BracketAuditFailed):
+        list(stream_levels(dumbbell, count=40, workers=2))
+
+
 def test_window_edge_keeps_generic_points():
     g = load_graph("k6")
     assert window_edge(g, 17.3) == 17.3
@@ -455,6 +492,60 @@ def test_kernel_matches_svd_oracle(name, k_min):
         assert np.max(np.abs(v * (c / abs(c)) - a)) < 1e-10, (name, lv.n)
         checked += 1
     assert checked >= 20
+
+
+def _assert_same_rows(got, want):
+    """Bit for bit: level, reason, flags and every array of the eigenpair."""
+    assert len(got) == len(want)
+    for (lv, ep, flags, reason), (lv_w, ep_w, flags_w, reason_w) in zip(got, want):
+        assert (lv, flags, reason) == (lv_w, flags_w, reason_w)
+        assert (ep is None) == (ep_w is None)
+        if ep is None:
+            continue
+        for a, b in ((ep.kappa, ep_w.kappa), (ep.amplitudes, ep_w.amplitudes),
+                     (ep.values, ep_w.values), (ep.derivatives, ep_w.derivatives),
+                     (ep.frame.eigenphases, ep_w.frame.eigenphases),
+                     (ep.frame.vectors, ep_w.frame.vectors)):
+            assert a.tobytes() == b.tobytes()
+        assert (ep.k, ep.n, ep.residual, ep.frame.rotation, ep.multiplicity,
+                ep.resolved_loop_degeneracy) == (
+            ep_w.k, ep_w.n, ep_w.residual, ep_w.frame.rotation,
+            ep_w.multiplicity, ep_w.resolved_loop_degeneracy)
+
+
+@pytest.mark.parametrize("name", ("star3", "lasso", "dumbbell", "k6", "tree31_7"))
+def test_eigenpairs_do_not_depend_on_the_batch_split(name):
+    g = load_graph(name)
+    levels = locate_spectrum(g, count=300)
+    whole = spectrum.eigenpairs(g, levels)
+    built = [ep for _, ep, _, _ in whole if ep is not None]
+    assert len(built) >= 100
+    # a kept frame owns its arrays and holds no stack alive
+    assert all(ep.frame.vectors.base is None for ep in built)
+    for size in (1, 7):
+        split = [row for i in range(0, len(levels), size)
+                 for row in spectrum.eigenpairs(g, levels[i:i + size])]
+        _assert_same_rows(split, whole)
+    # eigenfunction_at is the batch of one
+    lv, ep, _, _ = next(row for row in whole if row[1] is not None)
+    _assert_same_rows([(lv, eigenfunction_at(g, lv.k, n=lv.n), ep.flags, None)],
+                      [(lv, ep, ep.flags, None)])
+
+
+def test_loop_projection_inside_a_batch(lasso):
+    # loop-degenerate levels are projected row by row amid a batch of simple
+    # ones, and come out as they do alone
+    levels = locate_spectrum(lasso, count=120)
+    assert any(lv.multiplicity == 2 and lv.loop_dims == 1 for lv in levels)
+    batch = spectrum._reconstruct(lasso, [lv.k for lv in levels], [lv.n for lv in levels],
+                                  [lv.multiplicity for lv in levels], Thresholds())
+    for lv, ep in zip(levels, batch):
+        alone = eigenfunction_at(lasso, lv.k, n=lv.n, multiplicity=lv.multiplicity)
+        assert ep.resolved_loop_degeneracy == (lv.multiplicity == 2)
+        assert alone.resolved_loop_degeneracy == ep.resolved_loop_degeneracy
+        assert ep.amplitudes.tobytes() == alone.amplitudes.tobytes()
+        assert ep.values.tobytes() == alone.values.tobytes()
+        assert ep.residual == alone.residual
 
 
 def test_canonical_sign_is_deterministic(dumbbell):

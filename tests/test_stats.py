@@ -68,29 +68,40 @@ def test_run_locates_no_level_past_last_record(dumbbell, monkeypatch):
 
 
 def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
-    # a reconstructed eigenpair costs one spectral frame of U, which the
-    # flux Hessian reuses, and no SVD
+    # a reconstructed eigenpair costs one matrix of a stacked spectral frame
+    # of U, which the flux Hessian reuses, and no SVD; matrices of the order
+    # of U are counted where they are decomposed, by the depth of each stack
     calls = Counter()
 
-    def counted(name, fn):
+    def counted(name, fn, weight=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += weight(*args)
             return fn(*args, **kwargs)
         return wrapper
 
-    frame = counted("frame", spectrum.unitary_frame)
-    monkeypatch.setattr(spectrum, "unitary_frame", frame)
-    monkeypatch.setattr(magnetic, "unitary_frame", frame)
+    def depth(H, *args):
+        return int(np.prod(H.shape[:-2])) if H.shape[-1] == 2 * dumbbell.E else 0
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("matrices", np.linalg.eigh, depth))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("matrices", np.linalg.eigvalsh, depth))
     monkeypatch.setattr(spectrum, "counting", counted("counting", spectrum.counting))
-    monkeypatch.setattr(spectrum, "eigenfunction_at",
-                        counted("eigenpair", spectrum.eigenfunction_at))
+    eigenpairs = spectrum.eigenpairs
+
+    def counted_eigenpairs(*args, **kwargs):
+        rows = eigenpairs(*args, **kwargs)
+        calls["eigenpair"] += sum(ep is not None for _, ep, _, _ in rows)
+        return rows
+
+    monkeypatch.setattr(spectrum, "eigenpairs", counted_eigenpairs)
     monkeypatch.setattr(magnetic, "hessian_alpha",
                         counted("hessian", magnetic.hessian_alpha))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     d = run_experiment(dumbbell, 50, seed=7, magnetic=True)
     assert calls["hessian"] >= d.K == 50
+    assert calls["eigenpair"] >= d.K
     assert calls["svd"] == 0
-    assert calls["frame"] == calls["counting"] + calls["eigenpair"]
+    assert calls["matrices"] == calls["counting"] + calls["eigenpair"]
 
 
 @pytest.mark.parametrize("name, K, seed", [
