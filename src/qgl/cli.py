@@ -74,11 +74,9 @@ def _stream(args, graph, thresholds):
 def cmd_spectrum(args, graph, thresholds, out_dir) -> int:
     rows = []
     for lv, _, flags, _ in _stream(args, graph, thresholds):
+        generic = flags is not None and flags.generic
         for j in range(lv.multiplicity):
-            if flags is not None:
-                bits = (flags.simple, flags.generic, flags.loop_supported is not None)
-            else:
-                bits = (lv.multiplicity == 1, False, j < lv.loop_dims)
+            bits = (lv.multiplicity == 1, generic, j < lv.loop_dims)
             rows.append([lv.n + j, _fmt_k(lv.k), *map(int, bits)])
     path = _write_rows(out_dir, "spectrum", args.format,
                        ["n", "k", "simple", "generic", "loop_supported"], rows)

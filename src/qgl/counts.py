@@ -11,9 +11,8 @@ import numpy as np
 
 from .errors import IdentityViolated, NotGeneric
 from .graphs import MetricGraph
-from .spectrum import Eigenpair
-
-TWO_PI = 2.0 * np.pi
+from .secular import TWO_PI
+from .spectrum import TRACE_FLOOR, Eigenpair
 
 # torus coordinates this close to 0 or pi make the parity branch ambiguous
 BRANCH_TOL = 1e-9
@@ -29,12 +28,11 @@ class CountRecord:
     omega: int      # neumann surplus, mu - n
 
 
-def nodal_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int,
-                     value_tol: float = 1e-6) -> int:
+def nodal_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> int:
     # directed edge 2i leaves the tail of edge i, 2i + 1 its head
     tail, head = ep.values[2 * edge], ep.values[2 * edge + 1]
-    if abs(tail) < value_tol or abs(head) < value_tol:
-        raise NotGeneric(f"edge {edge}: endpoint value within {value_tol} of 0")
+    if abs(tail) < TRACE_FLOOR or abs(head) < TRACE_FLOOR:
+        raise NotGeneric(f"edge {edge}: endpoint value within {TRACE_FLOOR} of 0")
     product = tail * head
     kl = ep.k * graph.lengths[edge]
     r0 = kl % TWO_PI
@@ -46,8 +44,7 @@ def nodal_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int,
     return base if r0 < np.pi else base + 2
 
 
-def neumann_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int,
-                       derivative_tol: float = 1e-6) -> int:
+def neumann_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> int:
     e = graph.edges[edge]
     boundary = set(graph.topology.boundary)
     kl = ep.k * graph.lengths[edge]
@@ -55,8 +52,8 @@ def neumann_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int,
         # tail edge: the cosine is pinned flat at the boundary vertex
         return int(np.floor(kl / np.pi))
     tail, head = ep.derivatives[2 * edge], ep.derivatives[2 * edge + 1]
-    if abs(tail) < derivative_tol or abs(head) < derivative_tol:
-        raise NotGeneric(f"edge {edge}: endpoint derivative within {derivative_tol} of 0")
+    if abs(tail) < TRACE_FLOOR or abs(head) < TRACE_FLOOR:
+        raise NotGeneric(f"edge {edge}: endpoint derivative within {TRACE_FLOOR} of 0")
     product = tail * head
     r0 = kl % TWO_PI
     base = 2 * int(np.floor(kl / TWO_PI))

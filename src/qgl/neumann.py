@@ -17,8 +17,6 @@ from .errors import IdentityViolated, NotGeneric, NotStarRegime
 from .graphs import MetricGraph
 from .spectrum import Eigenpair
 
-TWO_PI = 2.0 * np.pi
-
 
 def offset_atan(x: float) -> float:
     """arctan with range (0, pi/2) for x > 0 and (pi/2, pi) for x < 0."""

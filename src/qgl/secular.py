@@ -19,18 +19,13 @@ from .graphs import MetricGraph
 TWO_PI = 2.0 * np.pi
 
 KERNEL_TOL = 1e-8   # |1 - e^{i theta}| below this puts theta in the kernel of 1 - U
+MANIFOLD_TOL = 1e-10  # bisection width of a zero of F along a grid line
 
 
 def reduce_torus(x):
     """Map coordinates into [0, 2pi)."""
     t = np.asarray(x, dtype=float) % TWO_PI
     # x % 2pi can round up to exactly 2pi for tiny negative x
-    return np.where(t == TWO_PI, 0.0, t)
-
-
-def embed_half_open(theta):
-    """r_0: angles into [0, 2pi)."""
-    t = np.asarray(theta) % TWO_PI
     return np.where(t == TWO_PI, 0.0, t)
 
 
@@ -136,8 +131,7 @@ def secular_value(graph: MetricGraph, kappa) -> float:
     return float((root_branch(graph, kappa) * np.prod(1.0 - lam)).real)
 
 
-def evaluate(graph: MetricGraph, kappa,
-             kernel_tol: float = KERNEL_TOL) -> SecularEvaluation:
+def evaluate(graph: MetricGraph, kappa) -> SecularEvaluation:
     kappa = reduce_torus(kappa)
     U = evolution_matrix(graph, kappa)
     lam, Z = unitary_schur(U)
@@ -157,7 +151,7 @@ def evaluate(graph: MetricGraph, kappa,
     gradF = gradFc.real
 
     gaps = np.abs(1.0 - lam)
-    kernel_dim = int(np.sum(gaps < kernel_tol))
+    kernel_dim = int(np.sum(gaps < KERNEL_TOL))
     kernel_vector = None
     m = None
     if kernel_dim == 1:
@@ -173,7 +167,7 @@ def evaluate(graph: MetricGraph, kappa,
         gradF=gradF,
         p=float(p),
         m=m,
-        eigenphases=embed_half_open(np.angle(lam)),
+        eigenphases=reduce_torus(np.angle(lam)),
         kernel_dim=kernel_dim,
         kernel_vector=kernel_vector,
     )
@@ -357,8 +351,7 @@ def loop_reduced_determinant(graph: MetricGraph, kappa) -> complex:
 # secular manifold sampling (3-edge graphs)
 
 
-def sample_manifold(graph: MetricGraph, resolution: int = 60,
-                    tol: float = 1e-10):
+def sample_manifold(graph: MetricGraph, resolution: int = 60):
     """Point cloud of the zero set of F for a 3-edge graph.
 
     Scans grid lines of [0, 2pi)^3 along each axis, bisects sign changes of F,
@@ -388,7 +381,7 @@ def sample_manifold(graph: MetricGraph, resolution: int = 60,
                     ft = secular_value(graph, pt)
                     if prev_f is not None and np.sign(prev_f) * np.sign(ft) < 0:
                         lo, hi, flo = prev_t, t, prev_f
-                        while hi - lo > tol:
+                        while hi - lo > MANIFOLD_TOL:
                             mid = 0.5 * (lo + hi)
                             pm = base.copy()
                             pm[axis] = mid

@@ -43,7 +43,7 @@ indexed by directed edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
 from typing import Iterator, NamedTuple
 
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import BracketAuditFailed, NoKernel, NonSimple
 from .graphs import MetricGraph
-from .secular import TWO_PI, evolution_matrix
+from .secular import KERNEL_TOL, TWO_PI, evolution_matrix
 
 LOCATE_TOL = 1e-12   # absolute tolerance factor: tol * max(1, k)
 INTEGER_SLACK = 1e-6  # counting values this close to an integer are exact counts
@@ -65,18 +65,37 @@ EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
 # error against np.linalg.eigvals over 15000 frames of five graphs (2e-12)
 PHASE_ROUNDING = 1e-9
 BATCH_ENTRIES = 2 ** 15  # complex entries per stacked array of a reconstruction batch
+# a vertex value or derivative below this leaves its sign, and so the closed
+# form counts, undecided
+TRACE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class Thresholds:
-    kernel: float = 1e-8
-    value: float = 1e-6
-    derivative: float = 1e-6
+    value: float = TRACE_FLOOR
+    derivative: float = TRACE_FLOOR
     support: float = 1e-8
 
     @staticmethod
     def from_dict(d: dict | None) -> "Thresholds":
-        return Thresholds(**(d or {}))
+        """Thresholds from a JSON object of overrides; ValueError unless
+        every key is a field and every value a finite positive number, with
+        `value` and `derivative` at or above TRACE_FLOOR."""
+        if d is None:
+            return Thresholds()
+        if not isinstance(d, dict):
+            raise ValueError(f"thresholds must be a JSON object, got {d!r}")
+        names = [f.name for f in fields(Thresholds)]
+        for key, x in d.items():
+            if key not in names:
+                raise ValueError(f"unknown threshold '{key}' (accepted: {', '.join(names)})")
+            if isinstance(x, bool) or not isinstance(x, (int, float)) \
+                    or not 0 < x < np.inf:
+                raise ValueError(f"threshold '{key}' must be a finite positive number, got {x!r}")
+            if key != "support" and x < TRACE_FLOOR:
+                raise ValueError(f"threshold '{key}' {x!r} is below the trace floor "
+                                 f"{TRACE_FLOOR} that the counts need")
+        return Thresholds(**d)
 
 
 class UnitaryFrame(NamedTuple):
@@ -443,25 +462,10 @@ class Eigenpair:
     derivatives: np.ndarray         # outgoing derivative there, canonical k = 1 scale
     frame: UnitaryFrame             # of U(kappa), with eigenvectors
     residual: float
-    multiplicity: int = 1
-    resolved_loop_degeneracy: bool = False
     flags: "Flags | None" = None
 
 
-def _loop_kernel_vectors(graph: MetricGraph, kappa: np.ndarray, tol: float) -> list[np.ndarray]:
-    vecs = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in graph.topology.loops:
-        if abs(np.exp(1j * kappa[i]) - 1.0) < tol:
-            v = np.zeros(2 * graph.E, dtype=complex)
-            v[2 * i] = inv_sqrt2
-            v[2 * i + 1] = -inv_sqrt2
-            vecs.append(v)
-    return vecs
-
-
-def kernel_cutoff(graph: MetricGraph, k: float | np.ndarray,
-                  thresholds: Thresholds = Thresholds()) -> float | np.ndarray:
+def kernel_cutoff(graph: MetricGraph, k: float | np.ndarray) -> float | np.ndarray:
     """Largest |1 - e^{i theta}| over an eigenphase theta of U(k) that still
     counts as a kernel direction of 1 - U at a located eigenvalue k (or at
     each of an array of them).
@@ -469,28 +473,8 @@ def kernel_cutoff(graph: MetricGraph, k: float | np.ndarray,
     A root located to relative precision LOCATE_TOL leaves a kernel residual
     of order tol * k * L, so the cutoff grows with k.
     """
-    return np.maximum(thresholds.kernel,
+    return np.maximum(KERNEL_TOL,
                       10.0 * LOCATE_TOL * np.maximum(1.0, k) * graph.total_length)
-
-
-def _projected_kernel(graph: MetricGraph, k: float, kappa: np.ndarray,
-                      kernel: np.ndarray, distance: np.ndarray,
-                      ker_tol: float) -> np.ndarray:
-    """The one regular kernel vector left when the loop states are projected
-    out of a kernel that is not one-dimensional."""
-    kdim = kernel.shape[1]
-    if kdim == 0:
-        raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance):.2e} at k={k}")
-    proj = kernel.copy()
-    for lv in _loop_kernel_vectors(graph, kappa, ker_tol):
-        coeff = lv.conj() @ proj
-        proj = proj - np.outer(lv, coeff)
-    q, r = np.linalg.qr(proj)
-    keep = [i for i in range(proj.shape[1]) if abs(r[i, i]) > 1e-6]
-    if len(keep) != 1:
-        raise NonSimple(
-            f"kernel dimension {kdim} at k={k} not resolvable by loops")
-    return q[:, keep[0]]
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -499,9 +483,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _reconstruct(graph: MetricGraph, ks: list[float], ns: list[int],
-                 multiplicities: list[int], thresholds: Thresholds) -> list[Eigenpair]:
-    """Eigenpairs at located ks from one stacked frame of U(kappa).
+def _reconstruct(graph: MetricGraph, ks: list[float], ns: list[int]) -> list[Eigenpair]:
+    """Eigenpairs at located ks from one stacked frame of U(kappa); NoKernel
+    or NonSimple unless the kernel of 1 - U is one-dimensional at every k.
 
     Each row is computed as it would be alone: the stacked `inv` and `eigh`
     solve each matrix separately, and every later step is elementwise or
@@ -512,14 +496,14 @@ def _reconstruct(graph: MetricGraph, ks: list[float], ns: list[int],
     U = evolution_matrix(graph, kappa)
     frame = unitary_frame(U, vectors=True)
     distance = np.abs(1.0 - np.exp(1j * frame.eigenphases))
-    ker_tol = kernel_cutoff(graph, k, thresholds)
-    inside = distance < ker_tol[:, None]
+    inside = distance < kernel_cutoff(graph, k)[:, None]
+    dims = np.count_nonzero(inside, axis=1)
+    for i in np.flatnonzero(dims != 1):
+        if dims[i] == 0:
+            raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance[i]):.2e} at k={ks[i]}")
+        raise NonSimple(f"kernel dimension {dims[i]} at k={ks[i]}")
     rows = np.arange(len(k))
     a = frame.vectors[rows, :, np.argmax(inside, axis=1)]
-    resolved = np.count_nonzero(inside, axis=1) != 1
-    for i in np.flatnonzero(resolved):
-        a[i] = _projected_kernel(graph, ks[i], kappa[i], frame.vectors[i][:, inside[i]],
-                                 distance[i], ker_tol[i])
     a = a / _norm(a)[:, None]
 
     phase = np.repeat(np.exp(-1j * kappa), 2, axis=-1)
@@ -554,14 +538,11 @@ def _reconstruct(graph: MetricGraph, ks: list[float], ns: list[int],
                       frame=UnitaryFrame(frame.eigenphases[i].copy(),
                                          frame.vectors[i].copy(),
                                          float(frame.rotation[i])),
-                      residual=float(residual[i]), multiplicity=multiplicities[i],
-                      resolved_loop_degeneracy=bool(resolved[i]))
+                      residual=float(residual[i]))
             for i in rows]
 
 
-def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
-                     thresholds: Thresholds = Thresholds(),
-                     multiplicity: int = 1) -> Eigenpair:
+def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0) -> Eigenpair:
     """Reconstruct the (canonical, real) eigenfunction at a located k: the
     batch of one of `eigenpairs`.
 
@@ -572,11 +553,11 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
     the value and the outgoing derivative at the tail of every directed
     edge, indexed by directed edge.
 
-    At a loop-degenerate point (kernel = loop vectors + one regular vector)
-    the regular vector is recovered by projecting the loop directions out of
-    the kernel; genuinely non-simple points raise NonSimple.
+    A kernel of dimension 0 raises NoKernel, and one of dimension 2 or more
+    raises NonSimple: multiple levels, at a loop resonance or not, are never
+    reconstructed.
     """
-    return _reconstruct(graph, [k], [n], [multiplicity], thresholds)[0]
+    return _reconstruct(graph, [k], [n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +566,7 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0,
 
 @dataclass
 class Flags:
-    simple: bool
-    property_I: bool
-    property_II: bool
-    loop_supported: int | None      # loop edge index, or None
-    generic: bool
-    morse: bool
+    generic: bool      # every vertex value and interior derivative clears its threshold
     borderline: list[str] = field(default_factory=list)
 
 
@@ -607,43 +583,20 @@ def classify(graph: MetricGraph, ep: Eigenpair,
     min_val = float(np.min(np.abs(ep.values)))
     min_der = float(np.min(np.abs(ep.derivatives[interior_dirs]), initial=np.inf))
 
-    prop1 = min_val > thresholds.value
-    prop2 = min_der > thresholds.derivative
     if _band(min_val, thresholds.value):
         borderline.append(f"vertex value {min_val:.2e}")
     if np.isfinite(min_der) and _band(min_der, thresholds.derivative):
         borderline.append(f"vertex derivative {min_der:.2e}")
 
-    loop_edge = None
     mass = np.abs(ep.amplitudes) ** 2
     for i in graph.topology.loops:
         outside = float(np.sum(mass) - mass[2 * i] - mass[2 * i + 1])
-        resonant = abs(np.exp(1j * ep.kappa[i]) - 1.0) < 1e-3
-        if outside < thresholds.support and abs(np.exp(1j * ep.kappa[i]) - 1.0) < 1e-6:
-            loop_edge = i
-            break
         # only ambiguous when the resonance condition is in play as well
-        if resonant and _band(outside, thresholds.support):
+        if abs(np.exp(1j * ep.kappa[i]) - 1.0) < 1e-3 and _band(outside, thresholds.support):
             borderline.append(f"loop {i} outside mass {outside:.2e}")
 
-    # small mass on an edge does not flip any classification decision, so it
-    # is reported through this flag rather than through `borderline`
-    morse = True
-    for i in range(graph.E):
-        pair = mass[2 * i] + mass[2 * i + 1]
-        if pair < thresholds.support and loop_edge is None:
-            morse = False
-
-    simple = ep.multiplicity == 1 and not ep.resolved_loop_degeneracy
-    flags = Flags(
-        simple=simple,
-        property_I=prop1,
-        property_II=prop2,
-        loop_supported=loop_edge,
-        generic=simple and prop1 and prop2 and loop_edge is None,
-        morse=morse,
-        borderline=borderline,
-    )
+    flags = Flags(generic=min_val > thresholds.value and min_der > thresholds.derivative,
+                  borderline=borderline)
     ep.flags = flags
     return flags
 
@@ -750,19 +703,19 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
     """(level, eigenpair, flags, reason) per level, the simple levels off
     every loop resonance reconstructed as one batch (`_reconstruct`) and
     classified; other levels carry None for both (at a resonance the loop
-    state is the eigenfunction, so none is reconstructed).  NoKernel or
-    NonSimple at any level is raised for the whole batch.
+    state is the eigenfunction, so none is reconstructed).  The level's
+    `loop_dims`, decided as it is located, is the only loop decision.
+    NoKernel or NonSimple at any level is raised for the whole batch.
 
     `reason` is None for a generic eigenpair, or else one of
       loop_supported      every kernel direction is a loop state
       degenerate_at_loop  a multiple level holding loop states and more
       non_simple          a multiple level away from loop resonances
       borderline          a classification within a factor 10 of a threshold
-      non_generic         property I or II fails
+      non_generic         a vertex value or interior derivative is below its threshold
     """
     simple = [lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims]
-    built = iter(_reconstruct(graph, [lv.k for lv in simple], [lv.n for lv in simple],
-                              [1] * len(simple), thresholds))
+    built = iter(_reconstruct(graph, [lv.k for lv in simple], [lv.n for lv in simple]))
     out = []
     for lv in levels:
         if lv.multiplicity > 1 or lv.loop_dims:
@@ -773,20 +726,19 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
         ep = next(built)
         flags = classify(graph, ep, thresholds)
         out.append((lv, ep, flags,
-                    "loop_supported" if flags.loop_supported is not None
-                    else "borderline" if flags.borderline
+                    "borderline" if flags.borderline
                     else None if flags.generic else "non_generic"))
     return out
 
 
 def stream_eigenpairs(graph: MetricGraph, count: int | None = None,
                       k_max: float | None = None,
-                      thresholds: Thresholds = Thresholds(), workers: int = 1,
-                      chunk: int | None = None) -> Iterator[tuple]:
-    """`eigenpairs` of the levels of `stream_levels`, in consecutive batches
-    of `batch_levels(graph)`; a batch is located in full before its first
-    item is yielded."""
-    levels = stream_levels(graph, count, k_max, workers, chunk)
+                      thresholds: Thresholds = Thresholds(),
+                      workers: int = 1) -> Iterator[tuple]:
+    """`eigenpairs` of the levels of `stream_levels` (in one window, or in
+    `workers` pool windows), in consecutive batches of `batch_levels(graph)`;
+    a batch is located in full before its first item is yielded."""
+    levels = stream_levels(graph, count, k_max, workers)
     size = batch_levels(graph)
     while batch := list(islice(levels, size)):
         yield from eigenpairs(graph, batch, thresholds)

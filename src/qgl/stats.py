@@ -20,7 +20,9 @@ from . import spectrum as spectrum_mod
 from .errors import ExcessiveExclusions, WrongFamily
 from .graphs import MetricGraph, loop_chain
 
-DEFAULT_SLACK = 0.005
+SLACK = 0.005            # added to every 3-sigma tolerance of the theorem tests
+EXCLUSION_LIMIT = 0.05   # largest share of borderline and non-simple indices in a run
+HEAD_FRACTION = 0.1      # share of the star-regime records whose signatures must recur
 
 
 def draw_lengths(E: int, seed: int) -> np.ndarray:
@@ -80,24 +82,20 @@ class SurplusDistribution:
 
 
 def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
-                   lengths=None,
                    thresholds: spectrum_mod.Thresholds = spectrum_mod.Thresholds(),
                    magnetic: bool = False,
                    check_identities: bool = False,
-                   chunk: int = 512,
-                   exclusion_limit: float = 0.05) -> SurplusDistribution:
+                   chunk: int = 512) -> SurplusDistribution:
     """Fold the eigenpair stream until K_target generic eigenpairs
     accumulate; no level past the one that gives the last of them is
     located.  `chunk` is the localization window, in mean level spacings.
 
-    With `seed` given (and no explicit lengths) the edge lengths are redrawn
-    uniformly from [1, 2]; the run is then fully determined by
-    (graph, seed, thresholds).
+    With `seed` given the edge lengths are redrawn uniformly from [1, 2];
+    the run is then fully determined by (graph, seed, thresholds).  Other
+    lengths are set on the graph (`MetricGraph.with_lengths`).
     """
-    if lengths is None and seed is not None:
-        lengths = draw_lengths(graph.E, seed)
-    if lengths is not None:
-        graph = graph.with_lengths(lengths)
+    if seed is not None:
+        graph = graph.with_lengths(draw_lengths(graph.E, seed))
 
     dist = SurplusDistribution(graph=graph)
     topo = graph.topology
@@ -157,7 +155,7 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     # exclusions that indicate threshold trouble: borderline cases and
     # unexplained near-degeneracies away from loop points
     suspicious = dist.excluded["borderline"] + dist.excluded["non_simple"]
-    if dist.N_raw and suspicious / dist.N_raw > exclusion_limit:
+    if dist.N_raw and suspicious / dist.N_raw > EXCLUSION_LIMIT:
         raise ExcessiveExclusions(
             f"{suspicious}/{dist.N_raw} suspicious exclusions: {dict(dist.excluded)}")
     return dist
@@ -167,7 +165,7 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
 # theorem tests
 
 
-def symmetry_test(dist: SurplusDistribution, slack: float = DEFAULT_SLACK) -> dict:
+def symmetry_test(dist: SurplusDistribution) -> dict:
     """Joint (sigma, omega) histogram symmetry, surplus expectation
     identities, and per-vertex position symmetry."""
     topo = dist.graph.topology
@@ -181,17 +179,17 @@ def symmetry_test(dist: SurplusDistribution, slack: float = DEFAULT_SLACK) -> di
     for j, i in sorted(seen):
         p1 = dist.joint.get((j, i), 0) / K
         p2 = dist.joint.get((beta - j, beta - nb - i), 0) / K
-        tol = 3.0 * np.sqrt(max(p1, p2) * (1 - max(p1, p2)) / K) + slack
+        tol = 3.0 * np.sqrt(max(p1, p2) * (1 - max(p1, p2)) / K) + SLACK
         cells.append({"cell": (j, i), "p": p1, "partner_p": p2,
                       "residual": abs(p1 - p2), "tol": tol,
                       "ok": abs(p1 - p2) <= tol})
         max_residual = max(max_residual, abs(p1 - p2))
 
     sig = np.sqrt(max(dist.sigma_var(), 1e-12))
-    mean_tol = 3.0 * sig / np.sqrt(K) + slack
+    mean_tol = 3.0 * sig / np.sqrt(K) + SLACK
     sigma_mean_ok = abs(dist.sigma_mean() - beta / 2.0) <= mean_tol
     om = dist._samples(dist.omega_hist)
-    om_tol = 3.0 * float(np.std(om)) / np.sqrt(K) + slack
+    om_tol = 3.0 * float(np.std(om)) / np.sqrt(K) + SLACK
     omega_mean_ok = abs(dist.omega_mean() - (beta - nb) / 2.0) <= om_tol
 
     vertex = []
@@ -201,7 +199,7 @@ def symmetry_test(dist: SurplusDistribution, slack: float = DEFAULT_SLACK) -> di
         for j in range(1, deg):
             p1 = hist.get(j, 0) / total
             p2 = hist.get(deg - j, 0) / total
-            tol = 3.0 * np.sqrt(max(p1, p2) * (1 - max(p1, p2)) / total) + slack
+            tol = 3.0 * np.sqrt(max(p1, p2) * (1 - max(p1, p2)) / total) + SLACK
             vertex.append({"vertex": v, "position": j,
                            "residual": abs(p1 - p2), "tol": tol,
                            "ok": abs(p1 - p2) <= tol})
@@ -222,7 +220,7 @@ def symmetry_test(dist: SurplusDistribution, slack: float = DEFAULT_SLACK) -> di
     }
 
 
-def binomial_test(dist: SurplusDistribution, slack: float = DEFAULT_SLACK) -> dict:
+def binomial_test(dist: SurplusDistribution) -> dict:
     """Chi-square test of the exactly known surplus distributions: nodal
     surplus of a tree of cycles, shifted Neumann surplus of a (3,1)-tree."""
     topo = dist.graph.topology
@@ -247,7 +245,7 @@ def binomial_test(dist: SurplusDistribution, slack: float = DEFAULT_SLACK) -> di
     p_value = float(scipy.stats.chi2.sf(stat, df=m))
     empirical = observed / K
     devs = np.abs(empirical - probs)
-    tols = 3.0 * np.sqrt(probs * (1 - probs) / K) + slack
+    tols = 3.0 * np.sqrt(probs * (1 - probs) / K) + SLACK
     return {
         "test": "binomial", "variable": label, "trials": m,
         "observed": observed.tolist(), "empirical": empirical.tolist(),
@@ -278,7 +276,7 @@ def gaussian_limit_scan(cycle_counts=(2, 4, 8), K: int = 20000,
     return rows
 
 
-def signature_recurrence(dist: SurplusDistribution, head_fraction: float = 0.1) -> dict:
+def signature_recurrence(dist: SurplusDistribution) -> dict:
     """Every full signature seen early should recur later in the stream.
 
     Records from below the star-regime threshold are a one-time transient
@@ -286,7 +284,7 @@ def signature_recurrence(dist: SurplusDistribution, head_fraction: float = 0.1) 
     """
     star_threshold = np.pi / dist.graph.min_length
     records = [r for r in dist.records if r.k > star_threshold]
-    cut = max(1, int(len(records) * head_fraction))
+    cut = max(1, int(len(records) * HEAD_FRACTION))
     head = {r.signature() for r in records[:cut]}
     tail = {r.signature() for r in records[cut:]}
     missing = sorted(head - tail)

@@ -178,6 +178,14 @@ def test_exit_code_separates_failed_computation_from_bad_input(
     ["spectrum", "--graph", "star3", "--kmax", "nan"],
     ["manifold", "--graph", "flower3", "--res", "0"],
     ["manifold", "--graph", "flower3", "--res", "-2"],
+    ["spectrum", "--graph", "star3", "--K", "20", "--thresholds", '{"valu": 1e-5}'],
+    ["spectrum", "--graph", "star3", "--K", "20", "--thresholds", '{"kernel": 1e-8}'],
+    ["spectrum", "--graph", "star3", "--K", "20", "--thresholds", "[1, 2]"],
+    ["spectrum", "--graph", "star3", "--K", "20", "--thresholds", '{"value": "abc"}'],
+    ["spectrum", "--graph", "star3", "--K", "20", "--thresholds", '{"value": -1}'],
+    ["spectrum", "--graph", "star3", "--K", "20", "--thresholds", '{"support": NaN}'],
+    ["counts", "--graph", "star3", "--K", "300",
+     "--thresholds", '{"value": 1e-20, "derivative": 1e-20}'],
 ])
 def test_invalid_arguments_exit_2_before_computing(tmp_path, capsys, argv):
     out = tmp_path / "out"

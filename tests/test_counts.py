@@ -10,6 +10,7 @@ from qgl.counts import (
 from qgl.errors import NotGeneric
 from qgl.graphs import load_graph
 from qgl.spectrum import classify, eigenfunction_at, locate_spectrum
+from qgl.stats import draw_lengths
 from conftest import count_extrema_sampled, count_zeros_sampled
 
 GRAPHS = ("star3", "lasso", "dumbbell", "mandarin3", "k4", "tree31_7")
@@ -81,13 +82,14 @@ def test_sturm_growth_on_interval_like_spectrum(star3):
 
 
 def test_counts_reject_nongeneric(lasso):
-    loop_lv = next(lv for lv in locate_spectrum(lasso, count=16)
-                   if lv.loop_dims > 0)
-    ep = eigenfunction_at(lasso, loop_lv.k, n=loop_lv.n,
-                          multiplicity=loop_lv.multiplicity)
-    classify(lasso, ep)
+    # a simple loop state (seed-3 lengths) vanishes at the vertex
+    g = lasso.with_lengths(draw_lengths(lasso.E, 3))
+    loop_lv = next(lv for lv in locate_spectrum(g, count=16) if lv.loop_dims > 0)
+    assert (loop_lv.multiplicity, loop_lv.loop_dims) == (1, 1)
+    ep = eigenfunction_at(g, loop_lv.k, n=loop_lv.n)
+    assert not classify(g, ep).generic
     with pytest.raises(NotGeneric):
-        counts(lasso, ep)
+        counts(g, ep)
 
 
 def test_counts_total_equals_sum_of_sampled_edges(dumbbell):

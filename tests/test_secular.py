@@ -14,7 +14,6 @@ from qgl.secular import (
     bridge_factorization,
     cut_flip,
     embed_half_closed,
-    embed_half_open,
     evaluate,
     evolution_matrix,
     inversion,
@@ -40,7 +39,7 @@ def _rand_kappa(rng, E):
 
 @given(st.floats(-50.0, 50.0))
 def test_torus_maps(x):
-    r0 = float(embed_half_open(x))
+    r0 = float(reduce_torus(x))
     r2 = float(embed_half_closed(x))
     assert 0.0 <= r0 < TWO_PI
     assert 0.0 < r2 <= TWO_PI

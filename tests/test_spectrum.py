@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qgl.spectrum as spectrum
-from qgl.errors import BracketAuditFailed, NoKernel
+from qgl.errors import BracketAuditFailed, NoKernel, NonSimple
 from qgl.graphs import load_graph
 from qgl.secular import evolution_matrix
 from qgl.spectrum import (
@@ -507,10 +507,8 @@ def _assert_same_rows(got, want):
                      (ep.frame.eigenphases, ep_w.frame.eigenphases),
                      (ep.frame.vectors, ep_w.frame.vectors)):
             assert a.tobytes() == b.tobytes()
-        assert (ep.k, ep.n, ep.residual, ep.frame.rotation, ep.multiplicity,
-                ep.resolved_loop_degeneracy) == (
-            ep_w.k, ep_w.n, ep_w.residual, ep_w.frame.rotation,
-            ep_w.multiplicity, ep_w.resolved_loop_degeneracy)
+        assert (ep.k, ep.n, ep.residual, ep.frame.rotation) == (
+            ep_w.k, ep_w.n, ep_w.residual, ep_w.frame.rotation)
 
 
 @pytest.mark.parametrize("name", ("star3", "lasso", "dumbbell", "k6", "tree31_7"))
@@ -532,22 +530,6 @@ def test_eigenpairs_do_not_depend_on_the_batch_split(name):
                       [(lv, ep, ep.flags, None)])
 
 
-def test_loop_projection_inside_a_batch(lasso):
-    # loop-degenerate levels are projected row by row amid a batch of simple
-    # ones, and come out as they do alone
-    levels = locate_spectrum(lasso, count=120)
-    assert any(lv.multiplicity == 2 and lv.loop_dims == 1 for lv in levels)
-    batch = spectrum._reconstruct(lasso, [lv.k for lv in levels], [lv.n for lv in levels],
-                                  [lv.multiplicity for lv in levels], Thresholds())
-    for lv, ep in zip(levels, batch):
-        alone = eigenfunction_at(lasso, lv.k, n=lv.n, multiplicity=lv.multiplicity)
-        assert ep.resolved_loop_degeneracy == (lv.multiplicity == 2)
-        assert alone.resolved_loop_degeneracy == ep.resolved_loop_degeneracy
-        assert ep.amplitudes.tobytes() == alone.amplitudes.tobytes()
-        assert ep.values.tobytes() == alone.values.tobytes()
-        assert ep.residual == alone.residual
-
-
 def test_canonical_sign_is_deterministic(dumbbell):
     lv = locate_spectrum(dumbbell, count=1)[0]
     a = eigenfunction_at(dumbbell, lv.k)
@@ -563,15 +545,17 @@ def test_canonical_sign_is_deterministic(dumbbell):
 
 
 def test_lasso_loop_mode_classification(lasso):
+    # with unit lengths the loop state at k = 2pi shares its level with a
+    # regular eigenfunction: the level is multiple and never reconstructed
     loop_lv = next(lv for lv in locate_spectrum(lasso, count=16)
                    if lv.loop_dims > 0)
     assert loop_lv.k == pytest.approx(TWO_PI, abs=1e-8)
-    ep = eigenfunction_at(lasso, loop_lv.k, n=loop_lv.n,
-                          multiplicity=loop_lv.multiplicity)
-    # the degeneracy is resolved by projecting the loop vector out
-    assert ep.resolved_loop_degeneracy
-    flags = classify(lasso, ep)
-    assert not flags.simple and not flags.generic
+    assert (loop_lv.multiplicity, loop_lv.loop_dims) == (2, 1)
+    with pytest.raises(NonSimple):
+        eigenfunction_at(lasso, loop_lv.k, n=loop_lv.n)
+    row = next(row for row in stream_eigenpairs(lasso, count=loop_lv.n + 1)
+               if row[0] == loop_lv)
+    assert row[1:] == (None, None, "degenerate_at_loop")
 
 
 def test_generic_classification_on_tree(tree31):
@@ -580,27 +564,23 @@ def test_generic_classification_on_tree(tree31):
         if lv.multiplicity != 1:
             continue
         ep = eigenfunction_at(tree31, lv.k, n=lv.n)
-        flags = classify(tree31, ep)
-        assert flags.simple and flags.loop_supported is None
-        if flags.generic:
+        if classify(tree31, ep).generic:
             flagged += 1
     assert flagged >= 28
 
 
 def test_thresholds_from_dict_round_trip():
-    t = Thresholds.from_dict({"value": 1e-5})
-    assert t.value == 1e-5 and t.kernel == 1e-8
-    assert Thresholds.from_dict(None) == Thresholds()
+    t = Thresholds.from_dict({"value": 1e-5, "support": 1e-12})
+    assert (t.value, t.derivative, t.support) == (1e-5, spectrum.TRACE_FLOOR, 1e-12)
+    assert Thresholds.from_dict(None) == Thresholds() == Thresholds.from_dict({})
 
 
-def test_loop_mode_amplitudes(lasso):
-    # the projected-out loop vector leaves the regular partner; the pure loop
-    # state itself is the antisymmetric unit vector on the loop pair
-    from qgl.spectrum import _loop_kernel_vectors
-    kappa = np.asarray(lasso.lengths) * TWO_PI % TWO_PI
-    vecs = _loop_kernel_vectors(lasso, kappa, 1e-8)
-    assert len(vecs) == 1
-    v = vecs[0]
-    assert v[0] == pytest.approx(1 / np.sqrt(2))
-    assert v[1] == pytest.approx(-1 / np.sqrt(2))
-    assert np.allclose(v[2:], 0.0)
+@pytest.mark.parametrize("d", [
+    [1, 2], "value", 1e-5, {"valu": 1e-5}, {"kernel": 1e-8},
+    {"value": "abc"}, {"value": None}, {"value": True}, {"value": -1},
+    {"support": 0}, {"derivative": float("inf")}, {"support": float("nan")},
+    {"value": 1e-20}, {"derivative": 0.5 * spectrum.TRACE_FLOOR},
+])
+def test_thresholds_from_dict_rejects(d):
+    with pytest.raises(ValueError):
+        Thresholds.from_dict(d)

@@ -190,7 +190,7 @@ def test_signature_recurrence(dumbbell):
     # the dumbbell signature space is small, so every early signature
     # reappears in the remainder of a moderate stream
     d = run_experiment(dumbbell, 500, seed=7)
-    rep = signature_recurrence(d, head_fraction=0.1)
+    rep = signature_recurrence(d)
     assert rep["ok"], rep["missing_later"]
 
 
@@ -199,12 +199,6 @@ def test_gaussian_scan_smoke():
     assert len(rows) == 1
     assert rows[0]["betti"] == 2
     assert rows[0]["sigma_var"] == pytest.approx(0.5, abs=0.2)
-
-
-def test_explicit_lengths_override_seed(dumbbell):
-    lengths = [1.11, 1.52, 1.93]
-    d = run_experiment(dumbbell, 60, lengths=lengths)
-    assert d.graph.lengths == tuple(lengths)
 
 
 def test_chain_families_classified():
