@@ -113,13 +113,14 @@ class MagneticFrame:
         return -self.hessian / self.p
 
 
-def morse_index(sym: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> int:
-    """Number of negative eigenvalues of a symmetric matrix."""
+def morse_index(sym: np.ndarray) -> int:
+    """Number of negative eigenvalues of a symmetric matrix; DegenerateHessian
+    when one lies within DEGENERACY_TOL of 0, relative to the largest."""
     if sym.size == 0:
         return 0
     w = np.linalg.eigvalsh(sym)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if np.any(np.abs(w) < degeneracy_tol * scale):
+    if np.any(np.abs(w) < DEGENERACY_TOL * scale):
         raise DegenerateHessian(f"eigenvalues {w}")
     return int(np.sum(w < 0))
 

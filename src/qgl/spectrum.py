@@ -17,11 +17,15 @@ k_f + min(2pi - theta) / l_max, and one lies at or before
 k_f + min(2pi - theta) / l_min.  When a second eigenphase could reach 2pi
 inside that bracket, an exact count at its upper end says how many crossings
 it holds, and it is bisected while it holds more than one, so near-degenerate
-clusters cannot hide a root.  Inside a bracket holding one crossing, a
-safeguarded Newton iteration on the eigenphase nearest 0 (slope <z, L z> for
-its eigenvector z), started at the first-order prediction, converges to the
-root; the count from the same frame tightens the bracket, and a step leaving
-the bracket is replaced by bisection.
+clusters cannot hide a root.  Inside a bracket holding one crossing, Newton
+steps on the crossing eigenphase (slope <z, L z> for its eigenvector z)
+start at the first-order prediction.  The first steps take no frame: inverse
+iteration on U(k) - 1, one LU solve each, follows the eigenvector x of the
+eigenphase nearest 0 and reads that eigenphase as arg(x* U x).  Full frames
+take over near the root, where a safeguarded iteration on the eigenphase
+nearest 0 converges; the count from each frame tightens the bracket, and a
+step leaving the bracket is replaced by bisection.  Tracking only decides
+where the first frame is taken, so a root usually costs one frame.
 
 Every accepted root is audited by the integer counts at k* - delta and
 k* + delta.  The final Newton frame gives them exactly when each of its
@@ -59,6 +63,8 @@ INTEGER_SLACK = 1e-6  # counting values this close to an integer are exact count
 POLE_ROTATION = 1.0  # phi: the Cayley pole sits at the eigenphase phi + pi
 POLE_LIMIT = 1e4     # largest |tan((theta - phi) / 2)| accepted without re-solving
 NEWTON_ITERATIONS = 60
+TRACK_ITERATIONS = 8  # inverse-iteration steps before the first Newton frame
+TRACK_HANDOFF = 1e-7  # a tracking step below this times max(1, k) ends tracking
 PSI_EXACT = 1e-10    # nearest eigenphase farther from 0 than this: count is exact
 EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
 # bound on the eigensolver's rounding of an eigenphase: 500 times the worst
@@ -179,7 +185,8 @@ class _Counter:
 
     def __init__(self, graph: MetricGraph):
         self.graph = graph
-        self.dir_lengths = np.repeat(np.asarray(graph.lengths), 2)
+        self.lengths = np.asarray(graph.lengths)
+        self.dir_lengths = np.repeat(self.lengths, 2)
         self.l_min, self.l_max = graph.min_length, max(graph.lengths)
         self.calls = 0
 
@@ -273,10 +280,11 @@ def _recount(ctr: _Counter, k_star: float, delta: float) -> _Audit:
 
 
 def _phase_bracket(ctr: _Counter, frame: CountingFrame, phases: np.ndarray,
-                   lo: float) -> tuple[float, float, float, bool]:
-    """(a, b, start, lone): a bracket [a, b] of the next eigenvalue past
+                   lo: float) -> tuple[float, float, float, bool, np.ndarray]:
+    """(a, b, start, lone, z): a bracket [a, b] of the next eigenvalue past
     `lo` from a frame at k_f <= lo whose count holds at lo, a Newton start,
-    and whether the bracket holds at most one crossing.
+    whether the bracket holds at most one crossing, and the eigenvector z of
+    the eigenphase that crosses next.
 
     Eigenphase m reaches 2pi after turning r_m = 2pi - theta_m further, at a
     speed in [l_min, l_max]: no eigenvalue lies before k_f + min r / l_max,
@@ -296,15 +304,46 @@ def _phase_bracket(ctr: _Counter, frame: CountingFrame, phases: np.ndarray,
     a = max(lo, k_f + (r1 - rho) / ctr.l_max - pad)
     b = k_f + (r1 + rho) / ctr.l_min + pad
     lone = k_f + (r2 - rho) / ctr.l_max - pad > b
-    start = k_f + r1 / float(ctr.dir_lengths @ (np.abs(frame.vectors[:, m]) ** 2))
-    return a, b, start, lone
+    z = frame.vectors[:, m]
+    start = k_f + r1 / float(ctr.dir_lengths @ (np.abs(z) ** 2))
+    return a, b, start, lone, z
+
+
+def _track(ctr: _Counter, a: float, b: float, k: float, z: np.ndarray) -> float:
+    """Where the first full frame of a Newton iteration in [a, b] is taken:
+    the eigenphase of U(k) nearest 0, followed from k by inverse iteration.
+
+    Each step solves (U(k) - 1) x = z, one LU solve in place of a full
+    frame, and takes x / |x| as the new z; its eigenphase psi = arg(x* U x)
+    turns at speed <x, L x>, so k moves by -psi / <x, L x>.  Tracking stops
+    once a step would leave [a, b], the solve fails, or a step falls below
+    TRACK_HANDOFF * max(1, k).
+    """
+    identity = np.eye(len(z))
+    for _ in range(TRACK_ITERATIONS):
+        U = evolution_matrix(ctr.graph, ctr.lengths * k % TWO_PI)
+        try:
+            x = np.linalg.solve(U - identity, z)
+        except np.linalg.LinAlgError:
+            break
+        x = x / np.linalg.norm(x)
+        step = -np.angle(np.vdot(x, U @ x)) / float(ctr.dir_lengths @ (np.abs(x) ** 2))
+        if not a <= k + step <= b:
+            break
+        k, z = k + step, x
+        if abs(step) < TRACK_HANDOFF * max(1.0, k):
+            break
+    return k
 
 
 def _safeguarded_newton(ctr: _Counter, a: float, b: float, target: int,
-                        tol: float, k: float) -> tuple[float, CountingFrame] | None:
+                        tol: float, k: float,
+                        z: np.ndarray | None) -> tuple[float, CountingFrame] | None:
     """Root of the eigenphase nearest 0 inside the bracket [a, b], where the
     count is below `target` at a and reaches it at b, from the start k.
 
+    Given the eigenvector z of the crossing eigenphase, `_track` first moves
+    the start close to the root without a frame.  From there,
     Newton steps -psi / <z, L z> that stay inside the bracket are taken, the
     others become bisections; a frame whose nearest eigenphase is clear of 0
     is an exact count and moves one end of the bracket.  Returns the root
@@ -312,6 +351,8 @@ def _safeguarded_newton(ctr: _Counter, a: float, b: float, target: int,
     vectors audit the root and bracket the next one; or None when the
     iteration does not settle.
     """
+    if z is not None:
+        k = _track(ctr, a, b, k, z)
     for _ in range(NEWTON_ITERATIONS):
         frame = ctr.frame(k, vectors=True)
         psi = _signed(frame.eigenphases)
@@ -366,7 +407,7 @@ def _walk(graph: MetricGraph, k_min: float = 0.0, k_max: float | None = None,
     top = np.inf if k_max is None else k_max
     while lo < top:
         target = n + 1
-        a, b, start, lone = _phase_bracket(ctr, frame, phases, lo)
+        a, b, start, lone, z = _phase_bracket(ctr, frame, phases, lo)
         if b >= top:
             n_hi = ctr.integer(top)
             if n_hi < target:
@@ -391,8 +432,12 @@ def _walk(graph: MetricGraph, k_min: float = 0.0, k_max: float | None = None,
                 a = mid
         abs_tol = LOCATE_TOL * max(1.0, b)
         delta = _audit_step(b)
+        # a bracket holding more than one crossing (a cluster narrower than
+        # the coarse width) may let tracking settle on any of its roots, so
+        # only full frames, whose counts move the bracket, search it
         found = _safeguarded_newton(ctr, a, b, target, abs_tol,
-                                    start if a < start < b else 0.5 * (a + b))
+                                    start if a < start < b else 0.5 * (a + b),
+                                    z if n_hi == target else None)
         audit = None
         if found is not None:
             k_star, final = found

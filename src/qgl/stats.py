@@ -22,6 +22,11 @@ from .graphs import MetricGraph, loop_chain
 
 SLACK = 0.005            # added to every 3-sigma tolerance of the theorem tests
 EXCLUSION_LIMIT = 0.05   # largest share of borderline and non-simple indices in a run
+# largest share of excluded indices, for any reason, among those off loop
+# states, checked after every batch.  The acceptance runs reach 0.003 at
+# most, the built-in lengths of lasso 0.33 (degenerate at its loop);
+# thresholds that exclude every eigenpair, or equal lengths, give 1.
+EXCLUDED_SHARE_LIMIT = 0.5
 HEAD_FRACTION = 0.1      # share of the star-regime records whose signatures must recur
 
 
@@ -151,6 +156,13 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
                 n=lv.n, k=lv.k, sigma=rec_counts.sigma, omega=rec_counts.omega,
                 positions={v: N_v for v, (N_v, _) in stars.items()},
                 capacities={v: rho_v for v, (_, rho_v) in stars.items()}, iota=iota))
+        # thresholds that exclude (nearly) every eigenpair would keep the
+        # stream going forever
+        excluded = sum(dist.excluded.values())
+        if excluded > EXCLUDED_SHARE_LIMIT * (excluded + dist.K):
+            raise ExcessiveExclusions(
+                f"{excluded} of {excluded + dist.K} indices off loop states "
+                f"excluded: {dict(dist.excluded)}")
 
     # exclusions that indicate threshold trouble: borderline cases and
     # unexplained near-degeneracies away from loop points

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qgl
 import qgl.spectrum
 from qgl import errors
 from qgl.cli import main
@@ -144,6 +149,20 @@ def test_excessive_exclusions_exits_4(tmp_path, capsys):
                "--thresholds", '{"value": 1e-2, "derivative": 1e-2}'])
     assert rc == 4
     assert "suspicious exclusions" in capsys.readouterr().err
+
+
+def test_thresholds_excluding_every_eigenpair_exit_4(tmp_path):
+    # every eigenpair is non-generic, so no record ever accumulates; the
+    # run must stop on the exclusion share instead of streaming forever
+    src = str(Path(qgl.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgl.cli", "stats", "--graph", "dumbbell", "--K", "10",
+         "--thresholds", '{"value": 5.0}', "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "indices off loop states excluded" in proc.stderr
 
 
 @pytest.mark.parametrize("exc, code", [

@@ -5,7 +5,7 @@ import pytest
 
 import qgl.magnetic as magnetic
 import qgl.spectrum as spectrum
-from qgl.errors import WrongFamily
+from qgl.errors import ExcessiveExclusions, WrongFamily
 from qgl.graphs import load_graph, loop_chain
 from qgl.stats import (
     binomial_test,
@@ -50,6 +50,13 @@ def test_dumbbell_run_tallies(dumbbell):
     assert d.excluded == {}
     assert d.loop_count > 0
     assert set(d.sigma_hist) == {0, 1, 2}
+
+
+def test_equilateral_star_stops_on_exclusions(star3):
+    # with equal lengths every level is multiple or vanishes at the centre,
+    # so no record ever accumulates: the first batch must end the run
+    with pytest.raises(ExcessiveExclusions, match="indices off loop states excluded"):
+        run_experiment(star3.with_lengths([1.0, 1.0, 1.0]), 10)
 
 
 def test_run_locates_no_level_past_last_record(dumbbell, monkeypatch):
