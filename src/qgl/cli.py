@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input or graph, 3 a requested assertion
 failed, 4 a computation failed one of its own checks (an audit, an identity,
-a kernel, a Hessian or the exclusion limit).  Results go to --out as CSV or
-JSON; a short summary goes to stdout.
+a kernel, a Hessian, an undecided count or the exclusion limit).  Results go
+to --out as CSV or JSON; a short summary goes to stdout.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import magnetic as magnetic_mod
 from . import neumann as neumann_mod
 from . import stats as stats_mod
 from . import spectrum as spectrum_mod
-from .errors import ComputationFailed, QGLError
+from .errors import ComputationFailed, DegenerateHessian, QGLError
 from .graphs import load_graph
 from .secular import sample_manifold
 
@@ -65,15 +66,24 @@ def _fmt_k(k: float) -> str:
 # subcommands
 
 
-def _stream(args, graph, thresholds):
-    return spectrum_mod.stream_eigenpairs(
+def _batches(args, graph, thresholds):
+    return spectrum_mod.stream_batches(
         graph, count=args.K, k_max=args.kmax, thresholds=thresholds,
         workers=args.workers)
 
 
+def _generic(batch) -> tuple[list, int]:
+    """The (level, eigenpair) pairs of the generic items of a batch, and the
+    number of eigenvalues skipped."""
+    kept = [(lv, ep) for lv, ep, flags, _ in batch if flags is not None and flags.generic]
+    skipped = sum(lv.multiplicity for lv, _, flags, _ in batch
+                  if flags is None or not flags.generic)
+    return kept, skipped
+
+
 def cmd_spectrum(args, graph, thresholds, out_dir) -> int:
     rows = []
-    for lv, _, flags, _ in _stream(args, graph, thresholds):
+    for lv, _, flags, _ in chain.from_iterable(_batches(args, graph, thresholds)):
         generic = flags is not None and flags.generic
         for j in range(lv.multiplicity):
             bits = (lv.multiplicity == 1, generic, j < lv.loop_dims)
@@ -95,12 +105,14 @@ def cmd_spectrum(args, graph, thresholds, out_dir) -> int:
 
 def cmd_counts(args, graph, thresholds, out_dir) -> int:
     rows, skipped = [], 0
-    for lv, ep, flags, _ in _stream(args, graph, thresholds):
-        if flags is None or not flags.generic:
-            skipped += lv.multiplicity
+    for batch in _batches(args, graph, thresholds):
+        kept, skip = _generic(batch)
+        skipped += skip
+        if not kept:
             continue
-        rec = counts_mod.counts(graph, ep)
-        rows.append([lv.n, _fmt_k(lv.k), rec.phi, rec.mu, rec.sigma, rec.omega])
+        c = counts_mod.counts_batch(graph, [ep for _, ep in kept])
+        rows += [[lv.n, _fmt_k(lv.k), *rec] for (lv, _), rec in
+                 zip(kept, np.stack([c.phi, c.mu, c.sigma, c.omega], axis=1).tolist())]
     path = _write_rows(out_dir, "counts", args.format,
                        ["n", "k", "phi", "mu", "sigma", "omega"], rows)
     print(f"counts for {len(rows)} generic eigenpairs ({skipped} skipped)")
@@ -115,7 +127,7 @@ def cmd_counts(args, graph, thresholds, out_dir) -> int:
 def cmd_domains(args, graph, thresholds, out_dir) -> int:
     star_threshold = np.pi / graph.min_length
     rows, skipped = [], 0
-    for lv, ep, flags, _ in _stream(args, graph, thresholds):
+    for lv, ep, flags, _ in chain.from_iterable(_batches(args, graph, thresholds)):
         if flags is None or not flags.generic or lv.k <= star_threshold:
             skipped += lv.multiplicity
             continue
@@ -136,16 +148,20 @@ def cmd_magnetic(args, graph, thresholds, out_dir) -> int:
     header = (["n", "k", "sigma_counting", "sigma_magnetic"]
               + [f"iota_{j + 1}" for j in range(n_blocks)])
     rows, skipped, agree = [], 0, True
-    for lv, ep, flags, _ in _stream(args, graph, thresholds):
-        if flags is None or not flags.generic:
-            skipped += lv.multiplicity
+    for batch in _batches(args, graph, thresholds):
+        kept, skip = _generic(batch)
+        skipped += skip
+        if not kept:
             continue
-        rec = counts_mod.counts(graph, ep)
-        frame = magnetic_mod.hessian_alpha(graph, ep)
-        iota = magnetic_mod.local_indices(frame)
-        if frame.sigma_magnetic != rec.sigma:
-            agree = False
-        rows.append([lv.n, _fmt_k(lv.k), rec.sigma, frame.sigma_magnetic] + iota)
+        eps = [ep for _, ep in kept]
+        c = counts_mod.counts_batch(graph, eps)
+        m = magnetic_mod.indices_batch(graph, eps)
+        if np.any(m.degenerate):
+            raise DegenerateHessian(
+                f"{eps[int(np.argmax(m.degenerate))].label()}: degenerate flux Hessian")
+        agree = agree and bool(np.all(m.sigma == c.sigma))
+        rows += [[lv.n, _fmt_k(lv.k), sigma, sigma_m] + iota for (lv, _), sigma, sigma_m, iota
+                 in zip(kept, c.sigma.tolist(), m.sigma.tolist(), m.iota.tolist())]
     path = _write_rows(out_dir, "magnetic", args.format, header, rows)
     print(f"magnetic indices for {len(rows)} generic eigenpairs "
           f"({skipped} skipped); counting/magnetic agree: {agree}")

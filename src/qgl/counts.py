@@ -2,19 +2,23 @@
 
 Counts are computed from vertex trace data and the torus point only; no
 profile sampling happens here (a dense-sampling oracle lives in the tests).
+Every rule is elementwise over (eigenpair, edge) of a batch of eigenpairs,
+and the one-eigenpair functions are its batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IdentityViolated, NotGeneric
 from .graphs import MetricGraph
 from .secular import TWO_PI
-from .spectrum import TRACE_FLOOR, Eigenpair
+from .spectrum import TRACE_FLOOR, Eigenpair, stacked
 
-# torus coordinates this close to 0 or pi make the parity branch ambiguous
+# a torus coordinate this close to pi makes the parity branch ambiguous; the
+# rules are continuous across 0, so nothing is checked there
 BRANCH_TOL = 1e-9
 
 
@@ -28,71 +32,136 @@ class CountRecord:
     omega: int      # neumann surplus, mu - n
 
 
-def nodal_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> int:
+class Counts(NamedTuple):
+    """The counts of a batch of eigenpairs, one entry per eigenpair."""
+    n: np.ndarray
+    k: np.ndarray
+    phi: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    omega: np.ndarray
+
+    def record(self, i: int) -> CountRecord:
+        return CountRecord(*(x[i].item() for x in self))
+
+
+def _edges(graph: MetricGraph, edges: Sequence[int] | None) -> np.ndarray:
+    return np.arange(graph.E) if edges is None else np.asarray(edges, dtype=int)
+
+
+def _endpoint_traces(eps: Sequence[Eigenpair], name: str, edges: np.ndarray,
+                     what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, head) traces on each edge; NotGeneric naming the first
+    eigenpair with one below TRACE_FLOOR."""
     # directed edge 2i leaves the tail of edge i, 2i + 1 its head
-    tail, head = ep.values[2 * edge], ep.values[2 * edge + 1]
-    if abs(tail) < TRACE_FLOOR or abs(head) < TRACE_FLOOR:
-        raise NotGeneric(f"edge {edge}: endpoint value within {TRACE_FLOOR} of 0")
-    product = tail * head
-    kl = ep.k * graph.lengths[edge]
+    trace = stacked(eps, name)
+    tail, head = trace[:, 2 * edges], trace[:, 2 * edges + 1]
+    low = (np.abs(tail) < TRACE_FLOOR) | (np.abs(head) < TRACE_FLOOR)
+    if np.any(low):
+        i, j = np.argwhere(low)[0]
+        raise NotGeneric(f"{eps[i].label()}: edge {edges[j]}: endpoint {what} "
+                         f"within {TRACE_FLOOR} of 0")
+    return tail, head
+
+
+def _parity_rule(eps: Sequence[Eigenpair], kl: np.ndarray, odd: np.ndarray,
+                 edges: np.ndarray) -> np.ndarray:
+    """2 floor(kl / 2pi) + 1 where the endpoint signs make the count odd, or
+    else 2 floor(kl / 2pi), plus 2 when kl mod 2pi lies past pi.
+
+    Across kl mod 2pi = 0 the even count is continuous (floor drops by one
+    where the remainder jumps past pi), so only the remainder at pi is a
+    branch cut."""
     r0 = kl % TWO_PI
-    base = 2 * int(np.floor(kl / TWO_PI))
-    if product < 0:
-        return base + 1
-    if min(r0, abs(r0 - np.pi), TWO_PI - r0) < BRANCH_TOL:
-        raise NotGeneric(f"edge {edge}: torus coordinate {r0} on a branch cut")
-    return base if r0 < np.pi else base + 2
+    base = 2 * np.floor(kl / TWO_PI).astype(int)
+    cut = ~odd & (np.abs(r0 - np.pi) < BRANCH_TOL)
+    if np.any(cut):
+        i, j = np.argwhere(cut)[0]
+        raise NotGeneric(f"{eps[i].label()}: edge {edges[j]}: torus coordinate "
+                         f"{r0[i, j]} on a branch cut")
+    return np.where(odd, base + 1, np.where(r0 < np.pi, base, base + 2))
+
+
+def _kl(graph: MetricGraph, eps: Sequence[Eigenpair], edges: np.ndarray) -> np.ndarray:
+    return stacked(eps, "k")[:, None] * np.asarray(graph.lengths)[edges]
+
+
+def nodal_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
+                 edges: Sequence[int] | None = None) -> np.ndarray:
+    """Interior zeros per (eigenpair, edge), over every edge by default."""
+    edges = _edges(graph, edges)
+    tail, head = _endpoint_traces(eps, "values", edges, "value")
+    return _parity_rule(eps, _kl(graph, eps, edges), tail * head < 0, edges)
+
+
+def neumann_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
+                   edges: Sequence[int] | None = None) -> np.ndarray:
+    """Interior critical points per (eigenpair, edge), over every edge by
+    default."""
+    edges = _edges(graph, edges)
+    kl = _kl(graph, eps, edges)
+    # an edge ending at a boundary vertex: the cosine is pinned flat there
+    out = np.floor(kl / np.pi).astype(int)
+    boundary = set(graph.topology.boundary)
+    free = np.array([graph.edges[i].tail not in boundary
+                     and graph.edges[i].head not in boundary for i in edges], dtype=bool)
+    if np.any(free):
+        tail, head = _endpoint_traces(eps, "derivatives", edges[free], "derivative")
+        out[:, free] = _parity_rule(eps, kl[:, free], tail * head > 0, edges[free])
+    return out
+
+
+def vertex_sign_sums(graph: MetricGraph, eps: Sequence[Eigenpair]) -> np.ndarray:
+    """Per eigenpair, the sum over interior vertices and incident directed
+    edges of sign(f(v) * outgoing derivative)."""
+    dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
+    signs = np.sign(stacked(eps, "values")[:, dirs] * stacked(eps, "derivatives")[:, dirs])
+    zero = signs == 0
+    if np.any(zero):
+        i, j = np.argwhere(zero)[0]
+        raise NotGeneric(f"{eps[i].label()}: vertex {graph.tail_of(dirs[j])}, "
+                         f"directed edge {dirs[j]}: zero value or derivative")
+    return np.sum(signs, axis=1).astype(int)
+
+
+def counts_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> Counts:
+    """The counts of each eigenpair of a batch, with the surplus ranges and
+    the difference identity checked row by row; errors name the eigenpair."""
+    for ep in eps:
+        if ep.flags is not None and not ep.flags.generic:
+            raise NotGeneric(f"{ep.label()} is not generic")
+    n = stacked(eps, "n")
+    phi = np.sum(nodal_counts(graph, eps), axis=1)
+    mu = np.sum(neumann_counts(graph, eps), axis=1)
+    c = Counts(n=n, k=stacked(eps, "k"), phi=phi, mu=mu, sigma=phi - n, omega=mu - n)
+    # hard range checks; violations would falsify the computation
+    topo = graph.topology
+    beta = topo.betti
+    nb = len(topo.boundary)
+    for bad, what in (
+            ((c.sigma < 0) | (c.sigma > beta), f"nodal surplus outside [0, {beta}]"),
+            ((c.omega < 1 - beta - nb) | (c.omega > 2 * beta - 1),
+             f"neumann surplus outside [{1 - beta - nb}, {2 * beta - 1}]"),
+            # difference identity through vertex signs (integer arithmetic)
+            (2 * (phi - mu) != nb - vertex_sign_sums(graph, eps),
+             "2(phi - mu) != boundary - vertex signs")):
+        if np.any(bad):
+            raise IdentityViolated(f"{what}: {c.record(int(np.argmax(bad)))}")
+    return c
+
+
+def nodal_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> int:
+    return int(nodal_counts(graph, [ep], [edge])[0, 0])
 
 
 def neumann_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> int:
-    e = graph.edges[edge]
-    boundary = set(graph.topology.boundary)
-    kl = ep.k * graph.lengths[edge]
-    if e.tail in boundary or e.head in boundary:
-        # tail edge: the cosine is pinned flat at the boundary vertex
-        return int(np.floor(kl / np.pi))
-    tail, head = ep.derivatives[2 * edge], ep.derivatives[2 * edge + 1]
-    if abs(tail) < TRACE_FLOOR or abs(head) < TRACE_FLOOR:
-        raise NotGeneric(f"edge {edge}: endpoint derivative within {TRACE_FLOOR} of 0")
-    product = tail * head
-    r0 = kl % TWO_PI
-    base = 2 * int(np.floor(kl / TWO_PI))
-    if product > 0:
-        return base + 1
-    if min(r0, abs(r0 - np.pi), TWO_PI - r0) < BRANCH_TOL:
-        raise NotGeneric(f"edge {edge}: torus coordinate {r0} on a branch cut")
-    return base if r0 < np.pi else base + 2
+    return int(neumann_counts(graph, [ep], [edge])[0, 0])
 
 
 def vertex_sign_sum(graph: MetricGraph, ep: Eigenpair) -> int:
-    """Sum over interior vertices and incident directed edges of
-    sign(f(v) * outgoing derivative)."""
-    dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
-    signs = np.sign(ep.values[dirs] * ep.derivatives[dirs])
-    if not np.all(signs):
-        d = dirs[int(np.argmin(np.abs(signs)))]
-        raise NotGeneric(f"vertex {graph.tail_of(d)}, directed edge {d}: "
-                         "zero value or derivative")
-    return int(np.sum(signs))
+    return int(vertex_sign_sums(graph, [ep])[0])
 
 
 def counts(graph: MetricGraph, ep: Eigenpair) -> CountRecord:
-    if ep.flags is not None and not ep.flags.generic:
-        raise NotGeneric(f"eigenpair n={ep.n} is not generic")
-    phi = sum(nodal_count_edge(graph, ep, i) for i in range(graph.E))
-    mu = sum(neumann_count_edge(graph, ep, i) for i in range(graph.E))
-    topo = graph.topology
-    rec = CountRecord(n=ep.n, k=ep.k, phi=phi, mu=mu,
-                      sigma=phi - ep.n, omega=mu - ep.n)
-    # hard range checks; violations would falsify the computation
-    beta = topo.betti
-    nb = len(topo.boundary)
-    if not 0 <= rec.sigma <= beta:
-        raise IdentityViolated(f"nodal surplus outside [0, {beta}]: {rec}")
-    if not 1 - beta - nb <= rec.omega <= 2 * beta - 1:
-        raise IdentityViolated(
-            f"neumann surplus outside [{1 - beta - nb}, {2 * beta - 1}]: {rec}")
-    # difference identity through vertex signs (integer arithmetic)
-    if 2 * (phi - mu) != nb - vertex_sign_sum(graph, ep):
-        raise IdentityViolated(f"2(phi - mu) != boundary - vertex signs: {rec}")
-    return rec
+    """The counts of one eigenpair: the batch of one of `counts_batch`."""
+    return counts_batch(graph, [ep]).record(0)

@@ -69,8 +69,10 @@ class NoKernel(ComputationFailed):
 
 # ---- counts / neumann domains ----
 
-class NotGeneric(QGLError):
-    pass
+class NotGeneric(ComputationFailed):
+    """A count or star observable that the vertex trace leaves undecided.
+    Genericity is decided as eigenpairs are classified, so one that still
+    meets this is a failed computation, not invalid input."""
 
 
 class NotStarRegime(QGLError):

@@ -17,18 +17,26 @@ Anal. PDE 6, 2013; Berkolaiko-Weyand, Phil. Trans. R. Soc. A 372, 2014):
 where b_jm = z_m* A_j a and R is the branch of det(U)^(-1/2).  The number of
 negative eigenvalues of -H/p = -d^2 theta_0 is the magnetic stability index,
 and the edge-separation blocks give local indices that sum to it.
+
+A batch of eigenpairs is handled as stacked frames: the b and cot factors,
+the perturbation sums and p are stacked array operations over the batch, and
+the Morse indices come from one stacked `eigvalsh` of the stability matrices
+and one per block order.  Each row comes out as it would alone, and the
+one-point functions (`hessian_alpha`, `local_indices`, `morse_index`) are
+the batch of one.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CriticalPointViolated, DegenerateHessian, IdentityViolated
 from .graphs import MetricGraph
-from .secular import KERNEL_TOL, evolution_matrix, reduce_torus, root_branch
-from .spectrum import Eigenpair, unitary_frame
+from .secular import KERNEL_TOL, evolution_matrix, reduce_torus
+from .spectrum import Eigenpair, stacked, unitary_frame
 
 GRADIENT_TOL = 1e-9      # max |d theta_0| per unit of max |cot|: roundoff only
 # 50x the worst error of the smallest relative eigenvalue against 50-digit
@@ -113,22 +121,143 @@ class MagneticFrame:
         return -self.hessian / self.p
 
 
+class _Hessians(NamedTuple):
+    """Flux Hessians of a stack of spectrum points, one row per point."""
+    hessian: np.ndarray              # (points, fluxes, fluxes)
+    p: np.ndarray
+    off_block_residual: np.ndarray   # largest off-block entry relative to max(1, max |H|)
+    off_block: np.ndarray            # where that entry exceeds OFF_BLOCK_TOL
+
+
+def _hessians(graph: MetricGraph, layout: _FluxLayout, kappa: np.ndarray,
+              theta: np.ndarray, Z: np.ndarray, kernel_tol: float,
+              name: Callable[[int], str]) -> _Hessians:
+    """The flux Hessians at points kappa (rows) from their stacked spectral
+    frames (eigenphases theta, eigenvectors Z); every product is stacked
+    over the rows or elementwise, so each row comes out as it would alone.
+    CriticalPointViolated names the first row `name`-d that fails."""
+    rows = np.arange(len(kappa))
+    n = theta.shape[1]
+    distance = np.abs(1.0 - np.exp(1j * theta))
+    j0 = np.argmin(distance, axis=1)
+    far = distance[rows, j0] > kernel_tol
+    if np.any(far):
+        i = int(np.argmax(far))
+        raise CriticalPointViolated(
+            f"{name(i)}: no eigenphase within {kernel_tol:.1e} of 0 (nearest "
+            f"|1 - e^(i theta)| = {distance[i, j0[i]]:.2e})")
+
+    # b[:, j, m] = z_m* A_j a for the eigenvector a of theta_0
+    a = Z[rows, :, j0]
+    plus = 2 * np.asarray(layout.fluxes, dtype=int)
+    b = (Z[:, plus, :].conj() * a[:, plus, None]
+         - Z[:, plus + 1, :].conj() * a[:, plus + 1, None])
+    # the eigenphase indices other than j0, in order
+    rest = np.arange(n - 1) + (np.arange(n - 1) >= j0[:, None])
+    theta_rest = np.take_along_axis(theta, rest, axis=1)
+    cot = 1.0 / np.tan(0.5 * (theta_rest - theta[rows, j0][:, None]))
+    # d theta_0 vanishes exactly; the roundoff in a, and so in the computed
+    # gradient, grows like 1 / (gap to the next eigenphase) ~ max |cot|
+    grad = np.max(np.abs(b[rows, :, j0].real), axis=1, initial=0.0)
+    bad = grad > GRADIENT_TOL * np.maximum(1.0, np.max(np.abs(cot), axis=1))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise CriticalPointViolated(f"{name(i)}: flux gradient {grad[i]:.2e}")
+    b = np.take_along_axis(b, rest[:, None, :], axis=2)
+    d2theta = -((b.conj() * cot[:, None, :]) @ b.mT).real
+    # R = root_branch(graph, kappa) of each row
+    branch = (1j) ** (graph.topology.betti - 1) * np.exp(-1j * np.sum(kappa, axis=1))
+    p = (-1j * branch * np.prod(1.0 - np.exp(1j * theta_rest), axis=1)).real
+    H = p[:, None, None] * d2theta
+
+    scale = np.maximum(1.0, np.max(np.abs(H), axis=(1, 2), initial=0.0))
+    off = np.max(np.abs(H[:, layout.off_block]), axis=1, initial=0.0)
+    return _Hessians(H, p, off / scale, off > OFF_BLOCK_TOL * scale)
+
+
+def _morse_indices(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, degenerate) of each symmetric matrix of a stack (..., m, m),
+    from one stacked `eigvalsh`: its number of negative eigenvalues, and
+    whether one lies within DEGENERACY_TOL of 0, relative to the largest."""
+    if sym.shape[-1] == 0:
+        return np.zeros(sym.shape[:-2], dtype=int), np.zeros(sym.shape[:-2], dtype=bool)
+    w = np.linalg.eigvalsh(sym)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    degenerate = np.any(np.abs(w) < DEGENERACY_TOL * scale[..., None], axis=-1)
+    return np.count_nonzero(w < 0, axis=-1), degenerate
+
+
+def _block_indices(A: np.ndarray,
+                   block_fluxes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(iota, degenerate): the Morse index of each block of each stability
+    matrix of a stack (rows, blocks), with one stacked `eigvalsh` per block
+    order, and whether any block of a row is degenerate."""
+    iota = np.zeros((len(A), len(block_fluxes)), dtype=int)
+    degenerate = np.zeros(len(A), dtype=bool)
+    for order in sorted({len(grp) for grp in block_fluxes}):
+        which = [j for j, grp in enumerate(block_fluxes) if len(grp) == order]
+        idx = np.array([block_fluxes[j] for j in which])
+        index, singular = _morse_indices(A[:, idx[:, :, None], idx[:, None, :]])
+        iota[:, which] = index
+        degenerate |= np.any(singular, axis=1)
+    return iota, degenerate
+
+
+def _check_block_sums(iota: np.ndarray, sigma: np.ndarray, skip: np.ndarray,
+                      name: Callable[[int], str]):
+    bad = ~skip & (np.sum(iota, axis=1) != sigma)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise IdentityViolated(f"{name(i)}: local indices {iota[i].tolist()} do not "
+                               f"sum to sigma_magnetic {sigma[i]}")
+
+
 def morse_index(sym: np.ndarray) -> int:
     """Number of negative eigenvalues of a symmetric matrix; DegenerateHessian
     when one lies within DEGENERACY_TOL of 0, relative to the largest."""
-    if sym.size == 0:
-        return 0
-    w = np.linalg.eigvalsh(sym)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.any(np.abs(w) < DEGENERACY_TOL * scale):
-        raise DegenerateHessian(f"eigenvalues {w}")
-    return int(np.sum(w < 0))
+    index, degenerate = _morse_indices(sym)
+    if degenerate:
+        raise DegenerateHessian(f"eigenvalues {np.linalg.eigvalsh(sym)}")
+    return int(index)
+
+
+class MagneticIndices(NamedTuple):
+    """The magnetic indices of a batch of eigenpairs, one row per eigenpair;
+    where `degenerate`, the flux Hessian leaves them undecided."""
+    sigma: np.ndarray        # Morse index of the stability matrix
+    iota: np.ndarray         # (eigenpairs, blocks): local indices, per block
+    degenerate: np.ndarray
+
+
+def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndices:
+    """Magnetic and local indices of a batch of eigenpairs, from the
+    spectral frames they keep, stacked: one product for the perturbation
+    sums, one `eigvalsh` for the stability matrices and one per block order.
+
+    Fluxes sit on the canonical spanning tree.  A row whose Hessian has an
+    off-block entry or a (block) eigenvalue too close to 0 is marked
+    `degenerate`, as `hessian_alpha` or `local_indices` would raise
+    DegenerateHessian for it alone; CriticalPointViolated and the
+    local-index sum (IdentityViolated) raise, naming the eigenpair.
+    """
+    layout = _flux_layout(graph, None)
+    h = _hessians(graph, layout, stacked(eps, "kappa"),
+                  np.array([ep.frame.eigenphases for ep in eps]),
+                  np.array([ep.frame.vectors for ep in eps]), np.inf,
+                  lambda i: eps[i].label())
+    A = -h.hessian / h.p[:, None, None]
+    sigma, singular = _morse_indices(A)
+    iota, block_singular = _block_indices(A, layout.block_fluxes)
+    degenerate = h.off_block | singular | block_singular
+    _check_block_sums(iota, sigma, degenerate, lambda i: eps[i].label())
+    return MagneticIndices(sigma, iota, degenerate)
 
 
 def hessian_alpha(graph: MetricGraph, point,
                   tree: tuple[int, ...] | None = None) -> MagneticFrame:
     """Flux Hessian of the secular function at zero flux over a located
-    spectrum point, with the block structure checked, never assumed.
+    spectrum point, with the block structure checked, never assumed: the
+    batch of one of the stacked Hessians of `indices_batch`.
 
     `point` is an `Eigenpair`, whose spectral frame of U(kappa) is read as
     it stands (`eigenfunction_at` has checked its kernel against the cutoff
@@ -138,59 +267,32 @@ def hessian_alpha(graph: MetricGraph, point,
     """
     layout = _flux_layout(graph, tree)
     if isinstance(point, Eigenpair):
-        kappa, frame, kernel_tol = point.kappa, point.frame, np.inf
+        kappa, frame, kernel_tol, name = point.kappa, point.frame, np.inf, point.label()
     else:
         kappa = reduce_torus(point)
         frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
-        kernel_tol = KERNEL_TOL
-    theta = frame.eigenphases
-    distance = np.abs(1.0 - np.exp(1j * theta))
-    j0 = int(np.argmin(distance))
-    if distance[j0] > kernel_tol:
-        raise CriticalPointViolated(
-            f"no eigenphase within {kernel_tol:.1e} of 0 (nearest "
-            f"|1 - e^(i theta)| = {distance[j0]:.2e}) at kappa={kappa}")
-
-    # b[j, m] = z_m* A_j a for the eigenvector a of theta_0
-    Z = frame.vectors
-    a = Z[:, j0]
-    plus = 2 * np.asarray(layout.fluxes, dtype=int)
-    b = Z[plus].conj() * a[plus, None] - Z[plus + 1].conj() * a[plus + 1, None]
-    rest = np.arange(len(theta)) != j0
-    cot = 1.0 / np.tan(0.5 * (theta[rest] - theta[j0]))
-    # d theta_0 vanishes exactly; the roundoff in a, and so in the computed
-    # gradient, grows like 1 / (gap to the next eigenphase) ~ max |cot|
-    grad = np.max(np.abs(b[:, j0].real), initial=0.0)
-    if grad > GRADIENT_TOL * max(1.0, float(np.max(np.abs(cot)))):
-        raise CriticalPointViolated(f"flux gradient {grad:.2e} at kappa={kappa}")
-    b = b[:, rest]
-    d2theta = -((b.conj() * cot) @ b.T).real
-    p = float((-1j * root_branch(graph, kappa)
-               * np.prod(1.0 - np.exp(1j * theta[rest]))).real)
-    H = p * d2theta
-
-    scale = max(1.0, float(np.max(np.abs(H), initial=0.0)))
-    off = float(np.max(np.abs(H[layout.off_block]), initial=0.0))
-    if off > OFF_BLOCK_TOL * scale:
+        kernel_tol, name = KERNEL_TOL, f"kappa={kappa}"
+    h = _hessians(graph, layout, kappa[None], frame.eigenphases[None],
+                  frame.vectors[None], kernel_tol, lambda i: name)
+    if h.off_block[0]:
         raise DegenerateHessian(
-            f"off-block Hessian entry {off:.2e} exceeds tolerance")
-
+            f"{name}: off-block Hessian entry {h.off_block_residual[0]:.2e} of the "
+            "largest exceeds tolerance")
+    H, p = h.hessian[0], float(h.p[0])
     return MagneticFrame(kappa=kappa, tree=layout.tree, fluxes=layout.fluxes,
                          hessian=H, p=p,
                          block_fluxes=[list(grp) for grp in layout.block_fluxes],
                          sigma_magnetic=morse_index(-H / p),
-                         off_block_residual=off / scale)
+                         off_block_residual=float(h.off_block_residual[0]))
 
 
 def local_indices(frame: MagneticFrame) -> list[int]:
-    """Morse index of each block of the stability matrix; sums to the total."""
-    A = frame.stability_matrix()
-    out = []
-    for grp in frame.block_fluxes:
-        sub = A[np.ix_(grp, grp)]
-        out.append(morse_index(sub))
-    if sum(out) != frame.sigma_magnetic:
-        raise IdentityViolated(
-            f"local indices {out} do not sum to sigma_magnetic "
-            f"{frame.sigma_magnetic}")
-    return out
+    """Morse index of each block of the stability matrix; sums to the total.
+    The batch of one of the block indices of `indices_batch`."""
+    iota, degenerate = _block_indices(frame.stability_matrix()[None], frame.block_fluxes)
+    if degenerate[0]:
+        raise DegenerateHessian(f"a block of the stability matrix at kappa={frame.kappa} "
+                                "has an eigenvalue too close to 0")
+    _check_block_sums(iota, np.array([frame.sigma_magnetic]), degenerate,
+                      lambda i: f"kappa={frame.kappa}")
+    return iota[0].tolist()

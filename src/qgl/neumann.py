@@ -8,21 +8,25 @@ formulas; segments have both equal to 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .counts import CountRecord
+from .counts import CountRecord, Counts
 from .errors import IdentityViolated, NotGeneric, NotStarRegime
 from .graphs import MetricGraph
-from .spectrum import Eigenpair
+from .spectrum import Eigenpair, stacked
 
 
-def offset_atan(x: float) -> float:
-    """arctan with range (0, pi/2) for x > 0 and (pi/2, pi) for x < 0."""
-    if x == 0.0:
+def offset_atan(x):
+    """arctan with range (0, pi/2) for x > 0 and (pi/2, pi) for x < 0,
+    elementwise."""
+    x = np.asarray(x)
+    if np.any(x == 0.0):
         raise NotGeneric("offset arctan undefined at 0")
-    return float(np.arctan(x)) if x > 0 else float(np.pi + np.arctan(x))
+    t = np.arctan(x)
+    return np.where(x > 0, t, np.pi + t)
 
 
 def neumann_points_on_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> list[float]:
@@ -69,37 +73,63 @@ class NeumannPartition:
         return len(self.stars) + self.segment_count
 
 
+def stars_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
+                vertices: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(N, rho): the spectral positions and wavelength capacities of the star
+    domains around interior vertices (columns; every interior vertex in
+    order by default) for each eigenpair of a batch (rows), from vertex trace
+    data alone, with their bounds checked row by row."""
+    star_threshold = np.pi / graph.min_length
+    for ep in eps:
+        if ep.k <= star_threshold:
+            raise NotStarRegime(f"{ep.label()}: k below pi/l_min={star_threshold}")
+    if vertices is None:
+        vertices = graph.topology.interior
+    values, derivatives = stacked(eps, "values"), stacked(eps, "derivatives")
+    N = np.empty((len(eps), len(vertices)), dtype=int)
+    rho = np.empty((len(eps), len(vertices)))
+    for j, v in enumerate(vertices):
+        if v not in set(graph.topology.interior):
+            raise ValueError(f"vertex {v} is not interior")
+        deg = graph.degrees[v]
+        dirs = list(graph.outgoing[v])
+        value = values[:, dirs]
+        prod = value * derivatives[:, dirs]
+        if np.any(prod == 0.0):
+            i, m = np.argwhere(prod == 0.0)[0]
+            raise NotGeneric(f"{eps[i].label()}: vertex {v}: trace vanishes "
+                             f"on edge {dirs[m] // 2}")
+        # deg and the sign sum share parity, so this is exact integer arithmetic
+        N[:, j] = (deg - np.sum(np.where(prod > 0, 1, -1), axis=1)) // 2
+        # float_power rounds the square as libm pow does, which numpy's
+        # array square does not always; it keeps the capacities bit for bit
+        terms = offset_atan(prod / np.float_power(value, 2.0))
+        total = 0.0
+        for m in range(deg):
+            total = total + terms[:, m]
+        rho[:, j] = total / np.pi
+        lo, hi = (N[:, j] + 1) / 2, (N[:, j] + deg - 1) / 2
+        bad = (N[:, j] < 1) | (N[:, j] > deg - 1)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise IdentityViolated(f"{eps[i].label()}: vertex {v}: spectral "
+                                   f"position {N[i, j]} outside [1, {deg - 1}]")
+        # the bounds are attained in the limit of extreme trace ratios, so
+        # allow a small numerical margin around them
+        bad = (rho[:, j] < lo - 1e-6) | (rho[:, j] > hi + 1e-6)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise IdentityViolated(
+                f"{eps[i].label()}: vertex {v}: capacity {rho[i, j]} outside "
+                f"[{lo[i]}, {hi[i]}] for position {N[i, j]}")
+    return N, rho
+
+
 def star_observables(graph: MetricGraph, ep: Eigenpair, vertex: int) -> tuple[int, float]:
     """(spectral position, wavelength capacity) of the star domain around an
-    interior vertex, from vertex trace data alone."""
-    if ep.k <= np.pi / graph.min_length:
-        raise NotStarRegime(
-            f"k={ep.k} below pi/l_min={np.pi / graph.min_length}")
-    if vertex not in set(graph.topology.interior):
-        raise ValueError(f"vertex {vertex} is not interior")
-    deg = graph.degrees[vertex]
-    sign_sum = 0
-    rho = 0.0
-    for d in graph.outgoing[vertex]:
-        value = ep.values[d]
-        prod = value * ep.derivatives[d]
-        if prod == 0.0 or abs(value) == 0.0:
-            raise NotGeneric(f"vertex {vertex}: trace vanishes on edge {d // 2}")
-        sign_sum += 1 if prod > 0 else -1
-        rho += offset_atan(prod / value ** 2)
-    # deg and sign_sum share parity, so this is exact integer arithmetic
-    N = (deg - sign_sum) // 2
-    rho /= np.pi
-    if not 1 <= N <= deg - 1:
-        raise IdentityViolated(
-            f"vertex {vertex}: spectral position {N} outside [1, {deg - 1}]")
-    # the bounds are attained in the limit of extreme trace ratios, so allow
-    # a small numerical margin around them
-    if not (N + 1) / 2 - 1e-6 <= rho <= (N + deg - 1) / 2 + 1e-6:
-        raise IdentityViolated(
-            f"vertex {vertex}: capacity {rho} outside "
-            f"[{(N + 1) / 2}, {(N + deg - 1) / 2}] for position {N}")
-    return N, rho
+    interior vertex: the batch of one of `stars_batch`."""
+    N, rho = stars_batch(graph, [ep], [vertex])
+    return N.item(), rho.item()
 
 
 def partition(graph: MetricGraph, ep: Eigenpair) -> NeumannPartition:
@@ -130,7 +160,8 @@ def partition(graph: MetricGraph, ep: Eigenpair) -> NeumannPartition:
 
     stars: dict[int, StarDomain] = {}
     if star_regime:
-        for v in graph.topology.interior:
+        N, rho = stars_batch(graph, [ep])
+        for v, N_v, rho_v in zip(graph.topology.interior, N[0].tolist(), rho[0].tolist()):
             stubs: dict[int, float] = {}
             for d in graph.outgoing[v]:
                 i = d // 2
@@ -139,8 +170,7 @@ def partition(graph: MetricGraph, ep: Eigenpair) -> NeumannPartition:
                     stubs[d] = xs[0]
                 else:
                     stubs[d] = graph.lengths[i] - xs[-1]
-            N, rho = star_observables(graph, ep, v)
-            stars[v] = StarDomain(vertex=v, stub_lengths=stubs, N=N, rho=rho)
+            stars[v] = StarDomain(vertex=v, stub_lengths=stubs, N=N_v, rho=rho_v)
 
     return NeumannPartition(k=ep.k, points=points, stars=stars,
                             segment_count=segment_count, star_regime=star_regime)
@@ -157,28 +187,48 @@ class LocalGlobalReport:
     ok: bool
 
 
+class SumRules(NamedTuple):
+    """Both sides of the two sum rules, and whether both hold, per eigenpair."""
+    sum_positions: np.ndarray
+    position_identity_rhs: np.ndarray
+    sum_capacities: np.ndarray
+    capacity_identity_rhs: np.ndarray
+    ok: np.ndarray
+
+
+def sum_rules(graph: MetricGraph, counts: Counts, N: np.ndarray,
+              rho: np.ndarray) -> SumRules:
+    """The two sum rules tying the per-vertex observables of a batch
+    (`stars_batch` over every interior vertex) to its global counts, row by
+    row."""
+    star_threshold = np.pi / graph.min_length
+    if np.any(counts.k <= star_threshold):
+        k = counts.k[np.argmax(counts.k <= star_threshold)]
+        raise NotStarRegime(f"k={k} below star-regime threshold")
+    nb = len(graph.topology.boundary)
+    # capacities summed vertex by vertex, in order
+    sum_rho = 0.0
+    for column in rho.T:
+        sum_rho = sum_rho + column
+    rhs_N = counts.phi - counts.mu + graph.E - nb
+    rhs_rho = graph.total_length * counts.k / np.pi - counts.mu + graph.E - nb
+    sum_N = np.sum(N, axis=1)
+    ok = (sum_N == rhs_N) & (np.abs(sum_rho - rhs_rho)
+                             <= 1e-8 * np.maximum(1.0, np.abs(rhs_rho)))
+    return SumRules(sum_N, rhs_N, sum_rho, rhs_rho, ok)
+
+
 def local_global_check(graph: MetricGraph, ep: Eigenpair, record: CountRecord,
-                       part: NeumannPartition | None = None,
-                       raise_on_violation: bool = True,
-                       stars: dict[int, tuple[int, float]] | None = None
-                       ) -> LocalGlobalReport:
-    """The two sum rules tying per-vertex observables to global counts, over
-    `stars` (vertex -> `star_observables`) or else the stars of `part`."""
+                       part: NeumannPartition | None = None) -> LocalGlobalReport:
+    """The sum rules of one eigenpair over the stars of `part` (or of its
+    partition), the batch of one of `sum_rules`; IdentityViolated unless
+    they hold."""
     if ep.k <= np.pi / graph.min_length:
         raise NotStarRegime(f"k={ep.k} below star-regime threshold")
-    if stars is None:
-        stars = {v: (s.N, s.rho)
-                 for v, s in (part or partition(graph, ep)).stars.items()}
-    topo = graph.topology
-    nb = len(topo.boundary)
-    sum_N = sum(N for N, _ in stars.values())
-    sum_rho = sum(rho for _, rho in stars.values())
-    rhs_N = record.phi - record.mu + graph.E - nb
-    rhs_rho = graph.total_length * ep.k / np.pi - record.mu + graph.E - nb
-    ok = (sum_N == rhs_N) and abs(sum_rho - rhs_rho) <= 1e-8 * max(1.0, abs(rhs_rho))
-    report = LocalGlobalReport(
-        n=ep.n, k=ep.k, sum_positions=sum_N, position_identity_rhs=rhs_N,
-        sum_capacities=sum_rho, capacity_identity_rhs=rhs_rho, ok=ok)
-    if raise_on_violation and not ok:
+    stars = (part or partition(graph, ep)).stars.values()
+    rules = sum_rules(graph, Counts(*map(np.atleast_1d, astuple(record))),
+                      np.array([[s.N for s in stars]]), np.array([[s.rho for s in stars]]))
+    report = LocalGlobalReport(ep.n, ep.k, *(x.item() for x in rules))
+    if not report.ok:
         raise IdentityViolated(str(report))
     return report

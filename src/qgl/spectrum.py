@@ -40,16 +40,16 @@ located k: its eigenvectors whose eigenphases lie at 0 span the kernel of
 1 - U(k).  Located levels are reconstructed in batches bounded by memory
 (about BATCH_ENTRIES complex entries per stacked array): one stacked `inv`
 and `eigh` gives the frames of a batch, and the kernel pick, phase
-alignment, vertex trace, canonical sign and residual are array operations
-over it, each row computed as it would be alone.  The eigenpair keeps its
-frame, which the flux Hessian reuses, and its vertex trace as two arrays
-indexed by directed edge.
+alignment, vertex trace, canonical sign, residual and classification are
+array operations over it, each row computed as it would be alone.  The
+eigenpair keeps its frame, which the flux Hessian reuses, and its vertex
+trace as two arrays indexed by directed edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -509,6 +509,16 @@ class Eigenpair:
     residual: float
     flags: "Flags | None" = None
 
+    def label(self) -> str:
+        """How an error names this eigenpair."""
+        return f"eigenpair n={self.n}, k={self.k!r}"
+
+
+def stacked(eps: Sequence[Eigenpair], name: str) -> np.ndarray:
+    """One field of a batch of eigenpairs as an array with a row per
+    eigenpair."""
+    return np.array([getattr(ep, name) for ep in eps])
+
 
 def kernel_cutoff(graph: MetricGraph, k: float | np.ndarray) -> float | np.ndarray:
     """Largest |1 - e^{i theta}| over an eigenphase theta of U(k) that still
@@ -615,35 +625,50 @@ class Flags:
     borderline: list[str] = field(default_factory=list)
 
 
-def _band(q: float, eps: float) -> bool:
-    """True when q falls within a factor 10 of the threshold."""
-    return eps / 10.0 <= q <= eps * 10.0
+def _band(q: np.ndarray, eps: float) -> np.ndarray:
+    """Where q falls within a factor 10 of the threshold."""
+    return (eps / 10.0 <= q) & (q <= eps * 10.0)
+
+
+def classify_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
+                   thresholds: Thresholds = Thresholds()) -> list[Flags]:
+    """The flags of each eigenpair of a batch, also set on it, from
+    reductions over the stacked vertex traces."""
+    interior_dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
+    min_val = np.min(np.abs(stacked(eps, "values")), axis=1)
+    min_der = np.min(np.abs(stacked(eps, "derivatives")[:, interior_dirs]), axis=1,
+                     initial=np.inf)
+    generic = (min_val > thresholds.value) & (min_der > thresholds.derivative)
+    band_val = _band(min_val, thresholds.value)
+    band_der = np.isfinite(min_der) & _band(min_der, thresholds.derivative)
+
+    loops = list(graph.topology.loops)
+    band_loop = np.zeros((len(eps), len(loops)), dtype=bool)
+    if loops:
+        mass = np.abs(stacked(eps, "amplitudes")) ** 2
+        total = np.sum(mass, axis=1)
+        outside = np.stack([total - mass[:, 2 * i] - mass[:, 2 * i + 1] for i in loops], axis=1)
+        # only ambiguous when the resonance condition is in play as well
+        band_loop = ((np.abs(np.exp(1j * stacked(eps, "kappa")[:, loops]) - 1.0) < 1e-3)
+                     & _band(outside, thresholds.support))
+
+    out = [Flags(generic=g) for g in generic.tolist()]
+    for r in np.flatnonzero(band_val | band_der | np.any(band_loop, axis=1)):
+        if band_val[r]:
+            out[r].borderline.append(f"vertex value {min_val[r]:.2e}")
+        if band_der[r]:
+            out[r].borderline.append(f"vertex derivative {min_der[r]:.2e}")
+        out[r].borderline.extend(f"loop {i} outside mass {outside[r, j]:.2e}"
+                                 for j, i in enumerate(loops) if band_loop[r, j])
+    for ep, flags in zip(eps, out):
+        ep.flags = flags
+    return out
 
 
 def classify(graph: MetricGraph, ep: Eigenpair,
              thresholds: Thresholds = Thresholds()) -> Flags:
-    borderline: list[str] = []
-
-    interior_dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
-    min_val = float(np.min(np.abs(ep.values)))
-    min_der = float(np.min(np.abs(ep.derivatives[interior_dirs]), initial=np.inf))
-
-    if _band(min_val, thresholds.value):
-        borderline.append(f"vertex value {min_val:.2e}")
-    if np.isfinite(min_der) and _band(min_der, thresholds.derivative):
-        borderline.append(f"vertex derivative {min_der:.2e}")
-
-    mass = np.abs(ep.amplitudes) ** 2
-    for i in graph.topology.loops:
-        outside = float(np.sum(mass) - mass[2 * i] - mass[2 * i + 1])
-        # only ambiguous when the resonance condition is in play as well
-        if abs(np.exp(1j * ep.kappa[i]) - 1.0) < 1e-3 and _band(outside, thresholds.support):
-            borderline.append(f"loop {i} outside mass {outside:.2e}")
-
-    flags = Flags(generic=min_val > thresholds.value and min_der > thresholds.derivative,
-                  borderline=borderline)
-    ep.flags = flags
-    return flags
+    """The flags of one eigenpair: the batch of one of `classify_batch`."""
+    return classify_batch(graph, [ep], thresholds)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +785,8 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
       non_generic         a vertex value or interior derivative is below its threshold
     """
     simple = [lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims]
-    built = iter(_reconstruct(graph, [lv.k for lv in simple], [lv.n for lv in simple]))
+    eps = _reconstruct(graph, [lv.k for lv in simple], [lv.n for lv in simple])
+    built = zip(eps, classify_batch(graph, eps, thresholds) if eps else [])
     out = []
     for lv in levels:
         if lv.multiplicity > 1 or lv.loop_dims:
@@ -768,22 +794,31 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
                         "loop_supported" if lv.loop_dims == lv.multiplicity
                         else "degenerate_at_loop" if lv.loop_dims else "non_simple"))
             continue
-        ep = next(built)
-        flags = classify(graph, ep, thresholds)
+        ep, flags = next(built)
         out.append((lv, ep, flags,
                     "borderline" if flags.borderline
                     else None if flags.generic else "non_generic"))
     return out
 
 
+def stream_batches(graph: MetricGraph, count: int | None = None,
+                   k_max: float | None = None,
+                   thresholds: Thresholds = Thresholds(),
+                   workers: int = 1) -> Iterator[list[tuple]]:
+    """`eigenpairs` of consecutive batches of `batch_levels(graph)` levels of
+    `stream_levels` (in one window, or in `workers` pool windows); a batch
+    is located in full before it is yielded."""
+    levels = stream_levels(graph, count, k_max, workers)
+    size = batch_levels(graph)
+    while batch := list(islice(levels, size)):
+        yield eigenpairs(graph, batch, thresholds)
+
+
 def stream_eigenpairs(graph: MetricGraph, count: int | None = None,
                       k_max: float | None = None,
                       thresholds: Thresholds = Thresholds(),
                       workers: int = 1) -> Iterator[tuple]:
-    """`eigenpairs` of the levels of `stream_levels` (in one window, or in
-    `workers` pool windows), in consecutive batches of `batch_levels(graph)`;
-    a batch is located in full before its first item is yielded."""
-    levels = stream_levels(graph, count, k_max, workers)
-    size = batch_levels(graph)
-    while batch := list(islice(levels, size)):
-        yield from eigenpairs(graph, batch, thresholds)
+    """The items of `stream_batches`, one (level, eigenpair, flags, reason)
+    at a time."""
+    for batch in stream_batches(graph, count, k_max, thresholds, workers):
+        yield from batch

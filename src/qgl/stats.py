@@ -103,14 +103,13 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
         graph = graph.with_lengths(draw_lengths(graph.E, seed))
 
     dist = SurplusDistribution(graph=graph)
-    topo = graph.topology
-    star_threshold = np.pi / graph.min_length
     levels = spectrum_mod.stream_levels(graph, chunk=chunk)
     size = spectrum_mod.batch_levels(graph)
     while dist.K < K_target:
         # each level gives at most one record, so a batch of at most
         # K_target - K levels locates none past the last record
         batch = list(islice(levels, min(size, K_target - dist.K)))
+        generic = []
         for lv, ep, _, reason in spectrum_mod.eigenpairs(graph, batch, thresholds):
             dist.N_raw += lv.multiplicity
             if reason == "loop_supported":
@@ -120,42 +119,9 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
             if reason is not None:
                 dist.excluded[reason] += lv.multiplicity - lv.loop_dims
                 continue
-
-            rec_counts = counts_mod.counts(graph, ep)
-            stars = {}
-            if ep.k > star_threshold:
-                stars = {v: neumann_mod.star_observables(graph, ep, v)
-                         for v in topo.interior}
-                if check_identities and not neumann_mod.local_global_check(
-                        graph, ep, rec_counts, stars=stars,
-                        raise_on_violation=False).ok:
-                    dist.identity_failures += 1
-
-            iota = None
-            if magnetic:
-                try:
-                    frame = magnetic_mod.hessian_alpha(graph, ep)
-                    iota = tuple(magnetic_mod.local_indices(frame))
-                    if check_identities and frame.sigma_magnetic != rec_counts.sigma:
-                        dist.identity_failures += 1
-                except magnetic_mod.DegenerateHessian:
-                    dist.excluded["degenerate_hessian"] += 1
-                    continue
-
-            dist.K += 1
-            dist.joint[(rec_counts.sigma, rec_counts.omega)] += 1
-            dist.sigma_hist[rec_counts.sigma] += 1
-            dist.omega_hist[rec_counts.omega] += 1
-            for v, (N_v, rho_v) in stars.items():
-                dist.vertex_hist.setdefault(v, Counter())[N_v] += 1
-                dist.rho_values.setdefault(v, []).append(rho_v)
-            if iota is not None:
-                for j, i_j in enumerate(iota):
-                    dist.iota_hist.setdefault(j, Counter())[i_j] += 1
-            dist.records.append(EigenRecord(
-                n=lv.n, k=lv.k, sigma=rec_counts.sigma, omega=rec_counts.omega,
-                positions={v: N_v for v, (N_v, _) in stars.items()},
-                capacities={v: rho_v for v, (_, rho_v) in stars.items()}, iota=iota))
+            generic.append(ep)
+        if generic:
+            _fold(dist, generic, magnetic, check_identities)
         # thresholds that exclude (nearly) every eigenpair would keep the
         # stream going forever
         excluded = sum(dist.excluded.values())
@@ -171,6 +137,58 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
         raise ExcessiveExclusions(
             f"{suspicious}/{dist.N_raw} suspicious exclusions: {dict(dist.excluded)}")
     return dist
+
+
+def _fold(dist: SurplusDistribution, eps: list, magnetic: bool,
+          check_identities: bool):
+    """Add a batch of generic eigenpairs to `dist`, each layer (counts, star
+    observables, magnetic indices) and each tally computed over the whole
+    batch; an eigenpair with a degenerate flux Hessian is excluded alone."""
+    graph = dist.graph
+    interior = graph.topology.interior
+    c = counts_mod.counts_batch(graph, eps)
+    regime = c.k > np.pi / graph.min_length
+    N = np.zeros((len(eps), len(interior)), dtype=int)
+    rho = np.zeros(N.shape)
+    if np.any(regime):
+        N[regime], rho[regime] = neumann_mod.stars_batch(
+            graph, [ep for ep, star in zip(eps, regime) if star])
+        if check_identities:
+            rules = neumann_mod.sum_rules(graph, counts_mod.Counts(*(x[regime] for x in c)),
+                                          N[regime], rho[regime])
+            dist.identity_failures += int(np.count_nonzero(~rules.ok))
+
+    keep = np.ones(len(eps), dtype=bool)
+    iotas = [None] * len(eps)
+    if magnetic:
+        m = magnetic_mod.indices_batch(graph, eps)
+        keep = ~m.degenerate
+        if check_identities:
+            dist.identity_failures += int(np.count_nonzero(keep & (m.sigma != c.sigma)))
+        if not np.all(keep):
+            dist.excluded["degenerate_hessian"] += int(np.count_nonzero(~keep))
+        iotas = list(map(tuple, m.iota[keep].tolist()))
+        if iotas:
+            for j, column in enumerate(m.iota[keep].T.tolist()):
+                dist.iota_hist.setdefault(j, Counter()).update(column)
+
+    sigma, omega = c.sigma[keep].tolist(), c.omega[keep].tolist()
+    dist.K += len(sigma)
+    dist.joint.update(zip(sigma, omega))
+    dist.sigma_hist.update(sigma)
+    dist.omega_hist.update(omega)
+    stars = keep & regime
+    if np.any(stars):
+        for j, v in enumerate(interior):
+            dist.vertex_hist.setdefault(v, Counter()).update(N[stars, j].tolist())
+            dist.rho_values.setdefault(v, []).extend(rho[stars, j].tolist())
+    dist.records += [
+        EigenRecord(n=n, k=k, sigma=s, omega=o,
+                    positions=dict(zip(interior, N_row)) if star else {},
+                    capacities=dict(zip(interior, rho_row)) if star else {}, iota=iota)
+        for n, k, s, o, N_row, rho_row, star, iota in zip(
+            c.n[keep].tolist(), c.k[keep].tolist(), sigma, omega, N[keep].tolist(),
+            rho[keep].tolist(), regime[keep].tolist(), iotas)]
 
 
 # ---------------------------------------------------------------------------

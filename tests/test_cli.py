@@ -151,6 +151,14 @@ def test_excessive_exclusions_exits_4(tmp_path, capsys):
     assert "suspicious exclusions" in capsys.readouterr().err
 
 
+def test_stats_across_the_torus_origin_exits_0(tmp_path):
+    # the built-in chain2 lengths put k l_2 on a multiple of 2pi to roundoff
+    # at five of the first 2000 levels; no count is undecided there
+    rc = main(["stats", "--graph", "chain2", "--K", "2000", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "stats_summary.json").read_text())["K"] == 2000
+
+
 def test_thresholds_excluding_every_eigenpair_exit_4(tmp_path):
     # every eigenpair is non-generic, so no record ever accumulates; the
     # run must stop on the exclusion share instead of streaming forever
@@ -169,7 +177,7 @@ def test_thresholds_excluding_every_eigenpair_exit_4(tmp_path):
     (errors.BracketAuditFailed, 4), (errors.IdentityViolated, 4),
     (errors.CriticalPointViolated, 4), (errors.DegenerateHessian, 4),
     (errors.NoKernel, 4), (errors.NonSimple, 4),
-    (errors.ExcessiveExclusions, 4),
+    (errors.ExcessiveExclusions, 4), (errors.NotGeneric, 4),
     (errors.DisconnectedGraph, 2), (errors.UnsupportedDimension, 2),
     (errors.WrongFamily, 2), (errors.QGLError, 2), (ValueError, 2),
 ])

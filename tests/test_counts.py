@@ -108,3 +108,20 @@ def test_boundary_edge_neumann_count_uses_floor(star3):
         for i in range(star3.E):
             expected = int(np.floor(ep.k * star3.lengths[i] / np.pi))
             assert neumann_count_edge(star3, ep, i) == expected
+
+
+def test_counts_across_the_torus_origin():
+    # with the built-in chain2 lengths, k l_2 lies within roundoff of a
+    # multiple of 2pi at these levels (just above it, and at n = 2609 just
+    # below); the parity rules are continuous there and must match sampling
+    g = load_graph("chain2")
+    levels = {lv.n: lv for lv in locate_spectrum(g, count=2609)}
+    for n in (521, 1043, 1565, 2087, 2609):
+        ep = eigenfunction_at(g, levels[n].k, n=n)
+        assert classify(g, ep).generic
+        r0 = ep.k * g.lengths[2] % (2 * np.pi)
+        assert min(r0, 2 * np.pi - r0) < 1e-9, n
+        for i in range(g.E):
+            assert nodal_count_edge(g, ep, i) == count_zeros_sampled(g, ep, i), (n, i)
+            assert neumann_count_edge(g, ep, i) == count_extrema_sampled(g, ep, i), (n, i)
+        counts(g, ep)

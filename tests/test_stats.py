@@ -101,8 +101,10 @@ def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
         return rows
 
     monkeypatch.setattr(spectrum, "eigenpairs", counted_eigenpairs)
-    monkeypatch.setattr(magnetic, "hessian_alpha",
-                        counted("hessian", magnetic.hessian_alpha))
+    # the flux Hessians of a batch are stacked: count the eigenpairs handed over
+    monkeypatch.setattr(magnetic, "indices_batch",
+                        counted("hessian", magnetic.indices_batch,
+                                lambda graph, eps, *args: len(eps)))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     d = run_experiment(dumbbell, 50, seed=7, magnetic=True)
     assert calls["hessian"] >= d.K == 50
