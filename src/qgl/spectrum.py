@@ -14,26 +14,28 @@ eigenvalues, and every eigenphase of U(k) = e^{ikL} S turns counterclockwise
 at a speed <z, L z> in [l_min, l_max] (Kottos-Smilansky, Ann. Phys. 274,
 1999).  So a frame at k_f brackets the next eigenvalue: none lies before
 k_f + min(2pi - theta) / l_max, and one lies at or before
-k_f + min(2pi - theta) / l_min.  When a second eigenphase could reach 2pi
-inside that bracket, an exact count at its upper end says how many crossings
-it holds, and it is bisected while it holds more than one, so near-degenerate
-clusters cannot hide a root.  Inside a bracket holding one crossing, Newton
-steps on the crossing eigenphase (slope <z, L z> for its eigenvector z)
-start at the first-order prediction.  The first steps take no frame: inverse
-iteration on U(k) - 1, one LU solve each, follows the eigenvector x of the
-eigenphase nearest 0 and reads that eigenphase as arg(x* U x).  Full frames
-take over near the root, where a safeguarded iteration on the eigenphase
-nearest 0 converges; the count from each frame tightens the bracket, and a
-step leaving the bracket is replaced by bisection.  Tracking only decides
-where the first frame is taken, so a root usually costs one frame.
+k_f + min(2pi - theta) / l_min.  Every level runs one Newton iteration on
+the crossing eigenphase (slope <z, L z> for its eigenvector z) from the
+earliest first-order prediction k_f + (2pi - theta_m) / <z_m, L z_m> over
+the eigenphases; no count inside the bracket decides how many crossings it
+holds.  The first steps take no frame: inverse iteration on U(k) - 1, one
+LU solve each, follows the eigenvector x of the eigenphase nearest 0 and
+reads that eigenphase as arg(x* U x).  Full frames take over near the root,
+where a safeguarded iteration on the eigenphase nearest 0 converges; the
+count from each frame tightens the bracket, and a step leaving the bracket
+is replaced by bisection.  Tracking only decides where the first frame is
+taken, so a root usually costs one frame.
 
-Every accepted root is audited by the integer counts at k* - delta and
-k* + delta.  The final Newton frame gives them exactly when each of its
-eigenphases is either too far from 0 to reach it within delta or near enough
-to cross it there, with a rounding bound that grows with k; otherwise they
-are re-counted afresh.  When the audit fails, the bracket is bisected down to
-the tolerance instead.  The frame that audited a root, with the eigenphases
-that crossed there set to 0, brackets the next one.
+Every root Newton returns is audited by the integer counts at k* - delta
+and k* + delta, which decide whether it is the next level.  The final Newton
+frame gives them exactly when each of its eigenphases is either too far from
+0 to reach it within delta or near enough to cross it there, with a rounding
+bound that grows with k; otherwise they are re-counted afresh.  When the
+audit fails (Newton settled on a later root of a close pair, or on none),
+the bracket is bisected down to the tolerance instead.  The level holds a
+loop state of every loop e with k l_e on a multiple of 2pi somewhere in the
+audited interval.  The frame that audited a root, with the eigenphases that
+crossed there set to 0, brackets the next one.
 
 An eigenfunction is read from one more frame, with eigenvectors, at the
 located k: its eigenvectors whose eigenphases lie at 0 span the kernel of
@@ -208,12 +210,12 @@ class _Counter:
         return self.exact(k)[0]
 
 
-def _loop_dims_at(graph: MetricGraph, k: float, tol: float) -> int:
-    hits = 0
-    for i in graph.topology.loops:
-        if abs(np.exp(1j * k * graph.lengths[i]) - 1.0) < tol:
-            hits += 1
-    return hits
+def _loop_dims(graph: MetricGraph, k: float, delta: float) -> int:
+    """Loops with a loop state in the audited interval [k - delta, k + delta]:
+    those e with a multiple of 2pi in [(k - delta) l_e, (k + delta) l_e]."""
+    lengths = np.asarray(graph.lengths)[list(graph.topology.loops)]
+    return int(np.count_nonzero(
+        TWO_PI * np.floor((k + delta) * lengths / TWO_PI) >= (k - delta) * lengths))
 
 
 def _signed(theta: np.ndarray) -> np.ndarray:
@@ -280,33 +282,31 @@ def _recount(ctr: _Counter, k_star: float, delta: float) -> _Audit:
 
 
 def _phase_bracket(ctr: _Counter, frame: CountingFrame, phases: np.ndarray,
-                   lo: float) -> tuple[float, float, float, bool, np.ndarray]:
-    """(a, b, start, lone, z): a bracket [a, b] of the next eigenvalue past
-    `lo` from a frame at k_f <= lo whose count holds at lo, a Newton start,
-    whether the bracket holds at most one crossing, and the eigenvector z of
-    the eigenphase that crosses next.
+                   lo: float) -> tuple[float, float, float, np.ndarray]:
+    """(a, b, start, z): a bracket [a, b] of the next eigenvalue past `lo`
+    from a frame at k_f <= lo whose count holds at lo, a Newton start, and
+    the eigenvector z of the eigenphase predicted to cross first.
 
     Eigenphase m reaches 2pi after turning r_m = 2pi - theta_m further, at a
     speed in [l_min, l_max]: no eigenvalue lies before k_f + min r / l_max,
     and one lies at or before k_f + min r / l_min.  Both bounds are padded
     by the rounding bound and two audit steps, since a loop state turns at
-    exactly its loop length and so can sit on one.  The bracket is `lone`
-    when no second eigenphase can reach 2pi by b; the first one's second
-    turn cannot either, as it needs r_1 + 2pi >= r_2.  The start is the
-    first-order prediction k_f + r_1 / <z, L z>.
+    exactly its loop length and so can sit on one.  The start is the
+    earliest first-order prediction k_f + r_m / <z_m, L z_m> over all
+    eigenphases, which falls inside the bound.  The bracket may hold more
+    than one crossing; the audit of the root Newton finds decides whether
+    it is the next level.
     """
     k_f = frame.k
     r = TWO_PI - phases
     rho = _phase_rounding(ctr.graph, k_f)
-    m = int(np.argmin(r))
-    r1, r2 = np.partition(r, 1)[:2]
+    r1 = float(np.min(r))
     pad = 2.0 * _audit_step(k_f + r1 / ctr.l_min)
     a = max(lo, k_f + (r1 - rho) / ctr.l_max - pad)
     b = k_f + (r1 + rho) / ctr.l_min + pad
-    lone = k_f + (r2 - rho) / ctr.l_max - pad > b
-    z = frame.vectors[:, m]
-    start = k_f + r1 / float(ctr.dir_lengths @ (np.abs(z) ** 2))
-    return a, b, start, lone, z
+    predicted = r / (ctr.dir_lengths @ (np.abs(frame.vectors) ** 2))
+    m = int(np.argmin(predicted))
+    return a, b, k_f + float(predicted[m]), frame.vectors[:, m]
 
 
 def _track(ctr: _Counter, a: float, b: float, k: float, z: np.ndarray) -> float:
@@ -338,21 +338,22 @@ def _track(ctr: _Counter, a: float, b: float, k: float, z: np.ndarray) -> float:
 
 def _safeguarded_newton(ctr: _Counter, a: float, b: float, target: int,
                         tol: float, k: float,
-                        z: np.ndarray | None) -> tuple[float, CountingFrame] | None:
-    """Root of the eigenphase nearest 0 inside the bracket [a, b], where the
-    count is below `target` at a and reaches it at b, from the start k.
+                        z: np.ndarray) -> tuple[float, CountingFrame] | None:
+    """A root of the eigenphase nearest 0 inside the bracket [a, b], where
+    the count is below `target` at a and, by the phase-velocity bound,
+    reaches it at b, from the start k and the eigenvector z of the
+    eigenphase predicted to cross there.
 
-    Given the eigenvector z of the crossing eigenphase, `_track` first moves
-    the start close to the root without a frame.  From there,
-    Newton steps -psi / <z, L z> that stay inside the bracket are taken, the
-    others become bisections; a frame whose nearest eigenphase is clear of 0
-    is an exact count and moves one end of the bracket.  Returns the root
-    with the last frame, taken within tol of it, whose eigenphases and
-    vectors audit the root and bracket the next one; or None when the
-    iteration does not settle.
+    `_track` first moves the start close to the root without a frame.  From
+    there, Newton steps -psi / <z, L z> that stay inside the bracket are
+    taken, the others become bisections; a frame whose nearest eigenphase is
+    clear of 0 is an exact count and moves one end of the bracket.  When the
+    bracket holds several crossings the root need not be the first; the
+    caller's audit tells.  Returns the root with the last frame, taken
+    within tol of it, whose eigenphases and vectors audit the root and
+    bracket the next one; or None when the iteration does not settle.
     """
-    if z is not None:
-        k = _track(ctr, a, b, k, z)
+    k = _track(ctr, a, b, k, z)
     for _ in range(NEWTON_ITERATIONS):
         frame = ctr.frame(k, vectors=True)
         psi = _signed(frame.eigenphases)
@@ -407,42 +408,21 @@ def _walk(graph: MetricGraph, k_min: float = 0.0, k_max: float | None = None,
     top = np.inf if k_max is None else k_max
     while lo < top:
         target = n + 1
-        a, b, start, lone, z = _phase_bracket(ctr, frame, phases, lo)
+        a, b, start, z = _phase_bracket(ctr, frame, phases, lo)
         if b >= top:
-            n_hi = ctr.integer(top)
-            if n_hi < target:
+            if ctr.integer(top) < target:
                 return   # k_max reached without another eigenvalue
             b = top
-        elif lone:
-            n_hi = target
-        else:
-            n_hi = ctr.integer(b)
-            if n_hi < target:
-                raise BracketAuditFailed(
-                    f"no eigenvalue in ({a}, {b}], inside the phase-velocity bound")
-        # bisect while the bracket holds more than one crossing, down to a
-        # coarse width for clusters
-        coarse = 1e-5 * max(1.0, b)
-        while n_hi > target and b - a > coarse:
-            mid = 0.5 * (a + b)
-            n_mid = ctr.integer(mid)
-            if n_mid >= target:
-                b, n_hi = mid, n_mid
-            else:
-                a = mid
         abs_tol = LOCATE_TOL * max(1.0, b)
         delta = _audit_step(b)
-        # a bracket holding more than one crossing (a cluster narrower than
-        # the coarse width) may let tracking settle on any of its roots, so
-        # only full frames, whose counts move the bracket, search it
         found = _safeguarded_newton(ctr, a, b, target, abs_tol,
-                                    start if a < start < b else 0.5 * (a + b),
-                                    z if n_hi == target else None)
+                                    start if a < start < b else 0.5 * (a + b), z)
         audit = None
         if found is not None:
             k_star, final = found
             audit = (_certified_counts(ctr, final, k_star, delta)
                      or _recount(ctr, k_star, delta))
+        # Newton may have found no root, or one past the next level
         if audit is None or not (audit.n_below == n and audit.n_above >= target):
             # fallback: pure bisection on the counting function
             while b - a > abs_tol:
@@ -458,9 +438,8 @@ def _walk(graph: MetricGraph, k_min: float = 0.0, k_max: float | None = None,
                     f"audit around k={k_star}: N={audit.n_below}..{audit.n_above}, "
                     f"expected {n}..>={target}")
         mult = audit.n_above - audit.n_below
-        loop_dims = _loop_dims_at(graph, k_star, 1e-6)
-        yield LocatedLevel(n=n + 1, k=float(k_star),
-                           multiplicity=mult, loop_dims=min(loop_dims, mult))
+        yield LocatedLevel(n=n + 1, k=float(k_star), multiplicity=mult,
+                           loop_dims=min(_loop_dims(graph, k_star, delta), mult))
         n = audit.n_above
         lo = k_star + delta
         frame, phases = audit.frame, audit.phases

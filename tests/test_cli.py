@@ -159,6 +159,18 @@ def test_stats_across_the_torus_origin_exits_0(tmp_path):
     assert json.loads((tmp_path / "stats_summary.json").read_text())["K"] == 2000
 
 
+@pytest.mark.parametrize("name", ("chain2", "chain4", "chain8", "dumbbell", "flower3",
+                                  "k4", "k6", "lasso", "mandarin3", "star3", "tree31_7"))
+def test_stats_on_every_built_in_graph_exits_0(tmp_path, name):
+    # built-in lengths, the magnetic index wherever the graph has a cycle,
+    # and every identity checked
+    magnetic = ["--magnetic"] if load_graph(name).topology.betti > 0 else []
+    rc = main(["stats", "--graph", name, "--K", "1000", "--out", str(tmp_path)] + magnetic)
+    assert rc == 0
+    summary = json.loads((tmp_path / "stats_summary.json").read_text())
+    assert summary["K"] == 1000 and summary["identity_failures"] == 0
+
+
 def test_thresholds_excluding_every_eigenpair_exit_4(tmp_path):
     # every eigenpair is non-generic, so no record ever accumulates; the
     # run must stop on the exclusion share instead of streaming forever

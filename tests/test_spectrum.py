@@ -7,6 +7,7 @@ import qgl.spectrum as spectrum
 from qgl.errors import BracketAuditFailed, NoKernel, NonSimple
 from qgl.graphs import load_graph
 from qgl.secular import evolution_matrix
+from qgl.stats import draw_lengths
 from qgl.spectrum import (
     POLE_ROTATION,
     Thresholds,
@@ -121,7 +122,7 @@ def test_stacked_frame_resolves_each_matrix_alone():
 
 
 def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
-    # the pair near k = 775.12 is closer than the coarse bracket width 1e-5 k
+    # the pair near k = 775.12, closer than 1e-5 k, lies in one phase bracket
     levels = {lv.n: lv for lv in locate_spectrum(dumbbell, count=916)}
     low, high = levels[914], levels[915]
     assert low.multiplicity == 1 and high.multiplicity == 1
@@ -166,30 +167,32 @@ def _counting_calls(monkeypatch):
     return ks
 
 
-@pytest.mark.parametrize("name", ("k6", "dumbbell", "tree31_7"))
+@pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_at_most_two_frames_per_level(name, monkeypatch):
+    # one tracked Newton per level, its final frame auditing the root:
+    # at most 1.2 frames per level
     g = load_graph(name)
     ks = _counting_calls(monkeypatch)
     levels = locate_spectrum(g, count=1000)
-    assert len(levels) >= 990
-    assert len(ks) <= 2 * len(levels)
+    assert len_done(levels) >= 1000
+    assert len(ks) <= 1.2 * len(levels)
 
 
-def test_multiple_crossings_are_not_tracked(monkeypatch):
-    # a bracket holding two crossings, as at the double levels of flower3,
-    # could let tracking settle on either root; only full frames, whose
-    # counts move the bracket, search it
-    tracked = {}
-    newton = spectrum._safeguarded_newton
-
-    def recorded(ctr, a, b, target, tol, start, z):
-        tracked[target] = z is not None
-        return newton(ctr, a, b, target, tol, start, z)
-
-    monkeypatch.setattr(spectrum, "_safeguarded_newton", recorded)
-    levels = locate_spectrum(load_graph("flower3"), count=100)
-    assert any(lv.multiplicity > 1 for lv in levels)
-    assert all(tracked[lv.n] == (lv.multiplicity == 1) for lv in levels)
+def test_flower3_double_levels_match_count_bisection(monkeypatch):
+    # the double levels of flower3 put two crossings in one phase bracket;
+    # Newton tracked from the earliest prediction still finds each level
+    # as counting alone does, and the audit keeps the multiplicity
+    g = load_graph("flower3")
+    want = _bisection_levels(g, 360, 1e-14)[:300]
+    ks = _counting_calls(monkeypatch)
+    levels = locate_spectrum(g, count=360)
+    assert len(ks) <= 1.2 * len(levels)
+    got = levels[:300]
+    assert len(got) == 300 and any(lv.multiplicity > 1 for lv in got)
+    assert [(lv.n, lv.multiplicity, lv.loop_dims) for lv in got] \
+        == [(lv.n, lv.multiplicity, lv.loop_dims) for lv in want]
+    for a, b in zip(got, want):
+        assert a.k == pytest.approx(b.k, rel=1e-12)
 
 
 def _singular_solve(monkeypatch):
@@ -253,11 +256,49 @@ def test_loop_state_on_the_upper_bound(dumbbell, monkeypatch):
     i, lv = next((i, lv) for i, lv in enumerate(levels) if lv.n == 33)
     assert (lv.multiplicity, lv.loop_dims) == (1, 1)
     assert lv.k == pytest.approx(29.360679005512083, rel=1e-12)
-    k_f, phases, (a, b, _, _, _) = brackets[i]
+    k_f, phases, (a, b, _, _) = brackets[i]
     bound = k_f + np.min(TWO_PI - phases) / dumbbell.min_length
     assert abs(bound - lv.k) < 1e-12 * lv.k
     # the bracket ends at least an audit step past it
     assert a < lv.k and b - lv.k > spectrum._audit_step(lv.k)
+
+
+def test_loop_state_decided_over_the_audited_interval(monkeypatch):
+    # on these lengths the loop state of loop 1 at n = 14550 has a second
+    # eigenvalue 3.1e-6 below it, inside one audit step; the level holds the
+    # loop state whichever of the two roots Newton returns, though at the
+    # lower one e^{i k l_1} is 5e-6 from 1
+    g = load_graph("dumbbell")
+    g = g.with_lengths(draw_lengths(g.E, 101))
+    loop_root = TWO_PI * 1944 / g.lengths[1]
+    assert loop_root == pytest.approx(8985.08404503114, rel=1e-14)
+    a, b = loop_root - 1e-5, loop_root - 1e-6
+    assert (_integer(g, a), _integer(g, b)) == (14549, 14550)
+    while b - a > 1e-12 * b:
+        mid = 0.5 * (a + b)
+        if _integer(g, mid) == 14550:
+            b = mid
+        else:
+            a = mid
+    lower_root = 0.5 * (a + b)
+    assert 3e-6 < loop_root - lower_root < 3.2e-6
+    assert abs(np.exp(1j * lower_root * g.lengths[1]) - 1.0) > 1e-6
+
+    newton = spectrum._safeguarded_newton
+    for root in (lower_root, loop_root):
+        steered = []
+
+        def to_root(ctr, a, b, target, tol, start, z):
+            if target == 14550:
+                steered.append(target)
+                return root, ctr.frame(root, vectors=True)
+            return newton(ctr, a, b, target, tol, start, z)
+
+        monkeypatch.setattr(spectrum, "_safeguarded_newton", to_root)
+        levels = locate_spectrum(g, k_min=8984.9, k_max=8985.3)
+        assert steered == [14550]
+        assert [(lv.n, lv.multiplicity, lv.loop_dims) for lv in levels] == [(14550, 2, 1)]
+        assert levels[0].k == root
 
 
 def test_forced_certificate_failure_recounts(dumbbell, monkeypatch):
@@ -318,32 +359,33 @@ def test_certificate_declines_an_undecided_eigenphase(dumbbell):
         ctr, _frame(k, 7.3, [1.0, 3.0, 5.0, 2.0, 4.0, 0.5]), k, delta) is None
 
 
-def _bisection_levels(graph, count):
-    """Oracle: levels from the integer count alone.  Steps of a quarter mean
-    spacing find a rise of the count, bisection narrows it to 1e-11 relative,
-    and the multiplicity is the rise over one audit step."""
-    def integer(k):
-        val = counting(graph, k).N
-        assert abs(val - round(val)) < 1e-6
-        return int(round(val))
+def _integer(graph, k):
+    val = counting(graph, k).N
+    assert abs(val - round(val)) < 1e-6
+    return int(round(val))
 
+
+def _bisection_levels(graph, count, tol=1e-11):
+    """Oracle: levels from the integer count alone.  Steps of a quarter mean
+    spacing find a rise of the count, bisection narrows it to `tol`
+    relative, and the multiplicity is the rise over one audit step."""
     step = 0.25 * np.pi / graph.total_length
     a, n, levels = 1e-6 * step, 0, []
-    assert integer(a) == 0
+    assert _integer(graph, a) == 0
     while n < count:
         b = a + step
-        if integer(b) == n:
+        if _integer(graph, b) == n:
             a = b
             continue
-        while b - a > 1e-11 * b:
+        while b - a > tol * b:
             mid = 0.5 * (a + b)
-            if integer(mid) > n:
+            if _integer(graph, mid) > n:
                 b = mid
             else:
                 a = mid
         k = 0.5 * (a + b)
         delta = max(1e-8, 1e-8 * k)
-        above = integer(k + delta)
+        above = _integer(graph, k + delta)
         loops = sum(abs(np.exp(1j * k * graph.lengths[i]) - 1.0) < 1e-6
                     for i in graph.topology.loops)
         levels.append(spectrum.LocatedLevel(
