@@ -256,8 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
             if kmax:
                 g.add_argument("--kmax", type=finite_float,
                                help="locate all eigenvalues up to this k")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="redraw edge lengths uniformly from [1, 2]")
+            sp.add_argument("--seed", type=int, default=None,
+                            help="redraw edge lengths uniformly from [1, 2]")
+            sp.add_argument("--thresholds", default=None,
+                            help="JSON object overriding classification thresholds")
         if workers:
             sp.add_argument("--workers", type=positive_int,
                             default=os.environ.get("QGL_WORKERS", "1"))
@@ -266,14 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--assert", dest="asserts", default="",
                         help="comma separated checks; nonzero exit on failure")
-        sp.add_argument("--thresholds", default=None,
-                        help="JSON object overriding classification thresholds")
 
     common(sub.add_parser("spectrum", help="locate and classify eigenvalues"))
     common(sub.add_parser("counts", help="nodal and Neumann counts"))
     common(sub.add_parser("domains", help="Neumann domain observables"))
     common(sub.add_parser("magnetic", help="magnetic stability indices"))
-    # stats and manifold run single-process
+    # stats and manifold run single-process; the manifold depends on the
+    # topology alone and classifies nothing, so it takes no lengths or thresholds
     sp = sub.add_parser("stats", help="surplus distribution experiment")
     common(sp, kmax=False, workers=False)
     sp.add_argument("--magnetic", action="store_true",
@@ -300,10 +301,12 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         graph = load_graph(args.graph)
-        if args.seed is not None and args.command != "stats":
-            graph = graph.with_lengths(stats_mod.draw_lengths(graph.E, args.seed))
+        seed = getattr(args, "seed", None)
+        if seed is not None and args.command != "stats":
+            graph = graph.with_lengths(stats_mod.draw_lengths(graph.E, seed))
+        overrides = getattr(args, "thresholds", None)
         thresholds = spectrum_mod.Thresholds.from_dict(
-            json.loads(args.thresholds) if args.thresholds else None)
+            json.loads(overrides) if overrides else None)
         handler = {
             "spectrum": cmd_spectrum, "counts": cmd_counts,
             "domains": cmd_domains, "magnetic": cmd_magnetic,

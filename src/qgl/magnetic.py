@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CriticalPointViolated, DegenerateHessian, IdentityViolated
 from .graphs import MetricGraph
-from .secular import KERNEL_TOL, evolution_matrix, reduce_torus
+from .secular import KERNEL_TOL, evolution_matrix, reduce_torus, root_branch
 from .spectrum import Eigenpair, stacked, unitary_frame
 
 GRADIENT_TOL = 1e-9      # max |d theta_0| per unit of max |cot|: roundoff only
@@ -165,9 +165,7 @@ def _hessians(graph: MetricGraph, layout: _FluxLayout, kappa: np.ndarray,
         raise CriticalPointViolated(f"{name(i)}: flux gradient {grad[i]:.2e}")
     b = np.take_along_axis(b, rest[:, None, :], axis=2)
     d2theta = -((b.conj() * cot[:, None, :]) @ b.mT).real
-    # R = root_branch(graph, kappa) of each row
-    branch = (1j) ** (graph.topology.betti - 1) * np.exp(-1j * np.sum(kappa, axis=1))
-    p = (-1j * branch * np.prod(1.0 - np.exp(1j * theta_rest), axis=1)).real
+    p = (-1j * root_branch(graph, kappa) * np.prod(1.0 - np.exp(1j * theta_rest), axis=1)).real
     H = p[:, None, None] * d2theta
 
     scale = np.maximum(1.0, np.max(np.abs(H), axis=(1, 2), initial=0.0))

@@ -4,6 +4,13 @@ The torus coordinate `kappa` is a vector over edges with values in [0, 2pi).
 All functions are pure in (graph, kappa); the only matrix they share is the
 graph's read-only scattering matrix, so they can be mapped over points in
 parallel without shared mutable state.
+
+F is evaluated for a stack of points at a time (`secular_values`): one
+stacked evolution matrix per stack of at most `stack_size(graph)` points and
+one Schur factorization per point, with F = Re(root_branch * prod(1 - lambda))
+spelled out in real arithmetic, so that a stack, a single point
+(`secular_value`) and `evaluate` give the same F bit for bit.  The manifold
+scan evaluates its grid and each bisection round as such stacks.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ TWO_PI = 2.0 * np.pi
 
 KERNEL_TOL = 1e-8   # |1 - e^{i theta}| below this puts theta in the kernel of 1 - U
 MANIFOLD_TOL = 1e-10  # bisection width of a zero of F along a grid line
+BATCH_ENTRIES = 2 ** 15  # complex entries per stacked array of matrices
 
 
 def reduce_torus(x):
@@ -51,6 +59,18 @@ def bond_scattering(graph: MetricGraph) -> np.ndarray:
     return S
 
 
+def stack_size(graph: MetricGraph) -> int:
+    """Points (kappa or k) per stack: as many as keep a stacked array of
+    2E x 2E matrices near BATCH_ENTRIES complex entries."""
+    return max(1, BATCH_ENTRIES // (2 * graph.E) ** 2)
+
+
+def _stacks(graph: MetricGraph, count: int):
+    """Consecutive slices of `count` points, one per stack."""
+    step = stack_size(graph)
+    return (slice(s, s + step) for s in range(0, count, step))
+
+
 def _phase_diag(kappa: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.repeat(kappa, 2, axis=-1))
 
@@ -59,10 +79,18 @@ def evolution_matrix(graph: MetricGraph, kappa) -> np.ndarray:
     return _phase_diag(np.asarray(kappa, dtype=float))[..., None] * graph.scattering
 
 
-def root_branch(graph: MetricGraph, kappa) -> complex:
-    """The fixed branch of det(U)^(-1/2): i^(betti-1) * exp(-i sum kappa)."""
+def root_branch(graph: MetricGraph, kappa):
+    """The fixed branch of det(U)^(-1/2): i^(betti-1) * exp(-i sum kappa),
+    per point of a stack (..., E)."""
     beta = graph.topology.betti
-    return (1j) ** (beta - 1) * np.exp(-1j * float(np.sum(kappa)))
+    return (1j) ** (beta - 1) * np.exp(-1j * np.sum(kappa, axis=-1))
+
+
+def _product(a, b):
+    """(Re, Im) of a * b as real arithmetic.  numpy's complex array multiply
+    may fuse a multiply and an add where its scalar multiply does not, so a
+    stack and a point round alike only when the product is spelled out."""
+    return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
 
 
 def _no_sort(_):
@@ -76,6 +104,15 @@ def _schur_lwork(n: int) -> int:
     return int(query[-2][0].real)
 
 
+def _schur(U: np.ndarray, lwork: int):
+    """The diagonal of the complex Schur form T of a finite matrix (zgees
+    returns it as w, with w(i) = T(i, i)) and the Schur vectors."""
+    _, _, w, Z, _, info = lapack.zgees(_no_sort, U, lwork=lwork)
+    if info != 0:
+        raise LinAlgError(f"Schur form not found (zgees info {info})")
+    return w, Z
+
+
 def unitary_schur(U: np.ndarray):
     """Eigenvalues and an orthonormal eigenbasis of a unitary matrix via the
     complex Schur form (exact-arithmetic diagonal for normal matrices).
@@ -85,10 +122,7 @@ def unitary_schur(U: np.ndarray):
     matrix order instead of before every factorization; the factors are
     bit-identical."""
     U = np.asarray_chkfinite(U, dtype=complex)
-    T, _, _, Z, _, info = lapack.zgees(_no_sort, U, lwork=_schur_lwork(U.shape[0]))
-    if info != 0:
-        raise LinAlgError(f"Schur form not found (zgees info {info})")
-    return np.diagonal(T), Z
+    return _schur(U, _schur_lwork(U.shape[0]))
 
 
 def adjugate_from_unitary_spectrum(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -123,12 +157,27 @@ class SecularEvaluation:
     kernel_vector: np.ndarray | None
 
 
+def secular_values(graph: MetricGraph, kappas) -> np.ndarray:
+    """F at each point of a stack (m, E): the arithmetic of
+    `evaluate(graph, kappa).F` row by row, without the adjugate, gradient
+    and kernel.  Each stack of at most `stack_size(graph)` points takes one
+    stacked evolution matrix and one Schur factorization per point."""
+    n = 2 * graph.E
+    lwork = _schur_lwork(n)
+    F = np.empty(len(kappas))
+    for part in _stacks(graph, len(kappas)):
+        kappa = reduce_torus(kappas[part])
+        U = np.asarray_chkfinite(evolution_matrix(graph, kappa))
+        lam = np.empty((len(U), n), dtype=complex)
+        for i, Ui in enumerate(U):
+            lam[i] = _schur(Ui, lwork)[0]
+        F[part] = _product(root_branch(graph, kappa), np.prod(1.0 - lam, axis=-1))[0]
+    return F
+
+
 def secular_value(graph: MetricGraph, kappa) -> float:
-    """F(kappa) alone: the same arithmetic as `evaluate(graph, kappa).F`,
-    without the adjugate, gradient and kernel."""
-    kappa = reduce_torus(kappa)
-    lam, _ = unitary_schur(evolution_matrix(graph, kappa))
-    return float((root_branch(graph, kappa) * np.prod(1.0 - lam)).real)
+    """F(kappa): `secular_values` of a stack of one point."""
+    return float(secular_values(graph, np.asarray(kappa, dtype=float)[None])[0])
 
 
 def evaluate(graph: MetricGraph, kappa) -> SecularEvaluation:
@@ -138,7 +187,7 @@ def evaluate(graph: MetricGraph, kappa) -> SecularEvaluation:
     pref = root_branch(graph, kappa)
 
     det_one_minus = np.prod(1.0 - lam)
-    Fc = pref * det_one_minus
+    F, F_imag = _product(pref, det_one_minus)
     adj = adjugate_from_unitary_spectrum(lam, Z)
     p = (-1j * pref * np.trace(adj)).real
 
@@ -162,8 +211,8 @@ def evaluate(graph: MetricGraph, kappa) -> SecularEvaluation:
 
     return SecularEvaluation(
         kappa=kappa,
-        F=float(Fc.real),
-        imag_residual=float(abs(Fc.imag)),
+        F=float(F),
+        imag_residual=float(abs(F_imag)),
         gradF=gradF,
         p=float(p),
         m=m,
@@ -334,17 +383,25 @@ def loop_basis(graph: MetricGraph) -> tuple[np.ndarray, list[int]]:
     return Q, anti
 
 
+def _loop_reduced_determinants(graph: MetricGraph, kappas) -> np.ndarray:
+    """`loop_reduced_determinant` at each point of a stack (m, E), one
+    stacked `det` per stack of at most `stack_size(graph)` points."""
+    if not graph.topology.loops:
+        raise NoLoops("graph has no loops")
+    Q, anti = loop_basis(graph)
+    keep = [j for j in range(2 * graph.E) if j not in set(anti)]
+    one = np.eye(len(keep))
+    dets = np.empty(len(kappas), dtype=complex)
+    for part in _stacks(graph, len(kappas)):
+        Ur = Q.T @ evolution_matrix(graph, reduce_torus(kappas[part])) @ Q
+        dets[part] = np.linalg.det(one - Ur[:, keep][:, :, keep])
+    return dets
+
+
 def loop_reduced_determinant(graph: MetricGraph, kappa) -> complex:
     """det(1 - U_0): the determinant after splitting off the loop factors,
     so that det(1 - U) = prod_loops (1 - e^{i kappa_e}) det(1 - U_0)."""
-    if not graph.topology.loops:
-        raise NoLoops("graph has no loops")
-    kappa = reduce_torus(kappa)
-    U = evolution_matrix(graph, kappa)
-    Q, anti = loop_basis(graph)
-    Ur = Q.T @ U @ Q
-    keep = [j for j in range(2 * graph.E) if j not in set(anti)]
-    return complex(np.linalg.det(np.eye(len(keep)) - Ur[np.ix_(keep, keep)]))
+    return complex(_loop_reduced_determinants(graph, np.asarray(kappa, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,50 +415,63 @@ def sample_manifold(graph: MetricGraph, resolution: int = 60):
     and tags points separately when they come from a loop factor plane
     (kappa_e = 0 with nonvanishing reduced determinant).
 
+    F is taken once at each grid point (t = 2pi on a line is t = 0), in one
+    `secular_values` call.  The sign-change brackets of all lines are then
+    bisected in lockstep: each round evaluates the midpoints of all brackets
+    still wider than MANIFOLD_TOL in one call, and keeps the half whose ends
+    differ in sign, as a bracket bisected alone would.  The grid points of a
+    loop plane take stacked loop-reduced determinants.
+
     Yields rows (k1, k2, k3, component) with component "regular" or
-    "loop:<edge>".
+    "loop:<edge>", regular rows by axis, line and t, then loop rows by plane.
     """
     if graph.E != 3:
         raise UnsupportedDimension(f"manifold sampling needs E = 3, got {graph.E}")
     grid = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-    loops = set(graph.topology.loops)
+    ends = np.append(grid, TWO_PI)
+    cube = np.stack(np.meshgrid(grid, grid, grid, indexing="ij", copy=False), axis=-1)
+    F = secular_values(graph, cube.reshape(-1, 3)).reshape(cube.shape[:3])
 
-    rows = []
-    for axis in range(3):
-        others = [a for a in range(3) if a != axis]
-        for u in grid:
-            for v in grid:
-                base = np.zeros(3)
-                base[others[0]] = u
-                base[others[1]] = v
-                prev_t, prev_f = None, None
-                for t in np.append(grid, TWO_PI):
-                    pt = base.copy()
-                    pt[axis] = t
-                    ft = secular_value(graph, pt)
-                    if prev_f is not None and np.sign(prev_f) * np.sign(ft) < 0:
-                        lo, hi, flo = prev_t, t, prev_f
-                        while hi - lo > MANIFOLD_TOL:
-                            mid = 0.5 * (lo + hi)
-                            pm = base.copy()
-                            pm[axis] = mid
-                            fm = secular_value(graph, pm)
-                            if np.sign(flo) * np.sign(fm) <= 0:
-                                hi = mid
-                            else:
-                                lo, flo = mid, fm
-                        pt[axis] = 0.5 * (lo + hi)
-                        rows.append((pt[0] % TWO_PI, pt[1] % TWO_PI,
-                                     pt[2] % TWO_PI, "regular"))
-                    prev_t, prev_f = t, ft
+    # brackets as flat arrays: line point (its axis coordinate is set per
+    # round), axis, ends and F at the lower end
+    points, axis, lo, hi, flo = [], [], [], [], []
+    for a in range(3):
+        others = [b for b in range(3) if b != a]
+        lines = np.moveaxis(F, a, -1)
+        sign = np.sign(np.concatenate([lines, lines[..., :1]], axis=-1))
+        u, v, j = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
+        base = np.zeros((len(j), 3))
+        base[:, others[0]] = grid[u]
+        base[:, others[1]] = grid[v]
+        points.append(base)
+        axis.append(np.full(len(j), a))
+        lo.append(ends[j])
+        hi.append(ends[j + 1])
+        flo.append(lines[u, v, j])
+    points, axis, lo, hi, flo = map(np.concatenate, (points, axis, lo, hi, flo))
+
+    brackets = np.arange(len(axis))
+    active = brackets[hi - lo > MANIFOLD_TOL]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        pm = points[active]
+        pm[np.arange(len(active)), axis[active]] = mid
+        fm = secular_values(graph, pm)
+        down = np.sign(flo[active]) * np.sign(fm) <= 0
+        hi[active[down]] = mid[down]
+        lo[active[~down]] = mid[~down]
+        flo[active[~down]] = fm[~down]
+        active = active[hi[active] - lo[active] > MANIFOLD_TOL]
+    points[brackets, axis] = 0.5 * (lo + hi)
+    out = [(*pt, "regular") for pt in (points % TWO_PI).tolist()]
+
     # loop-factor sheets: entire kappa_e = 0 planes minus the regular part
-    for i in sorted(loops):
-        others = [a for a in range(3) if a != i]
-        for u in grid:
-            for v in grid:
-                pt = np.zeros(3)
-                pt[others[0]] = u
-                pt[others[1]] = v
-                if abs(loop_reduced_determinant(graph, pt)) > 1e-10:
-                    rows.append((pt[0], pt[1], pt[2], f"loop:{i}"))
-    return rows
+    plane = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    for i in sorted(graph.topology.loops):
+        pts = np.zeros((len(plane), 3))
+        pts[:, [a for a in range(3) if a != i]] = plane
+        det = _loop_reduced_determinants(graph, pts)
+        # np.hypot rounds as abs(complex) does; np.abs(det) differs in the last bit
+        keep = np.hypot(det.real, det.imag) > 1e-10
+        out += [(*pt, f"loop:{i}") for pt in pts[keep].tolist()]
+    return out

@@ -40,10 +40,10 @@ crossed there set to 0, brackets the next one.
 An eigenfunction is read from one more frame, with eigenvectors, at the
 located k: its eigenvectors whose eigenphases lie at 0 span the kernel of
 1 - U(k).  Located levels are reconstructed in batches bounded by memory
-(about BATCH_ENTRIES complex entries per stacked array): one stacked `inv`
-and `eigh` gives the frames of a batch, and the kernel pick, phase
-alignment, vertex trace, canonical sign, residual and classification are
-array operations over it, each row computed as it would be alone.  The
+(about `secular.BATCH_ENTRIES` complex entries per stacked array): one
+stacked `inv` and `eigh` gives the frames of a batch, and the kernel pick,
+phase alignment, vertex trace, canonical sign, residual and classification
+are array operations over it, each row computed as it would be alone.  The
 eigenpair keeps its frame, which the flux Hessian reuses, and its vertex
 trace as two arrays indexed by directed edge.
 """
@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import BracketAuditFailed, NoKernel, NonSimple
 from .graphs import MetricGraph
-from .secular import KERNEL_TOL, TWO_PI, evolution_matrix
+from .secular import KERNEL_TOL, TWO_PI, evolution_matrix, stack_size
 
 LOCATE_TOL = 1e-12   # absolute tolerance factor: tol * max(1, k)
 INTEGER_SLACK = 1e-6  # counting values this close to an integer are exact counts
@@ -72,7 +72,6 @@ EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
 # bound on the eigensolver's rounding of an eigenphase: 500 times the worst
 # error against np.linalg.eigvals over 15000 frames of five graphs (2e-12)
 PHASE_ROUNDING = 1e-9
-BATCH_ENTRIES = 2 ** 15  # complex entries per stacked array of a reconstruction batch
 # a vertex value or derivative below this leaves its sign, and so the closed
 # form counts, undecided
 TRACE_FLOOR = 1e-6
@@ -741,12 +740,6 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
     return _first(levels, count)
 
 
-def batch_levels(graph: MetricGraph) -> int:
-    """Levels per reconstruction batch: as many as keep each stacked array
-    of the batch near BATCH_ENTRIES complex entries."""
-    return max(1, BATCH_ENTRIES // (2 * graph.E) ** 2)
-
-
 def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
                thresholds: Thresholds = Thresholds()) -> list[tuple]:
     """(level, eigenpair, flags, reason) per level, the simple levels off
@@ -784,11 +777,11 @@ def stream_batches(graph: MetricGraph, count: int | None = None,
                    k_max: float | None = None,
                    thresholds: Thresholds = Thresholds(),
                    workers: int = 1) -> Iterator[list[tuple]]:
-    """`eigenpairs` of consecutive batches of `batch_levels(graph)` levels of
+    """`eigenpairs` of consecutive batches of `stack_size(graph)` levels of
     `stream_levels` (in one window, or in `workers` pool windows); a batch
     is located in full before it is yielded."""
     levels = stream_levels(graph, count, k_max, workers)
-    size = batch_levels(graph)
+    size = stack_size(graph)
     while batch := list(islice(levels, size)):
         yield eigenpairs(graph, batch, thresholds)
 

@@ -19,6 +19,7 @@ from . import neumann as neumann_mod
 from . import spectrum as spectrum_mod
 from .errors import ExcessiveExclusions, WrongFamily
 from .graphs import MetricGraph, loop_chain
+from .secular import stack_size
 
 SLACK = 0.005            # added to every 3-sigma tolerance of the theorem tests
 EXCLUSION_LIMIT = 0.05   # largest share of borderline and non-simple indices in a run
@@ -104,7 +105,7 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
 
     dist = SurplusDistribution(graph=graph)
     levels = spectrum_mod.stream_levels(graph, chunk=chunk)
-    size = spectrum_mod.batch_levels(graph)
+    size = stack_size(graph)
     while dist.K < K_target:
         # each level gives at most one record, so a batch of at most
         # K_target - K levels locates none past the last record

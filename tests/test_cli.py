@@ -12,6 +12,7 @@ import qgl.spectrum
 from qgl import errors
 from qgl.cli import main
 from qgl.graphs import load_graph, save_graph
+from test_secular import _oracle_manifold_scan
 
 
 def _read_csv(path):
@@ -225,6 +226,8 @@ def test_exit_code_separates_failed_computation_from_bad_input(
     ["spectrum", "--graph", "star3", "--K", "20", "--thresholds", '{"support": NaN}'],
     ["counts", "--graph", "star3", "--K", "300",
      "--thresholds", '{"value": 1e-20, "derivative": 1e-20}'],
+    ["manifold", "--graph", "flower3", "--res", "3", "--seed", "5"],
+    ["manifold", "--graph", "flower3", "--res", "3", "--thresholds", '{"value": 1e-3}'],
 ])
 def test_invalid_arguments_exit_2_before_computing(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -262,6 +265,8 @@ def test_manifold_csv(tmp_path):
     assert rows[0] == ["k1", "k2", "k3", "component"]
     comps = {r[3] for r in rows[1:]}
     assert "loop:0" in comps
+    oracle = _oracle_manifold_scan(load_graph("flower3"), 8)
+    assert rows[1:] == [[f"{k:.12g}" for k in row[:3]] + [row[3]] for row in oracle]
 
 
 # ---------------------------------------------------------------------------

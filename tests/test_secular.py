@@ -4,9 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgl.secular as secular
 from qgl.errors import NoLoops, UnsupportedDimension
 from qgl.graphs import load_graph
 from qgl.secular import (
+    BATCH_ENTRIES,
     TWO_PI,
     adjugate_from_unitary_spectrum,
     bond_scattering,
@@ -22,6 +24,8 @@ from qgl.secular import (
     root_branch,
     sample_manifold,
     secular_value,
+    secular_values,
+    stack_size,
     unitary_schur,
 )
 from qgl.spectrum import locate_spectrum
@@ -170,8 +174,33 @@ def test_secular_value_is_bit_identical_to_evaluate(name):
         if j % 4 == 0:
             kappa[rng.choice(plane_edges)] = 0.0
         points.append(kappa)
-    for kappa in points:
-        assert secular_value(g, kappa) == evaluate(g, kappa).F
+    stacked = secular_values(g, np.array(points))
+    assert stacked.shape == (len(points),)
+    for kappa, F in zip(points, stacked):
+        assert F == secular_value(g, kappa) == evaluate(g, kappa).F
+
+
+@pytest.mark.parametrize("row", [0, 17, 49])
+def test_secular_values_rejects_non_finite_stack(star3, row):
+    kappas = np.random.default_rng(13).uniform(0.0, TWO_PI, (50, star3.E))
+    kappas[row, 1] = np.nan
+    with pytest.raises(ValueError):
+        secular_values(star3, kappas)
+
+
+def test_manifold_stacks_stay_within_the_budget(monkeypatch):
+    g = load_graph("flower3")
+    sizes = []
+
+    def recorded(graph, kappa):
+        sizes.append(len(kappa))
+        return evolution_matrix(graph, kappa)
+
+    monkeypatch.setattr(secular, "evolution_matrix", recorded)
+    sample_manifold(g, resolution=40)
+    assert max(sizes) * (2 * g.E) ** 2 <= BATCH_ENTRIES
+    # the 40^3 grid points alone fill at least this many stacks
+    assert sizes.count(stack_size(g)) >= 40 ** 3 // stack_size(g)
 
 
 def test_unitary_schur_matches_scipy_schur(k4):
@@ -382,7 +411,8 @@ def _oracle_manifold_scan(graph, resolution, tol=1e-10):
     return rows
 
 
-@pytest.mark.parametrize("name, res", [("flower3", 3), ("star3", 4)])
+@pytest.mark.parametrize("name, res", [("flower3", 3), ("star3", 4),
+                                       ("mandarin3", 4), ("flower3", 5)])
 def test_sample_manifold_matches_evaluate_scan(name, res):
     g = load_graph(name)
     assert sample_manifold(g, resolution=res) == _oracle_manifold_scan(g, res)
