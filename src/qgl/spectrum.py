@@ -31,11 +31,28 @@ and k* + delta, which decide whether it is the next level.  The final Newton
 frame gives them exactly when each of its eigenphases is either too far from
 0 to reach it within delta or near enough to cross it there, with a rounding
 bound that grows with k; otherwise they are re-counted afresh.  When the
-audit fails (Newton settled on a later root of a close pair, or on none),
-the bracket is bisected down to the tolerance instead.  The level holds a
-loop state of every loop e with k l_e on a multiple of 2pi somewhere in the
-audited interval.  The frame that audited a root, with the eigenphases that
-crossed there set to 0, brackets the next one.
+audit shows that Newton settled on a later root of a close pair, Newton runs
+again below it, on [a, k* - delta]; only when that fails too, or Newton
+settled on no root, is the bracket bisected down to the tolerance.  The level
+holds a loop state of every loop e with k l_e on a multiple of 2pi somewhere
+in the audited interval.  The frame that audited a root, with the eigenphases
+that crossed there set to 0, brackets the next one.
+
+A walk (`Walk`) locates levels in lanes.  A request, the levels holding the
+next m eigenvalues or all up to k_max, is split at edges moved clear of the
+spectrum: for a count, where Weyl's upper bound on N(k) reaches n + i m / L,
+so that no lane but the last passes the count asked for; for a range, evenly
+in k.  One stacked frame at the edges gives each lane its start frame and
+the exact count at its upper edge, where it ends.  All lanes then advance in
+lockstep: each step brackets, tracks, iterates Newton on and certifies the
+next level of every lane still open with one stacked evolution matrix, solve
+or frame, and numpy decomposes each matrix of a stack alone, so a lane finds
+what it would find walked alone.  A singular solve, an undecided
+certificate, a close-pair retry and the bisection fallback are handled lane
+by lane.  A count that disagrees with an edge's count raises
+BracketAuditFailed.  The walk carries on from the last lane of a request,
+and tallies the frames (by stack depth), solves, lanes, re-counts, retries
+and fallbacks it takes (`WalkTally`).
 
 An eigenfunction is read from one more frame, with eigenvectors, at the
 located k: its eigenvectors whose eigenphases lie at 0 span the kernel of
@@ -49,6 +66,7 @@ trace as two arrays indexed by directed edge.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
 from typing import Iterator, NamedTuple, Sequence
@@ -69,6 +87,9 @@ TRACK_ITERATIONS = 8  # inverse-iteration steps before the first Newton frame
 TRACK_HANDOFF = 1e-7  # a tracking step below this times max(1, k) ends tracking
 PSI_EXACT = 1e-10    # nearest eigenphase farther from 0 than this: count is exact
 EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
+LANES = 32           # most lanes walked in lockstep (at most `stack_size` of a graph)
+LANE_LEVELS = 8      # fewest levels in a lane
+LANE_SPACINGS = 512  # widest lane, in mean level spacings, unless a walk sets it
 # bound on the eigensolver's rounding of an eigenphase: 500 times the worst
 # error against np.linalg.eigvals over 15000 frames of five graphs (2e-12)
 PHASE_ROUNDING = 1e-9
@@ -156,21 +177,53 @@ def unitary_frame(U: np.ndarray, vectors: bool = False) -> UnitaryFrame:
 
 @dataclass
 class CountingFrame:
-    k: float
+    k: float | np.ndarray
     eigenphases: np.ndarray         # of U(k), in [0, 2pi)
-    N: float
+    N: float | np.ndarray
     vectors: np.ndarray | None = None   # eigenvectors, when asked for
 
+    def take(self, rows) -> "CountingFrame":
+        """The frames of a stack at `rows` (one frame for an integer)."""
+        return CountingFrame(self.k[rows], self.eigenphases[rows], self.N[rows],
+                             None if self.vectors is None else self.vectors[rows])
 
-def counting(graph: MetricGraph, k: float, vectors: bool = False) -> CountingFrame:
+    def put(self, rows, other: "CountingFrame"):
+        """Set the frames of a stack at `rows` to those of `other`."""
+        self.k[rows], self.eigenphases[rows], self.N[rows] = other.k, other.eigenphases, other.N
+        self.vectors[rows] = other.vectors
+
+
+def counting(graph: MetricGraph, k: float | np.ndarray,
+             vectors: bool = False) -> CountingFrame:
     """Number of eigenvalues in (0, k] (exact integer for generic k), with
-    the eigenphases of U(k) and, if `vectors`, its eigenvectors."""
+    the eigenphases of U(k) and, if `vectors`, its eigenvectors; for an
+    array of k, a stack of frames, one decomposition per matrix."""
+    k_arr = np.asarray(k, dtype=float)
     frame = unitary_frame(
-        evolution_matrix(graph, np.asarray(graph.lengths) * k % TWO_PI), vectors)
+        evolution_matrix(graph, k_arr[..., None] * np.asarray(graph.lengths) % TWO_PI),
+        vectors)
     theta = frame.eigenphases
-    weyl = graph.total_length * k / np.pi
-    N = weyl + (graph.E + graph.V) / 2.0 - 1.0 - float(np.sum(theta)) / TWO_PI
-    return CountingFrame(k=k, eigenphases=theta, N=N, vectors=frame.vectors)
+    weyl = graph.total_length * k_arr / np.pi
+    N = weyl + (graph.E + graph.V) / 2.0 - 1.0 - np.sum(theta, axis=-1) / TWO_PI
+    return CountingFrame(k=k if k_arr.ndim == 0 else k_arr, eigenphases=theta,
+                         N=float(N) if k_arr.ndim == 0 else N, vectors=frame.vectors)
+
+
+def _empty_frames(count: int, order: int) -> CountingFrame:
+    return CountingFrame(np.zeros(count), np.zeros((count, order)), np.zeros(count),
+                         np.zeros((count, order, order), dtype=complex))
+
+
+def _exact_counts(frame: CountingFrame) -> np.ndarray:
+    """The integer counts of a stack of frames; BracketAuditFailed unless
+    every count is an integer."""
+    off = np.abs(frame.N - np.round(frame.N)) > INTEGER_SLACK
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise BracketAuditFailed(
+            f"counting value {frame.N[i]} at k={frame.k[i]} is not an integer; "
+            "evaluation too close to an eigenvalue")
+    return np.round(frame.N).astype(int)
 
 
 @dataclass
@@ -181,40 +234,60 @@ class LocatedLevel:
     loop_dims: int        # kernel dimensions carried by loop factors
 
 
+@dataclass
+class WalkTally:
+    """What a walk did, as integer tallies."""
+    levels: int = 0
+    # spectral frames of U taken, by stack depth: {depth: stacked calls}
+    frames: Counter = field(default_factory=Counter)
+    solves: int = 0       # tracking solves, one matrix each
+    lanes: int = 0
+    recounts: int = 0     # audits counted afresh at k* - delta and k* + delta
+    retries: int = 0      # Newton run again below the upper root of a close pair
+    fallbacks: int = 0    # levels bisected on the count
+
+    def matrices(self) -> int:
+        """Matrices decomposed in all frames."""
+        return sum(depth * calls for depth, calls in self.frames.items())
+
+    def to_json(self) -> dict:
+        return {"levels": self.levels, "frames_by_depth":
+                {str(d): c for d, c in sorted(self.frames.items())},
+                "matrices": self.matrices(), "tracking_solves": self.solves,
+                "lanes": self.lanes, "recounts": self.recounts,
+                "retries": self.retries, "fallbacks": self.fallbacks}
+
+
 class _Counter:
-    """Counting-function evaluations with integer rounding and call tally."""
+    """Counting-function evaluations with integer rounding and tallies."""
 
     def __init__(self, graph: MetricGraph):
         self.graph = graph
         self.lengths = np.asarray(graph.lengths)
         self.dir_lengths = np.repeat(self.lengths, 2)
         self.l_min, self.l_max = graph.min_length, max(graph.lengths)
-        self.calls = 0
+        self.tally = WalkTally()
 
-    def frame(self, k: float, vectors: bool = False) -> CountingFrame:
-        self.calls += 1
+    def frame(self, k: float | np.ndarray, vectors: bool = False) -> CountingFrame:
+        self.tally.frames[np.size(k)] += 1
         return counting(self.graph, k, vectors)
 
     def exact(self, k: float, vectors: bool = False) -> tuple[int, CountingFrame]:
         """The integer count at k, with its frame."""
-        frame = self.frame(k, vectors)
-        val = frame.N
-        if abs(val - round(val)) > INTEGER_SLACK:
-            raise BracketAuditFailed(
-                f"counting value {val} at k={k} is not an integer; "
-                "evaluation too close to an eigenvalue")
-        return int(round(val)), frame
+        frame = self.frame(np.array([k]), vectors)
+        return int(_exact_counts(frame)[0]), frame.take(0)
 
     def integer(self, k: float) -> int:
         return self.exact(k)[0]
 
 
-def _loop_dims(graph: MetricGraph, k: float, delta: float) -> int:
-    """Loops with a loop state in the audited interval [k - delta, k + delta]:
+def _loop_dims(graph: MetricGraph, k: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Loops with a loop state in each audited interval [k - delta, k + delta]:
     those e with a multiple of 2pi in [(k - delta) l_e, (k + delta) l_e]."""
     lengths = np.asarray(graph.lengths)[list(graph.topology.loops)]
-    return int(np.count_nonzero(
-        TWO_PI * np.floor((k + delta) * lengths / TWO_PI) >= (k - delta) * lengths))
+    k, delta = k[:, None], delta[:, None]
+    return np.count_nonzero(
+        TWO_PI * np.floor((k + delta) * lengths / TWO_PI) >= (k - delta) * lengths, axis=-1)
 
 
 def _signed(theta: np.ndarray) -> np.ndarray:
@@ -222,32 +295,44 @@ def _signed(theta: np.ndarray) -> np.ndarray:
     return (theta + np.pi) % TWO_PI - np.pi
 
 
-def _audit_step(k: float) -> float:
+def _audit_step(k):
     """The delta of the audit at k_star +- delta around a root near k."""
-    return max(1e-8, 1e-8 * k)
+    return np.maximum(1e-8, 1e-8 * k)
 
 
-def _phase_rounding(graph: MetricGraph, k: float) -> float:
+def _phase_rounding(graph: MetricGraph, k):
     """Bound on the rounding error of a frame's eigenphases at k.
 
     The eigensolver's share stays below PHASE_ROUNDING; kappa = l k mod 2pi
     adds about 1e-16 l k, which the kernel cutoff's growth 10 LOCATE_TOL k L
     covers many times over.
     """
-    return max(PHASE_ROUNDING, 10.0 * LOCATE_TOL * max(1.0, k) * graph.total_length)
+    return np.maximum(PHASE_ROUNDING,
+                      10.0 * LOCATE_TOL * np.maximum(1.0, k) * graph.total_length)
 
 
 class _Audit(NamedTuple):
-    n_below: int                # counts at k_star - delta and k_star + delta
-    n_above: int
-    frame: CountingFrame        # with vectors; it brackets the next level
-    phases: np.ndarray          # its eigenphases, those crossing at k_star set to 0
+    decided: bool | np.ndarray       # whether the frame decides the counts
+    n_below: int | np.ndarray        # counts at k_star - delta and k_star + delta
+    n_above: int | np.ndarray
+    frame: CountingFrame             # with vectors; it brackets the next level
+    phases: np.ndarray               # its eigenphases, those crossing at k_star set to 0
+
+    def row(self, i: int) -> "_Audit":
+        return _Audit(bool(self.decided[i]), int(self.n_below[i]), int(self.n_above[i]),
+                      self.frame.take(i), self.phases[i])
+
+    def put(self, i: int, other: "_Audit"):
+        self.decided[i], self.n_below[i], self.n_above[i] = (
+            other.decided, other.n_below, other.n_above)
+        self.frame.put(i, other.frame)
+        self.phases[i] = other.phases
 
 
-def _certified_counts(ctr: _Counter, frame: CountingFrame, k_star: float,
-                      delta: float) -> _Audit | None:
-    """The audit read off the final Newton frame at a root k_star, or None
-    when that frame does not decide it.
+def _certified_counts(ctr: _Counter, frame: CountingFrame, k_star: np.ndarray,
+                      delta: np.ndarray) -> _Audit:
+    """The audits read off a stack of final Newton frames at roots k_star,
+    one per frame; `decided` is False where a frame does not decide them.
 
     [k_star - delta, k_star + delta] lies within s = delta + |k_f - k_star|
     of the frame's k_f, and every eigenphase turns counterclockwise at a
@@ -259,32 +344,34 @@ def _certified_counts(ctr: _Counter, frame: CountingFrame, k_star: float,
     the raw theta < pi: an eigenphase at 2pi - eps reads psi = 0 but is not
     counted in N.
     """
-    if abs(frame.N - round(frame.N)) > INTEGER_SLACK:
-        return None
-    d = abs(frame.k - k_star)
+    N = np.round(frame.N)
+    d = np.abs(frame.k - k_star)
     rho = _phase_rounding(ctr.graph, frame.k)
     theta = frame.eigenphases
     psi = np.abs(_signed(theta))
-    crossing = psi < ctr.l_min * (delta - d) - rho
-    if np.any(~crossing & (psi <= ctr.l_max * (delta + d) + rho)):
-        return None
-    n_below = int(round(frame.N)) - int(np.count_nonzero(crossing & (theta < np.pi)))
-    return _Audit(n_below, n_below + int(np.count_nonzero(crossing)), frame,
-                  np.where(crossing, 0.0, theta))
+    crossing = psi < (ctr.l_min * (delta - d) - rho)[:, None]
+    undecided = np.any(~crossing & (psi <= (ctr.l_max * (delta + d) + rho)[:, None]), axis=-1)
+    decided = (np.abs(frame.N - N) <= INTEGER_SLACK) & ~undecided
+    n_below = N.astype(int) - np.count_nonzero(crossing & (theta < np.pi), axis=-1)
+    return _Audit(decided, n_below, n_below + np.count_nonzero(crossing, axis=-1),
+                  frame, np.where(crossing, 0.0, theta))
 
 
 def _recount(ctr: _Counter, k_star: float, delta: float) -> _Audit:
-    """The audit by fresh counts at k_star - delta and k_star + delta."""
+    """The audit of one root by fresh counts at k_star - delta and
+    k_star + delta."""
+    ctr.tally.recounts += 1
     n_below = ctr.integer(k_star - delta)
     n_above, frame = ctr.exact(k_star + delta, vectors=True)
-    return _Audit(n_below, n_above, frame, frame.eigenphases)
+    return _Audit(True, n_below, n_above, frame, frame.eigenphases)
 
 
 def _phase_bracket(ctr: _Counter, frame: CountingFrame, phases: np.ndarray,
-                   lo: float) -> tuple[float, float, float, np.ndarray]:
-    """(a, b, start, z): a bracket [a, b] of the next eigenvalue past `lo`
-    from a frame at k_f <= lo whose count holds at lo, a Newton start, and
-    the eigenvector z of the eigenphase predicted to cross first.
+                   lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, start, z) per frame of a stack: a bracket [a, b] of the next
+    eigenvalue past `lo` from a frame at k_f <= lo whose count holds at lo,
+    a Newton start, and the eigenvector z of the eigenphase predicted to
+    cross first.
 
     Eigenphase m reaches 2pi after turning r_m = 2pi - theta_m further, at a
     speed in [l_min, l_max]: no eigenvalue lies before k_f + min r / l_max,
@@ -299,78 +386,384 @@ def _phase_bracket(ctr: _Counter, frame: CountingFrame, phases: np.ndarray,
     k_f = frame.k
     r = TWO_PI - phases
     rho = _phase_rounding(ctr.graph, k_f)
-    r1 = float(np.min(r))
+    r1 = np.min(r, axis=-1)
     pad = 2.0 * _audit_step(k_f + r1 / ctr.l_min)
-    a = max(lo, k_f + (r1 - rho) / ctr.l_max - pad)
+    a = np.maximum(lo, k_f + (r1 - rho) / ctr.l_max - pad)
     b = k_f + (r1 + rho) / ctr.l_min + pad
     predicted = r / (ctr.dir_lengths @ (np.abs(frame.vectors) ** 2))
-    m = int(np.argmin(predicted))
-    return a, b, k_f + float(predicted[m]), frame.vectors[:, m]
+    m = np.argmin(predicted, axis=-1)
+    rows = np.arange(len(k_f))
+    return a, b, k_f + predicted[rows, m], frame.vectors[rows, :, m]
 
 
-def _track(ctr: _Counter, a: float, b: float, k: float, z: np.ndarray) -> float:
-    """Where the first full frame of a Newton iteration in [a, b] is taken:
-    the eigenphase of U(k) nearest 0, followed from k by inverse iteration.
+def _solve(ctr: _Counter, M: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, solved): M x = z for each matrix of a stack.  A singular matrix
+    fails the whole stacked solve, so the stack is then solved matrix by
+    matrix, and `solved` is False where one fails alone."""
+    ctr.tally.solves += len(M)
+    try:
+        return np.linalg.solve(M, z[..., None])[..., 0], np.ones(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    ctr.tally.solves += len(M)
+    x, solved = np.zeros_like(z), np.zeros(len(M), dtype=bool)
+    for i in range(len(M)):
+        try:
+            x[i] = np.linalg.solve(M[i], z[i])
+            solved[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return x, solved
+
+
+def _track(ctr: _Counter, a: np.ndarray, b: np.ndarray, k: np.ndarray,
+           z: np.ndarray) -> np.ndarray:
+    """Where the first full frame of each Newton iteration of a stack in
+    [a, b] is taken: the eigenphase of U(k) nearest 0, followed from k by
+    inverse iteration.
 
     Each step solves (U(k) - 1) x = z, one LU solve in place of a full
     frame, and takes x / |x| as the new z; its eigenphase psi = arg(x* U x)
-    turns at speed <x, L x>, so k moves by -psi / <x, L x>.  Tracking stops
-    once a step would leave [a, b], the solve fails, or a step falls below
-    TRACK_HANDOFF * max(1, k).
+    turns at speed <x, L x>, so k moves by -psi / <x, L x>.  Tracking stops,
+    for each iteration alone, once a step would leave [a, b], the solve
+    fails, or a step falls below TRACK_HANDOFF * max(1, k).
     """
-    identity = np.eye(len(z))
+    k, z = k.copy(), z.copy()
+    live = np.arange(len(k))
+    identity = np.eye(z.shape[-1])
     for _ in range(TRACK_ITERATIONS):
-        U = evolution_matrix(ctr.graph, ctr.lengths * k % TWO_PI)
-        try:
-            x = np.linalg.solve(U - identity, z)
-        except np.linalg.LinAlgError:
+        if not live.size:
             break
-        x = x / np.linalg.norm(x)
-        step = -np.angle(np.vdot(x, U @ x)) / float(ctr.dir_lengths @ (np.abs(x) ** 2))
-        if not a <= k + step <= b:
-            break
-        k, z = k + step, x
-        if abs(step) < TRACK_HANDOFF * max(1.0, k):
-            break
+        U = evolution_matrix(ctr.graph, k[live, None] * ctr.lengths % TWO_PI)
+        x, solved = _solve(ctr, U - identity, z[live])
+        live, U, x = live[solved], U[solved], x[solved]
+        x = x / _norm(x)[:, None]
+        step = (-np.angle(np.vecdot(x, (U @ x[..., None])[..., 0]))
+                / ((np.abs(x) ** 2) @ ctr.dir_lengths))
+        k_next = k[live] + step
+        inside = (a[live] <= k_next) & (k_next <= b[live])
+        live, step, k_next = live[inside], step[inside], k_next[inside]
+        k[live], z[live] = k_next, x[inside]
+        live = live[np.abs(step) >= TRACK_HANDOFF * np.maximum(1.0, k_next)]
     return k
 
 
-def _safeguarded_newton(ctr: _Counter, a: float, b: float, target: int,
-                        tol: float, k: float,
-                        z: np.ndarray) -> tuple[float, CountingFrame] | None:
-    """A root of the eigenphase nearest 0 inside the bracket [a, b], where
-    the count is below `target` at a and, by the phase-velocity bound,
-    reaches it at b, from the start k and the eigenvector z of the
-    eigenphase predicted to cross there.
+def _safeguarded_newton(ctr: _Counter, a: np.ndarray, b: np.ndarray,
+                        target: np.ndarray, tol: np.ndarray, k: np.ndarray,
+                        z: np.ndarray) -> tuple[np.ndarray, np.ndarray, CountingFrame]:
+    """Roots of the eigenphase nearest 0 inside brackets [a, b], one Newton
+    iteration per row of a stack, where the count is below `target` at a
+    and, by the phase-velocity bound, reaches it at b, from the start k and
+    the eigenvector z of the eigenphase predicted to cross there.
 
-    `_track` first moves the start close to the root without a frame.  From
+    `_track` first moves each start close to its root without a frame.  From
     there, Newton steps -psi / <z, L z> that stay inside the bracket are
     taken, the others become bisections; a frame whose nearest eigenphase is
-    clear of 0 is an exact count and moves one end of the bracket.  When the
+    clear of 0 is an exact count and moves one end of the bracket.  Each
+    step takes one stacked frame of the iterations not yet settled.  When a
     bracket holds several crossings the root need not be the first; the
-    caller's audit tells.  Returns the root with the last frame, taken
-    within tol of it, whose eigenphases and vectors audit the root and
-    bracket the next one; or None when the iteration does not settle.
+    caller's audit tells.  Returns (found, roots, frames): per row whether
+    the iteration settled, its root and its last frame, taken within tol of
+    the root, whose eigenphases and vectors audit the root and bracket the
+    next one.
     """
+    a, b = a.copy(), b.copy()
     k = _track(ctr, a, b, k, z)
+    found, roots = np.zeros(len(k), dtype=bool), np.zeros(len(k))
+    final = _empty_frames(len(k), z.shape[-1])
+    live = np.arange(len(k))
     for _ in range(NEWTON_ITERATIONS):
-        frame = ctr.frame(k, vectors=True)
+        if not live.size:
+            break
+        frame = ctr.frame(k[live], vectors=True)
         psi = _signed(frame.eigenphases)
-        j = int(np.argmin(np.abs(psi)))
-        if abs(psi[j]) > PSI_EXACT and abs(frame.N - round(frame.N)) <= INTEGER_SLACK:
-            if round(frame.N) >= target:
-                b = k
-            else:
-                a = k
-        slope = float(ctr.dir_lengths @ (np.abs(frame.vectors[:, j]) ** 2))
-        step = -psi[j] / slope
-        k_next = k + step
-        if not a <= k_next <= b:
-            k_next = 0.5 * (a + b)
-        if abs(k_next - k) < 0.25 * tol or b - a < tol:
-            return k_next, frame
-        k = k_next
-    return None
+        rows = np.arange(len(live))
+        j = np.argmin(np.abs(psi), axis=-1)
+        psi_j = psi[rows, j]
+        N = np.round(frame.N)
+        exact = (np.abs(psi_j) > PSI_EXACT) & (np.abs(frame.N - N) <= INTEGER_SLACK)
+        above = N >= target[live]
+        b[live[exact & above]] = k[live[exact & above]]
+        a[live[exact & ~above]] = k[live[exact & ~above]]
+        slope = (np.abs(frame.vectors[rows, :, j]) ** 2) @ ctr.dir_lengths
+        k_next = k[live] - psi_j / slope
+        outside = ~((a[live] <= k_next) & (k_next <= b[live]))
+        k_next[outside] = 0.5 * (a[live] + b[live])[outside]
+        done = ((np.abs(k_next - k[live]) < 0.25 * tol[live])
+                | (b[live] - a[live] < tol[live]))
+        found[live[done]], roots[live[done]] = True, k_next[done]
+        final.put(live[done], frame.take(done))
+        k[live] = k_next
+        live = live[~done]
+    return found, roots, final
+
+
+def _settle(ctr: _Counter, n: int, a: float, b: float, start: float,
+            z: np.ndarray, tol: float, delta: float,
+            root: tuple[float, _Audit] | None) -> tuple[float, _Audit]:
+    """The next level past count n in [a, b] with its audit, where Newton's
+    root (k_star and its audit from the final frame) is not certified to be
+    it, or there is none.
+
+    An undecided certificate is counted afresh.  When the counts show that
+    Newton found a later root of a close pair (the count at k_star - delta
+    already reaches n + 1), Newton runs again below it, on
+    [a, k_star - delta], where the count at the upper end is known.  Only
+    when that fails too is the bracket bisected on the count down to tol.
+    """
+    target = n + 1
+
+    def passed(audit):
+        return audit.n_below == n and audit.n_above >= target
+
+    if root is not None:
+        k_star, audit = root
+        if not audit.decided:
+            audit = _recount(ctr, k_star, delta)
+        if passed(audit):
+            return k_star, audit
+        if audit.n_below >= target:
+            ctr.tally.retries += 1
+            b = k_star - delta
+            found, roots, final = _safeguarded_newton(
+                ctr, np.array([a]), np.array([b]), np.array([target]), np.array([tol]),
+                np.array([start if a < start < b else 0.5 * (a + b)]), z[None])
+            if found[0]:
+                k_star = float(roots[0])
+                audit = _certified_counts(ctr, final, roots, np.array([delta])).row(0)
+                if not audit.decided:
+                    audit = _recount(ctr, k_star, delta)
+                if passed(audit):
+                    return k_star, audit
+    ctr.tally.fallbacks += 1
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if ctr.integer(mid) >= target:
+            b = mid
+        else:
+            a = mid
+    k_star = 0.5 * (a + b)
+    audit = _recount(ctr, k_star, delta)
+    if not passed(audit):
+        raise BracketAuditFailed(
+            f"audit around k={k_star}: N={audit.n_below}..{audit.n_above}, "
+            f"expected {n}..>={target}")
+    return k_star, audit
+
+
+@dataclass
+class _Lanes:
+    """The lanes of a sweep, a row per lane.  A lane's frame and phases
+    bracket its next level past `lo`, where its count is `n`; it is done
+    once `n` reaches `end`: the exact count at its upper edge `top`, or,
+    for an open last lane (top = inf), the count a request asks for."""
+    frame: CountingFrame
+    phases: np.ndarray
+    n: np.ndarray
+    lo: np.ndarray
+    end: np.ndarray
+    top: np.ndarray
+
+
+def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
+    """Locate the next level of each lane in `idx` in lockstep: one stacked
+    bracket, tracked Newton and certificate over the lanes, with the rare
+    undecided or failed audits settled lane by lane.  Moves the lanes past
+    their levels and returns those, one per lane."""
+    frame, n = lanes.frame.take(idx), lanes.n[idx]
+    a, b, start, z = _phase_bracket(ctr, frame, lanes.phases[idx], lanes.lo[idx])
+    # the count at a lane's top edge reaches n + 1
+    b = np.minimum(b, lanes.top[idx])
+    tol = LOCATE_TOL * np.maximum(1.0, b)
+    delta = _audit_step(b)
+    start = np.where((a < start) & (start < b), start, 0.5 * (a + b))
+    found, k_star, final = _safeguarded_newton(ctr, a, b, n + 1, tol, start, z)
+    audit = _certified_counts(ctr, final, k_star, delta)
+    passed = found & audit.decided & (audit.n_below == n) & (audit.n_above > n)
+    for i in np.flatnonzero(~passed):
+        k_star[i], settled = _settle(
+            ctr, int(n[i]), float(a[i]), float(b[i]), float(start[i]), z[i],
+            float(tol[i]), float(delta[i]),
+            (float(k_star[i]), audit.row(i)) if found[i] else None)
+        audit.put(i, settled)
+    mult = audit.n_above - n
+    loops = np.minimum(_loop_dims(ctr.graph, k_star, delta), mult)
+    lanes.n[idx], lanes.lo[idx] = audit.n_above, k_star + delta
+    lanes.frame.put(idx, audit.frame)
+    lanes.phases[idx] = audit.phases
+    ctr.tally.levels += len(idx)
+    return [LocatedLevel(n=n_i + 1, k=k_i, multiplicity=m_i, loop_dims=l_i)
+            for n_i, k_i, m_i, l_i in zip(n.tolist(), k_star.tolist(),
+                                          mult.tolist(), loops.tolist())]
+
+
+def _lane_edges(ctr: _Counter, ks, keep_last: bool = False
+                ) -> tuple[np.ndarray, CountingFrame, np.ndarray]:
+    """Lane edges at or near each of `ks` that no eigenvalue lies within
+    EDGE_MARGIN audit steps of, so that the counting function is an integer
+    there with margin and no audit around a root reaches across an edge;
+    with `keep_last`, the last edge stays where it is.  Returns the edges,
+    their frames, with vectors, and whether each edge was found.
+
+    Eigenphases move with k at speeds between the shortest and the longest
+    edge length, so |psi| >= l_max * margin at every eigenphase keeps every
+    eigenvalue at least `margin` away.  Candidates are tried at up to three
+    steps either side, and each round of candidates is one stacked frame.
+    """
+    ks = np.asarray(ks, dtype=float)
+    margin = EDGE_MARGIN * _audit_step(ks)
+    step = 2.0 * margin * ctr.l_max / ctr.l_min
+    edges, frames = ks.copy(), _empty_frames(len(ks), 2 * ctr.graph.E)
+    todo = np.arange(len(ks))
+    for j in (0, 1, -1, 2, -2, 3, -3):
+        if not todo.size:
+            break
+        tried = todo[ks[todo] + j * step[todo] > 0.0]
+        if not tried.size:
+            continue
+        candidate = ks[tried] + j * step[tried]
+        frame = ctr.frame(candidate, vectors=True)
+        clear = (np.min(np.abs(_signed(frame.eigenphases)), axis=-1)
+                 >= ctr.l_max * margin[tried])
+        if keep_last:
+            clear |= tried == len(ks) - 1
+        edges[tried[clear]] = candidate[clear]
+        frames.put(tried[clear], frame.take(clear))
+        todo = np.setdiff1d(todo, tried[clear])
+    found = np.ones(len(ks), dtype=bool)
+    found[todo] = False
+    return edges, frames, found
+
+
+def window_edge(graph: MetricGraph, k: float) -> float:
+    """A window edge at or near `k` clear of the spectrum (`_lane_edges`).
+    Neighbouring windows must share the returned edge."""
+    edges, _, found = _lane_edges(_Counter(graph), [k])
+    if not found[0]:
+        raise BracketAuditFailed(f"no window edge clear of the spectrum near k={k}")
+    return float(edges[0])
+
+
+def _concat(frames: Sequence[CountingFrame]) -> CountingFrame:
+    return CountingFrame(*(np.concatenate([getattr(f, name) for f in frames])
+                           for name in ("k", "eigenphases", "N", "vectors")))
+
+
+class Walk:
+    """The spectrum walked upward from k_min, one request at a time.  Each
+    request is split into lanes: spectral windows between edges moved clear
+    of the spectrum, walked in lockstep (`_step`).  The walk carries on
+    from where the last lane of a request stops.
+
+    `n_offset` is the count at k_min when known (it is measured otherwise).
+    `chunk` is the widest lane, in mean level spacings (LANE_SPACINGS by
+    default); a request wider than LANES such lanes is walked in several
+    sweeps, each located in full before its first level is yielded.
+    `tally` counts what the walk did.
+    """
+
+    def __init__(self, graph: MetricGraph, k_min: float = 0.0,
+                 n_offset: int | None = None, chunk: int | None = None):
+        self.graph, self.chunk = graph, chunk or LANE_SPACINGS
+        self.ctr = _Counter(graph)
+        self.tally = self.ctr.tally
+        self.lo = 1e-6 * np.pi / graph.total_length if k_min <= 0.0 else k_min
+        self.frame = self.ctr.frame(np.array([self.lo]), vectors=True)
+        if k_min <= 0.0:
+            self.n = int(_exact_counts(self.frame)[0])
+            if self.n != 0:
+                raise BracketAuditFailed(f"counting at k->0+ gives {self.n}, not 0")
+        else:
+            self.n = int(_exact_counts(self.frame)[0]) if n_offset is None else n_offset
+        self.phases = self.frame.eigenphases
+
+    def _lane_count(self, levels: float) -> int:
+        """Lanes for a sweep of about `levels` levels: at most LANES (and
+        `stack_size`), none wider than `chunk`, none below LANE_LEVELS
+        levels unless `chunk` asks for it."""
+        narrow = int(np.ceil(levels / self.chunk))
+        return max(1, min(self._most_lanes(), max(narrow, int(levels // LANE_LEVELS))))
+
+    def _most_lanes(self) -> int:
+        return min(LANES, stack_size(self.graph))
+
+    def take(self, count: int) -> Iterator[LocatedLevel]:
+        """The next whole levels until they hold `count` eigenvalues; no
+        level is located once they do.
+
+        A sweep of m eigenvalues from count n is split into L lanes at the
+        edges where Weyl's upper bound N(k) <= L k / pi + (E + V)/2 - 1
+        reaches n + i m / L, so no lane but the last passes the count n + m;
+        the last lane ends when its levels reach it.
+        """
+        goal, g = self.n + count, self.graph
+        while self.n < goal:
+            m = min(goal - self.n, self._most_lanes() * self.chunk)
+            lanes = self._lane_count(m)
+            bound = self.n + m * np.arange(1, lanes) / lanes - (g.E + g.V) / 2.0 + 1.0
+            yield from self._sweep(np.pi * bound / g.total_length, goal=self.n + m)
+
+    def until(self, k_max: float) -> Iterator[LocatedLevel]:
+        """The levels up to k_max, split evenly in k into lanes; the last
+        lane ends at the exact count at k_max."""
+        covered, spacing = self.lo, np.pi / self.graph.total_length
+        while covered < k_max:
+            top = min(k_max, covered + self._most_lanes() * self.chunk * spacing)
+            edges = np.linspace(self.lo, top, self._lane_count((top - self.lo) / spacing) + 1)
+            yield from self._sweep(edges[1:], keep_top=top == k_max)
+            covered = top
+
+    def _sweep(self, edges: np.ndarray, goal: int | None = None,
+               keep_top: bool = False) -> list[LocatedLevel]:
+        """One request's levels from the walk's state: lanes split at
+        `edges`, moved clear of the spectrum.  The frames at the edges, one
+        stack, give each lane its start and the exact count at the edge,
+        where the lane below ends.  With `goal` the last lane is open and
+        ends by count; without, the last edge closes it (kept where it is
+        with `keep_top`).  Lanes come in order, so the levels do too.  The
+        walk carries on from the last lane's last audit frame."""
+        closed = goal is None
+        reach = 6.0 * EDGE_MARGIN * _audit_step(edges) * self.ctr.l_max / self.ctr.l_min
+        # edges that `_lane_edges` could move (three steps at most) below
+        # the lane start are dropped
+        keep = edges - reach > self.lo
+        if closed:
+            keep[-1] = True
+        edges, frames, found = _lane_edges(self.ctr, edges[keep],
+                                           keep_last=closed and keep_top)
+        if closed and not found[-1]:
+            raise BracketAuditFailed(
+                f"no lane edge clear of the spectrum near k={edges[-1]}")
+        # an interior edge that no candidate clears joins its two lanes
+        edges, frames = edges[found], frames.take(found)
+        counts = _exact_counts(frames)
+        starts = len(edges) - closed
+        lanes = _Lanes(
+            frame=_concat([self.frame, frames.take(slice(starts))]),
+            phases=np.concatenate([self.phases, frames.eigenphases[:starts]]),
+            n=np.concatenate([[self.n], counts[:starts]]),
+            lo=np.concatenate([[self.lo], edges[:starts]]),
+            end=counts if closed else np.append(counts, goal),
+            top=edges if closed else np.append(edges, np.inf))
+        self.tally.lanes += len(lanes.n)
+        # a level may pass an edge kept on an eigenvalue, none a cleared one
+        cleared = np.isfinite(lanes.top)
+        cleared[-1] &= not keep_top
+        out = [[] for _ in lanes.n]
+        while True:
+            if np.any(cleared & (lanes.n > lanes.end)):
+                i = int(np.argmax(cleared & (lanes.n > lanes.end)))
+                raise BracketAuditFailed(
+                    f"count {lanes.n[i]} passes the count {lanes.end[i]} at the "
+                    f"lane edge k={lanes.top[i]}")
+            idx = np.flatnonzero(lanes.n < lanes.end)
+            if not idx.size:
+                break
+            for i, lv in zip(idx, _step(self.ctr, lanes, idx)):
+                out[i].append(lv)
+        self.frame, self.phases = lanes.frame.take([-1]), lanes.phases[-1:]
+        self.n, self.lo = int(lanes.n[-1]), float(lanes.lo[-1])
+        return [lv for lane in out for lv in lane]
 
 
 def locate_spectrum(graph: MetricGraph, count: int | None = None,
@@ -382,89 +775,8 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
     """
     if (count is None) == (k_max is None):
         raise ValueError("specify exactly one of count, k_max")
-    return list(_first(_walk(graph, k_min, k_max, n_offset), count))
-
-
-def _walk(graph: MetricGraph, k_min: float = 0.0, k_max: float | None = None,
-          n_offset: int | None = None) -> Iterator[LocatedLevel]:
-    """The levels in (k_min, k_max] in order, each located when asked for;
-    without `k_max` the walk does not end.  `n_offset` is the count at k_min
-    when known (it is measured otherwise)."""
-    ctr = _Counter(graph)
-    if k_min <= 0.0:
-        lo = 1e-6 * np.pi / graph.total_length
-        n, frame = ctr.exact(lo, vectors=True)
-        if n != 0:
-            raise BracketAuditFailed(f"counting at k->0+ gives {n}, not 0")
-    else:
-        lo = k_min
-        if n_offset is None:
-            n, frame = ctr.exact(lo, vectors=True)
-        else:
-            n, frame = n_offset, ctr.frame(lo, vectors=True)
-    phases = frame.eigenphases
-
-    top = np.inf if k_max is None else k_max
-    while lo < top:
-        target = n + 1
-        a, b, start, z = _phase_bracket(ctr, frame, phases, lo)
-        if b >= top:
-            if ctr.integer(top) < target:
-                return   # k_max reached without another eigenvalue
-            b = top
-        abs_tol = LOCATE_TOL * max(1.0, b)
-        delta = _audit_step(b)
-        found = _safeguarded_newton(ctr, a, b, target, abs_tol,
-                                    start if a < start < b else 0.5 * (a + b), z)
-        audit = None
-        if found is not None:
-            k_star, final = found
-            audit = (_certified_counts(ctr, final, k_star, delta)
-                     or _recount(ctr, k_star, delta))
-        # Newton may have found no root, or one past the next level
-        if audit is None or not (audit.n_below == n and audit.n_above >= target):
-            # fallback: pure bisection on the counting function
-            while b - a > abs_tol:
-                mid = 0.5 * (a + b)
-                if ctr.integer(mid) >= target:
-                    b = mid
-                else:
-                    a = mid
-            k_star = 0.5 * (a + b)
-            audit = _recount(ctr, k_star, delta)
-            if not (audit.n_below == n and audit.n_above >= target):
-                raise BracketAuditFailed(
-                    f"audit around k={k_star}: N={audit.n_below}..{audit.n_above}, "
-                    f"expected {n}..>={target}")
-        mult = audit.n_above - audit.n_below
-        yield LocatedLevel(n=n + 1, k=float(k_star), multiplicity=mult,
-                           loop_dims=min(_loop_dims(graph, k_star, delta), mult))
-        n = audit.n_above
-        lo = k_star + delta
-        frame, phases = audit.frame, audit.phases
-
-
-def window_edge(graph: MetricGraph, k: float) -> float:
-    """A window edge at or near `k` that no eigenvalue lies within
-    EDGE_MARGIN audit steps of, so that the counting function is an integer
-    there with margin and no audit around a root reaches across the edge.
-
-    Eigenphases move with k at speeds between the shortest and the longest
-    edge length, so |psi| >= l_max * margin at every eigenphase keeps every
-    eigenvalue at least `margin` away.  Neighbouring windows must share the
-    returned edge.
-    """
-    margin = EDGE_MARGIN * _audit_step(k)
-    l_max, l_min = max(graph.lengths), graph.min_length
-    step = 2.0 * margin * l_max / l_min
-    for j in (0, 1, -1, 2, -2, 3, -3):
-        edge = k + j * step
-        if edge <= 0.0:
-            continue
-        psi = _signed(counting(graph, edge).eigenphases)
-        if np.min(np.abs(psi)) >= l_max * margin:
-            return edge
-    raise BracketAuditFailed(f"no window edge clear of the spectrum near k={k}")
+    walk = Walk(graph, k_min, n_offset)
+    return list(walk.take(count) if count is not None else walk.until(k_max))
 
 
 def len_done(levels: list[LocatedLevel]) -> int:
@@ -650,7 +962,7 @@ def classify(graph: MetricGraph, ep: Eigenpair,
 
 
 # ---------------------------------------------------------------------------
-# windowed and parallel localization, and the eigenpair stream
+# parallel localization and the eigenpair stream
 
 
 def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
@@ -689,18 +1001,19 @@ def _weyl_edge(graph: MetricGraph, count: int) -> float:
     return window_edge(graph, np.pi * bound / graph.total_length)
 
 
-def _chained_windows(graph: MetricGraph, chunk: int,
-                     k_max: float | None) -> Iterator[LocatedLevel]:
-    """Windows `chunk` mean level spacings wide, each walked on demand."""
-    width = chunk * np.pi / graph.total_length
-    top = np.inf if k_max is None else k_max
-    k_lo, n = 0.0, 0
-    while k_lo < top:
-        k_hi = min(window_edge(graph, k_lo + width), top)
-        for lv in _walk(graph, k_lo, k_hi, n):
-            n = lv.n + lv.multiplicity - 1
-            yield lv
-        k_lo = k_hi
+def _walked(graph: MetricGraph, count: int | None, k_max: float | None,
+            chunk: int | None) -> Iterator[LocatedLevel]:
+    """The levels of one in-process walk: those holding `count` eigenvalues,
+    those in (0, k_max], or, given neither, requests of LANES * LANE_LEVELS
+    eigenvalues without end."""
+    walk = Walk(graph, chunk=chunk)
+    if count is not None:
+        yield from walk.take(count)
+    elif k_max is not None:
+        yield from walk.until(k_max)
+    else:
+        while True:
+            yield from walk.take(LANES * LANE_LEVELS)
 
 
 def _first(levels: Iterator[LocatedLevel], count: int | None) -> Iterator[LocatedLevel]:
@@ -721,23 +1034,19 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
     """Levels in order: whole levels up to the first `count` eigenvalues,
     all in (0, k_max], or, given neither, without end.
 
-    One worker locates each level in-process when it is asked for, in
-    windows `chunk` mean level spacings wide (one window without `chunk`);
-    more split the range into `workers` windows located on a process pool.
-    Window edges are moved clear of the spectrum (`window_edge`), so the
-    levels do not depend on the split.
+    One worker walks the spectrum in-process (`Walk`), in lanes at most
+    `chunk` mean level spacings wide, a sweep of lanes at a time as the
+    levels are asked for; more split the range into `workers` windows, each
+    walked in lanes on a process pool.  Window and lane edges are moved
+    clear of the spectrum, so the levels do not depend on the split.
     """
     if count is not None and k_max is not None:
         raise ValueError("specify at most one of count, k_max")
     if workers > 1 and (chunk is not None or (count is None and k_max is None)):
         raise ValueError("a process pool takes count or k_max, and no chunk")
     if workers > 1 and (k_max is None or k_max > 0.0):
-        levels = _pool_windows(graph, count, k_max, workers)
-    elif chunk is None:
-        levels = _walk(graph, k_max=k_max)
-    else:
-        levels = _chained_windows(graph, chunk, k_max)
-    return _first(levels, count)
+        return _first(_pool_windows(graph, count, k_max, workers), count)
+    return _walked(graph, count, k_max, chunk)
 
 
 def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
@@ -778,8 +1087,8 @@ def stream_batches(graph: MetricGraph, count: int | None = None,
                    thresholds: Thresholds = Thresholds(),
                    workers: int = 1) -> Iterator[list[tuple]]:
     """`eigenpairs` of consecutive batches of `stack_size(graph)` levels of
-    `stream_levels` (in one window, or in `workers` pool windows); a batch
-    is located in full before it is yielded."""
+    `stream_levels` (in-process, or in `workers` pool windows); a batch is
+    located in full before it is yielded."""
     levels = stream_levels(graph, count, k_max, workers)
     size = stack_size(graph)
     while batch := list(islice(levels, size)):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 import scipy.stats
@@ -67,6 +66,8 @@ class SurplusDistribution:
     excluded: Counter = field(default_factory=Counter)
     records: list[EigenRecord] = field(default_factory=list)
     identity_failures: int = 0
+    # what the localization walk did
+    tally: spectrum_mod.WalkTally = field(default_factory=spectrum_mod.WalkTally)
 
     # -- moments ----------------------------------------------------------
 
@@ -93,8 +94,11 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
                    check_identities: bool = False,
                    chunk: int = 512) -> SurplusDistribution:
     """Fold the eigenpair stream until K_target generic eigenpairs
-    accumulate; no level past the one that gives the last of them is
-    located.  `chunk` is the localization window, in mean level spacings.
+    accumulate.  One walk (`spectrum.Walk`) is asked for the levels holding
+    the K_target - K eigenvalues still needed, which are reconstructed and
+    folded in batches of `stack_size` levels, so no level past the one that
+    gives the last record is located.  `chunk` is the widest localization
+    lane, in mean level spacings; the walk's tallies are kept on `tally`.
 
     With `seed` given the edge lengths are redrawn uniformly from [1, 2];
     the run is then fully determined by (graph, seed, thresholds).  Other
@@ -103,33 +107,16 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     if seed is not None:
         graph = graph.with_lengths(draw_lengths(graph.E, seed))
 
-    dist = SurplusDistribution(graph=graph)
-    levels = spectrum_mod.stream_levels(graph, chunk=chunk)
+    walk = spectrum_mod.Walk(graph, chunk=chunk)
+    dist = SurplusDistribution(graph=graph, tally=walk.tally)
     size = stack_size(graph)
     while dist.K < K_target:
-        # each level gives at most one record, so a batch of at most
-        # K_target - K levels locates none past the last record
-        batch = list(islice(levels, min(size, K_target - dist.K)))
-        generic = []
-        for lv, ep, _, reason in spectrum_mod.eigenpairs(graph, batch, thresholds):
-            dist.N_raw += lv.multiplicity
-            if reason == "loop_supported":
-                dist.loop_count += lv.multiplicity
-                continue
-            dist.loop_count += lv.loop_dims
-            if reason is not None:
-                dist.excluded[reason] += lv.multiplicity - lv.loop_dims
-                continue
-            generic.append(ep)
-        if generic:
-            _fold(dist, generic, magnetic, check_identities)
-        # thresholds that exclude (nearly) every eigenpair would keep the
-        # stream going forever
-        excluded = sum(dist.excluded.values())
-        if excluded > EXCLUDED_SHARE_LIMIT * (excluded + dist.K):
-            raise ExcessiveExclusions(
-                f"{excluded} of {excluded + dist.K} indices off loop states "
-                f"excluded: {dict(dist.excluded)}")
+        # each level gives at most one record, so the levels holding the
+        # next K_target - K eigenvalues locate none past the last record
+        levels = list(walk.take(K_target - dist.K))
+        for start in range(0, len(levels), size):
+            _fold_levels(dist, levels[start:start + size], thresholds, magnetic,
+                         check_identities)
 
     # exclusions that indicate threshold trouble: borderline cases and
     # unexplained near-degeneracies away from loop points
@@ -138,6 +125,33 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
         raise ExcessiveExclusions(
             f"{suspicious}/{dist.N_raw} suspicious exclusions: {dict(dist.excluded)}")
     return dist
+
+
+def _fold_levels(dist: SurplusDistribution, batch: list,
+                 thresholds: spectrum_mod.Thresholds, magnetic: bool,
+                 check_identities: bool):
+    """Reconstruct, classify and fold one batch of located levels."""
+    graph = dist.graph
+    generic = []
+    for lv, ep, _, reason in spectrum_mod.eigenpairs(graph, batch, thresholds):
+        dist.N_raw += lv.multiplicity
+        if reason == "loop_supported":
+            dist.loop_count += lv.multiplicity
+            continue
+        dist.loop_count += lv.loop_dims
+        if reason is not None:
+            dist.excluded[reason] += lv.multiplicity - lv.loop_dims
+            continue
+        generic.append(ep)
+    if generic:
+        _fold(dist, generic, magnetic, check_identities)
+    # thresholds that exclude (nearly) every eigenpair would keep the
+    # stream going forever
+    excluded = sum(dist.excluded.values())
+    if excluded > EXCLUDED_SHARE_LIMIT * (excluded + dist.K):
+        raise ExcessiveExclusions(
+            f"{excluded} of {excluded + dist.K} indices off loop states "
+            f"excluded: {dict(dist.excluded)}")
 
 
 def _fold(dist: SurplusDistribution, eps: list, magnetic: bool,

@@ -122,6 +122,14 @@ def test_stats_summary_and_asserts(tmp_path):
     assert summary["K"] == 400
     assert summary["tests"]["symmetry"]["ok"]
     assert summary["tests"]["binomial"]["ok"]
+    # the walk's tallies: every located level is counted, at most 1.2
+    # decomposed matrices each
+    report = summary["report"]
+    assert report["levels"] <= summary["N_raw"] <= 2 * report["levels"]
+    assert report["matrices"] == sum(int(depth) * calls for depth, calls
+                                     in report["frames_by_depth"].items())
+    assert report["matrices"] <= 1.2 * report["levels"]
+    assert report["lanes"] >= 1 and report["fallbacks"] == 0
     rows = _read_csv(tmp_path / "stats.csv")
     assert rows[0] == ["n", "k", "sigma", "omega"]
     assert len(rows) == 401

@@ -6,7 +6,7 @@ import pytest
 import qgl.spectrum as spectrum
 from qgl.errors import BracketAuditFailed, NoKernel, NonSimple
 from qgl.graphs import load_graph
-from qgl.secular import evolution_matrix
+from qgl.secular import evolution_matrix, stack_size
 from qgl.stats import draw_lengths
 from qgl.spectrum import (
     POLE_ROTATION,
@@ -121,6 +121,24 @@ def test_stacked_frame_resolves_each_matrix_alone():
     assert unitary_frame(np.array(stack)).vectors is None
 
 
+def _steer_newton(monkeypatch, target, root):
+    """Make Newton's first iteration for the level `target` return `root`,
+    with a frame there; returns the targets steered."""
+    newton = spectrum._safeguarded_newton
+    steered = []
+
+    def steered_newton(ctr, a, b, targets, tol, start, z):
+        found, roots, frames = newton(ctr, a, b, targets, tol, start, z)
+        for i in np.flatnonzero(targets == target)[:1 - len(steered)]:
+            steered.append(target)
+            found[i], roots[i] = True, root
+            frames.put(i, ctr.frame(root, vectors=True))
+        return found, roots, frames
+
+    monkeypatch.setattr(spectrum, "_safeguarded_newton", steered_newton)
+    return steered
+
+
 def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
     # the pair near k = 775.12, closer than 1e-5 k, lies in one phase bracket
     levels = {lv.n: lv for lv in locate_spectrum(dumbbell, count=916)}
@@ -131,19 +149,13 @@ def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
     assert high.k - low.k < 1e-5 * high.k
 
     # Newton inside a bracket holding both roots may settle on the upper one;
-    # the both-sides audit rejects it and bisection finds the lower one
-    newton = spectrum._safeguarded_newton
-    steered = []
-
-    def to_upper_root(ctr, a, b, target, tol, start, z):
-        if target == 914:
-            steered.append(target)
-            return high.k, ctr.frame(high.k, vectors=True)
-        return newton(ctr, a, b, target, tol, start, z)
-
-    monkeypatch.setattr(spectrum, "_safeguarded_newton", to_upper_root)
-    again = locate_spectrum(dumbbell, k_min=775.0, k_max=775.2, n_offset=913)
+    # the both-sides audit rejects it and Newton run again below it finds
+    # the lower one
+    steered = _steer_newton(monkeypatch, 914, high.k)
+    walk = spectrum.Walk(dumbbell, k_min=775.0, n_offset=913)
+    again = list(walk.until(775.2))
     assert steered == [914]
+    assert (walk.tally.retries, walk.tally.fallbacks) == (1, 0)
     assert [(lv.n, lv.multiplicity) for lv in again] == [(914, 1), (915, 1)]
     assert again[0].k == pytest.approx(low.k, rel=1e-12)
     assert again[1].k == pytest.approx(high.k, rel=1e-12)
@@ -155,12 +167,13 @@ def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
 
 
 def _counting_calls(monkeypatch):
-    """Every spectral frame goes through `spectrum.counting`; count them."""
+    """Every spectral frame goes through `spectrum.counting`; the k of
+    every matrix decomposed, a stacked call counting by its depth."""
     ks = []
     counting_fn = spectrum.counting
 
     def counted(graph, k, vectors=False):
-        ks.append(k)
+        ks.extend(np.atleast_1d(k).tolist())
         return counting_fn(graph, k, vectors)
 
     monkeypatch.setattr(spectrum, "counting", counted)
@@ -225,7 +238,7 @@ def _garbage_vector(fill):
     _singular_solve,
     pytest.param(_garbage_vector(lambda z: np.full_like(z, np.nan)),
                  marks=pytest.mark.filterwarnings("ignore:invalid value")),
-    _garbage_vector(lambda z: np.exp(1j * np.arange(len(z)))),
+    _garbage_vector(lambda z: np.broadcast_to(np.exp(1j * np.arange(z.shape[-1])), z.shape)),
 ), ids=("singular", "nan", "unrelated"))
 @pytest.mark.parametrize("name", ("dumbbell", "k6", "flower3"))
 def test_failed_tracking_leaves_the_levels(name, sabotage, monkeypatch):
@@ -248,15 +261,17 @@ def test_loop_state_on_the_upper_bound(dumbbell, monkeypatch):
 
     def recorded(ctr, frame, phases, lo):
         out = phase_bracket(ctr, frame, phases, lo)
-        brackets.append((frame.k, phases, out))
+        brackets.extend(zip(frame.k, phases, zip(*out)))
         return out
 
     monkeypatch.setattr(spectrum, "_phase_bracket", recorded)
     levels = locate_spectrum(dumbbell, count=33)
-    i, lv = next((i, lv) for i, lv in enumerate(levels) if lv.n == 33)
+    lv = next(lv for lv in levels if lv.n == 33)
     assert (lv.multiplicity, lv.loop_dims) == (1, 1)
     assert lv.k == pytest.approx(29.360679005512083, rel=1e-12)
-    k_f, phases, (a, b, _, _) = brackets[i]
+    # the bracket of level 33 is the one from the frame nearest below it
+    k_f, phases, (a, b, _, _) = max((row for row in brackets if row[0] < lv.k),
+                                    key=lambda row: row[0])
     bound = k_f + np.min(TWO_PI - phases) / dumbbell.min_length
     assert abs(bound - lv.k) < 1e-12 * lv.k
     # the bracket ends at least an audit step past it
@@ -286,15 +301,8 @@ def test_loop_state_decided_over_the_audited_interval(monkeypatch):
 
     newton = spectrum._safeguarded_newton
     for root in (lower_root, loop_root):
-        steered = []
-
-        def to_root(ctr, a, b, target, tol, start, z):
-            if target == 14550:
-                steered.append(target)
-                return root, ctr.frame(root, vectors=True)
-            return newton(ctr, a, b, target, tol, start, z)
-
-        monkeypatch.setattr(spectrum, "_safeguarded_newton", to_root)
+        monkeypatch.setattr(spectrum, "_safeguarded_newton", newton)
+        steered = _steer_newton(monkeypatch, 14550, root)
         levels = locate_spectrum(g, k_min=8984.9, k_max=8985.3)
         assert steered == [14550]
         assert [(lv.n, lv.multiplicity, lv.loop_dims) for lv in levels] == [(14550, 2, 1)]
@@ -305,26 +313,35 @@ def test_forced_certificate_failure_recounts(dumbbell, monkeypatch):
     certified = locate_spectrum(dumbbell, count=60)
     recounted = []
     recount = spectrum._recount
+    certify = spectrum._certified_counts
 
     def recorded(ctr, k_star, delta):
         recounted.append(k_star)
         return recount(ctr, k_star, delta)
 
-    monkeypatch.setattr(spectrum, "_certified_counts", lambda *args: None)
+    def undecided(*args):
+        return certify(*args)._replace(decided=np.zeros(len(args[2]), dtype=bool))
+
+    monkeypatch.setattr(spectrum, "_certified_counts", undecided)
     monkeypatch.setattr(spectrum, "_recount", recorded)
     ks = _counting_calls(monkeypatch)
     again = locate_spectrum(dumbbell, count=60)
     _assert_same_levels(again, certified)
-    # one fresh count on each side of every root
-    assert recounted == [lv.k for lv in again]
+    # one fresh count on each side of every root (the lanes take their
+    # levels in lockstep, so not in order)
+    assert sorted(recounted) == [lv.k for lv in again]
     for lv in again:
         side = 1e-7 * lv.k
         assert any(lv.k - side < k < lv.k for k in ks)
         assert any(lv.k < k < lv.k + side for k in ks)
 
 
-def _frame(k, N, phases):
-    return spectrum.CountingFrame(k=k, eigenphases=np.asarray(phases), N=N)
+def _certify(ctr, k, N, phases, k_star, delta):
+    """The certificate of one frame, as a stack of one."""
+    frame = spectrum.CountingFrame(k=np.array([k]), eigenphases=np.array([phases]),
+                                   N=np.array([N]))
+    return spectrum._certified_counts(ctr, frame, np.array([k_star]),
+                                      np.array([delta])).row(0)
 
 
 def test_certificate_decides_crossing_from_the_raw_eigenphase(dumbbell):
@@ -333,13 +350,11 @@ def test_certificate_decides_crossing_from_the_raw_eigenphase(dumbbell):
     below_two_pi = np.nextafter(TWO_PI, 0.0)
     assert spectrum._signed(np.array([below_two_pi]))[0] == 0.0
     # not yet past 0, so not in the count of 7
-    audit = spectrum._certified_counts(
-        ctr, _frame(k, 7.0, [below_two_pi, 1.0, 3.0, 5.0, 2.0, 4.0]), k, delta)
-    assert (audit.n_below, audit.n_above) == (7, 8)
+    audit = _certify(ctr, k, 7.0, [below_two_pi, 1.0, 3.0, 5.0, 2.0, 4.0], k, delta)
+    assert audit.decided and (audit.n_below, audit.n_above) == (7, 8)
     # just past 0, and in the count of 8
-    audit = spectrum._certified_counts(
-        ctr, _frame(k, 8.0, [1e-15, 1.0, 3.0, 5.0, 2.0, 4.0]), k, delta)
-    assert (audit.n_below, audit.n_above) == (7, 8)
+    audit = _certify(ctr, k, 8.0, [1e-15, 1.0, 3.0, 5.0, 2.0, 4.0], k, delta)
+    assert audit.decided and (audit.n_below, audit.n_above) == (7, 8)
     assert audit.phases[0] == 0.0
 
 
@@ -348,15 +363,12 @@ def test_certificate_declines_an_undecided_eigenphase(dumbbell):
     k, delta = 50.0, spectrum._audit_step(50.0)
     # an eigenphase 1.2 delta short of 0 may or may not cross within delta
     near = TWO_PI - 1.2 * delta
-    assert spectrum._certified_counts(
-        ctr, _frame(k, 7.0, [near, 1.0, 3.0, 5.0, 2.0, 4.0]), k, delta) is None
+    assert not _certify(ctr, k, 7.0, [near, 1.0, 3.0, 5.0, 2.0, 4.0], k, delta).decided
     # so may one 1.2 delta past 0 when the root is a delta away from the frame
-    assert spectrum._certified_counts(
-        ctr, _frame(k, 8.0, [1.2 * delta, 1.0, 3.0, 5.0, 2.0, 4.0]), k + delta,
-        delta) is None
+    assert not _certify(ctr, k, 8.0, [1.2 * delta, 1.0, 3.0, 5.0, 2.0, 4.0],
+                        k + delta, delta).decided
     # and a count that is no integer decides nothing
-    assert spectrum._certified_counts(
-        ctr, _frame(k, 7.3, [1.0, 3.0, 5.0, 2.0, 4.0, 0.5]), k, delta) is None
+    assert not _certify(ctr, k, 7.3, [1.0, 3.0, 5.0, 2.0, 4.0, 0.5], k, delta).decided
 
 
 def _integer(graph, k):
@@ -458,6 +470,89 @@ def _assert_same_levels(got, want):
         == [(lv.n, lv.multiplicity, lv.loop_dims) for lv in want]
     for a, b in zip(got, want):
         assert a.k == pytest.approx(b.k, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lanes: windows walked in lockstep
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_lanes_do_not_change_the_levels(name, monkeypatch):
+    # each lane of the stacked walk finds what it would find alone, so one
+    # lane and the full lane count give the same levels
+    g = load_graph(name)
+    walk = spectrum.Walk(g)
+    laned = list(walk.take(1000))
+    assert walk.tally.lanes == min(spectrum.LANES, stack_size(g))
+    monkeypatch.setattr(spectrum, "LANES", 1)
+    _assert_same_levels(laned, locate_spectrum(g, count=1000))
+
+
+@pytest.mark.parametrize("shift", (1, -1))
+def test_doctored_edge_count_raises(dumbbell, shift, monkeypatch):
+    # a lane ends at the exact count at the next lane's edge, where that
+    # lane starts: a wrong count there is caught
+    lane_edges = spectrum._lane_edges
+
+    def doctored(ctr, ks, keep_last=False):
+        edges, frames, found = lane_edges(ctr, ks, keep_last)
+        frames.N[len(edges) // 2] += shift
+        return edges, frames, found
+
+    monkeypatch.setattr(spectrum, "_lane_edges", doctored)
+    with pytest.raises(BracketAuditFailed):
+        locate_spectrum(dumbbell, count=200)
+
+
+def test_unclear_lane_edge_joins_its_lanes(dumbbell, monkeypatch):
+    want = locate_spectrum(dumbbell, count=200)
+    lane_edges = spectrum._lane_edges
+
+    def unclear(ctr, ks, keep_last=False):
+        edges, frames, found = lane_edges(ctr, ks, keep_last)
+        found[len(edges) // 2] = False
+        return edges, frames, found
+
+    monkeypatch.setattr(spectrum, "_lane_edges", unclear)
+    _assert_same_levels(locate_spectrum(dumbbell, count=200), want)
+
+
+def test_singular_solve_stops_its_lane_only(dumbbell, monkeypatch):
+    ctr = spectrum._Counter(dumbbell)
+    edges, frames, _ = spectrum._lane_edges(ctr, [20.0, 40.0, 60.0])
+    a, b, start, z = spectrum._phase_bracket(ctr, frames, frames.eigenphases, edges)
+    start = np.where((a < start) & (start < b), start, 0.5 * (a + b))
+    alone = [spectrum._track(ctr, a[i:i + 1], b[i:i + 1], start[i:i + 1], z[i:i + 1])[0]
+             for i in range(3)]
+    assert all(k != k0 for k, k0 in zip(alone, start))
+    solve = np.linalg.solve
+
+    def singular_in_lane_1(M, rhs):
+        # lane 1's first step; a stacked solve fails with any of its matrices
+        if np.any(np.all(rhs.reshape(-1, z.shape[-1]) == z[1], axis=-1)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(M, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_in_lane_1)
+    tracked = spectrum._track(ctr, a, b, start, z)
+    assert tracked[1] == start[1]
+    assert (tracked[0], tracked[2]) == (alone[0], alone[2])
+
+
+def test_walk_tallies(dumbbell):
+    walk = spectrum.Walk(dumbbell)
+    levels = list(walk.take(1000))
+    again = list(walk.take(100))
+    tally = walk.tally
+    assert again[0].n == levels[-1].n + levels[-1].multiplicity
+    assert tally.levels == len(levels) + len(again)
+    assert tally.lanes == spectrum.LANES + 100 // spectrum.LANE_LEVELS
+    assert len(levels) <= tally.matrices() <= 1.2 * tally.levels
+    assert tally.solves > tally.levels
+    assert tally.recounts == tally.retries == tally.fallbacks == 0
+    assert set(tally.to_json()) == {"levels", "frames_by_depth", "matrices",
+                                    "tracking_solves", "lanes", "recounts",
+                                    "retries", "fallbacks"}
 
 
 @pytest.mark.parametrize("name", ("lasso", "flower3", "mandarin3"))

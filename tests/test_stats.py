@@ -61,17 +61,19 @@ def test_equilateral_star_stops_on_exclusions(star3):
 
 def test_run_locates_no_level_past_last_record(dumbbell, monkeypatch):
     located = []
-    walk = spectrum._walk
+    take = spectrum.Walk.take
 
-    def recording_walk(*args, **kwargs):
-        for lv in walk(*args, **kwargs):
+    def recording_take(self, count):
+        for lv in take(self, count):
             located.append(lv)
             yield lv
 
-    monkeypatch.setattr(spectrum, "_walk", recording_walk)
+    monkeypatch.setattr(spectrum.Walk, "take", recording_take)
     d = run_experiment(dumbbell, 50, seed=7, chunk=16)
     assert located[-1].k == d.records[-1].k
     assert sum(lv.multiplicity for lv in located) == d.N_raw
+    # the run keeps its walk's tallies
+    assert d.tally.levels == len(located) and d.tally.lanes >= 4
 
 
 def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
@@ -92,7 +94,9 @@ def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("matrices", np.linalg.eigh, depth))
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         counted("matrices", np.linalg.eigvalsh, depth))
-    monkeypatch.setattr(spectrum, "counting", counted("counting", spectrum.counting))
+    # a stacked counting call decomposes one matrix per k
+    monkeypatch.setattr(spectrum, "counting", counted("counting", spectrum.counting,
+                                                      lambda graph, k, *args: np.size(k)))
     eigenpairs = spectrum.eigenpairs
 
     def counted_eigenpairs(*args, **kwargs):
