@@ -42,17 +42,18 @@ A walk (`Walk`) locates levels in lanes.  A request, the levels holding the
 next m eigenvalues or all up to k_max, is split at edges moved clear of the
 spectrum: for a count, where Weyl's upper bound on N(k) reaches n + i m / L,
 so that no lane but the last passes the count asked for; for a range, evenly
-in k.  One stacked frame at the edges gives each lane its start frame and
-the exact count at its upper edge, where it ends.  All lanes then advance in
-lockstep: each step brackets, tracks, iterates Newton on and certifies the
-next level of every lane still open with one stacked evolution matrix, solve
-or frame, and numpy decomposes each matrix of a stack alone, so a lane finds
-what it would find walked alone.  A singular solve, an undecided
-certificate, a close-pair retry and the bisection fallback are handled lane
-by lane.  A count that disagrees with an edge's count raises
-BracketAuditFailed.  The walk carries on from the last lane of a request,
-and tallies the frames (by stack depth), solves, lanes, re-counts, retries
-and fallbacks it takes (`WalkTally`).
+in k.  A request wider than LANES lanes of LANE_SPACINGS mean level spacings
+is walked in several such sweeps, each yielded as it is done.  One stacked
+frame at the edges gives each lane its start frame and the exact count at
+its upper edge, where it ends.  All lanes then advance in lockstep: each
+step brackets, tracks, iterates Newton on and certifies the next level of
+every lane still open with one stacked evolution matrix, solve or frame, and
+numpy decomposes each matrix of a stack alone, so a lane finds what it would
+find walked alone.  A singular solve, an undecided certificate, a close-pair
+retry and the bisection fallback are handled lane by lane.  A count that
+disagrees with an edge's count raises BracketAuditFailed.  The walk carries
+on from the last lane of a request, and tallies the frames (by stack depth),
+solves, lanes, re-counts, retries and fallbacks it takes (`WalkTally`).
 
 An eigenfunction is read from one more frame, with eigenvectors, at the
 located k: its eigenvectors whose eigenphases lie at 0 span the kernel of
@@ -89,7 +90,7 @@ PSI_EXACT = 1e-10    # nearest eigenphase farther from 0 than this: count is exa
 EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
 LANES = 32           # most lanes walked in lockstep (at most `stack_size` of a graph)
 LANE_LEVELS = 8      # fewest levels in a lane
-LANE_SPACINGS = 512  # widest lane, in mean level spacings, unless a walk sets it
+LANE_SPACINGS = 32   # widest lane, in mean level spacings
 # bound on the eigensolver's rounding of an eigenphase: 500 times the worst
 # error against np.linalg.eigvals over 15000 frames of five graphs (2e-12)
 PHASE_ROUNDING = 1e-9
@@ -656,15 +657,14 @@ class Walk:
     from where the last lane of a request stops.
 
     `n_offset` is the count at k_min when known (it is measured otherwise).
-    `chunk` is the widest lane, in mean level spacings (LANE_SPACINGS by
-    default); a request wider than LANES such lanes is walked in several
-    sweeps, each located in full before its first level is yielded.
-    `tally` counts what the walk did.
+    A request wider than LANES lanes of LANE_SPACINGS mean level spacings is
+    walked in several sweeps, each located in full before its first level
+    is yielded.  `tally` counts what the walk did.
     """
 
     def __init__(self, graph: MetricGraph, k_min: float = 0.0,
-                 n_offset: int | None = None, chunk: int | None = None):
-        self.graph, self.chunk = graph, chunk or LANE_SPACINGS
+                 n_offset: int | None = None):
+        self.graph = graph
         self.ctr = _Counter(graph)
         self.tally = self.ctr.tally
         self.lo = 1e-6 * np.pi / graph.total_length if k_min <= 0.0 else k_min
@@ -679,10 +679,8 @@ class Walk:
 
     def _lane_count(self, levels: float) -> int:
         """Lanes for a sweep of about `levels` levels: at most LANES (and
-        `stack_size`), none wider than `chunk`, none below LANE_LEVELS
-        levels unless `chunk` asks for it."""
-        narrow = int(np.ceil(levels / self.chunk))
-        return max(1, min(self._most_lanes(), max(narrow, int(levels // LANE_LEVELS))))
+        `stack_size`), none below LANE_LEVELS levels."""
+        return max(1, min(self._most_lanes(), int(levels // LANE_LEVELS)))
 
     def _most_lanes(self) -> int:
         return min(LANES, stack_size(self.graph))
@@ -698,7 +696,7 @@ class Walk:
         """
         goal, g = self.n + count, self.graph
         while self.n < goal:
-            m = min(goal - self.n, self._most_lanes() * self.chunk)
+            m = min(goal - self.n, self._most_lanes() * LANE_SPACINGS)
             lanes = self._lane_count(m)
             bound = self.n + m * np.arange(1, lanes) / lanes - (g.E + g.V) / 2.0 + 1.0
             yield from self._sweep(np.pi * bound / g.total_length, goal=self.n + m)
@@ -708,7 +706,7 @@ class Walk:
         lane ends at the exact count at k_max."""
         covered, spacing = self.lo, np.pi / self.graph.total_length
         while covered < k_max:
-            top = min(k_max, covered + self._most_lanes() * self.chunk * spacing)
+            top = min(k_max, covered + self._most_lanes() * LANE_SPACINGS * spacing)
             edges = np.linspace(self.lo, top, self._lane_count((top - self.lo) / spacing) + 1)
             yield from self._sweep(edges[1:], keep_top=top == k_max)
             covered = top
@@ -1001,12 +999,12 @@ def _weyl_edge(graph: MetricGraph, count: int) -> float:
     return window_edge(graph, np.pi * bound / graph.total_length)
 
 
-def _walked(graph: MetricGraph, count: int | None, k_max: float | None,
-            chunk: int | None) -> Iterator[LocatedLevel]:
+def _walked(graph: MetricGraph, count: int | None,
+            k_max: float | None) -> Iterator[LocatedLevel]:
     """The levels of one in-process walk: those holding `count` eigenvalues,
     those in (0, k_max], or, given neither, requests of LANES * LANE_LEVELS
     eigenvalues without end."""
-    walk = Walk(graph, chunk=chunk)
+    walk = Walk(graph)
     if count is not None:
         yield from walk.take(count)
     elif k_max is not None:
@@ -1029,24 +1027,24 @@ def _first(levels: Iterator[LocatedLevel], count: int | None) -> Iterator[Locate
 
 
 def stream_levels(graph: MetricGraph, count: int | None = None,
-                  k_max: float | None = None, workers: int = 1,
-                  chunk: int | None = None) -> Iterator[LocatedLevel]:
+                  k_max: float | None = None,
+                  workers: int = 1) -> Iterator[LocatedLevel]:
     """Levels in order: whole levels up to the first `count` eigenvalues,
     all in (0, k_max], or, given neither, without end.
 
-    One worker walks the spectrum in-process (`Walk`), in lanes at most
-    `chunk` mean level spacings wide, a sweep of lanes at a time as the
-    levels are asked for; more split the range into `workers` windows, each
-    walked in lanes on a process pool.  Window and lane edges are moved
-    clear of the spectrum, so the levels do not depend on the split.
+    One worker walks the spectrum in-process (`Walk`), a sweep of lanes at
+    a time as the levels are asked for; more split the range into `workers`
+    windows, each walked in lanes on a process pool.  Window and lane edges
+    are moved clear of the spectrum, so the levels do not depend on the
+    split.
     """
     if count is not None and k_max is not None:
         raise ValueError("specify at most one of count, k_max")
-    if workers > 1 and (chunk is not None or (count is None and k_max is None)):
-        raise ValueError("a process pool takes count or k_max, and no chunk")
+    if workers > 1 and count is None and k_max is None:
+        raise ValueError("a process pool takes count or k_max")
     if workers > 1 and (k_max is None or k_max > 0.0):
         return _first(_pool_windows(graph, count, k_max, workers), count)
-    return _walked(graph, count, k_max, chunk)
+    return _walked(graph, count, k_max)
 
 
 def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],

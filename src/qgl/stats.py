@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.stats
@@ -96,9 +97,11 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     """Fold the eigenpair stream until K_target generic eigenpairs
     accumulate.  One walk (`spectrum.Walk`) is asked for the levels holding
     the K_target - K eigenvalues still needed, which are reconstructed and
-    folded in batches of `stack_size` levels, so no level past the one that
-    gives the last record is located.  `chunk` is the widest localization
-    lane, in mean level spacings; the walk's tallies are kept on `tally`.
+    folded in batches of `stack_size` levels as the walk's sweeps yield
+    them, so no level past the one that gives the last record is located,
+    and thresholds that exclude nearly everything end the run after the
+    first batch.  The walk's tallies are kept on `tally`.  `chunk` has no
+    effect: the lanes are set by the constants of `spectrum`.
 
     With `seed` given the edge lengths are redrawn uniformly from [1, 2];
     the run is then fully determined by (graph, seed, thresholds).  Other
@@ -107,16 +110,15 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     if seed is not None:
         graph = graph.with_lengths(draw_lengths(graph.E, seed))
 
-    walk = spectrum_mod.Walk(graph, chunk=chunk)
+    walk = spectrum_mod.Walk(graph)
     dist = SurplusDistribution(graph=graph, tally=walk.tally)
     size = stack_size(graph)
     while dist.K < K_target:
         # each level gives at most one record, so the levels holding the
         # next K_target - K eigenvalues locate none past the last record
-        levels = list(walk.take(K_target - dist.K))
-        for start in range(0, len(levels), size):
-            _fold_levels(dist, levels[start:start + size], thresholds, magnetic,
-                         check_identities)
+        levels = walk.take(K_target - dist.K)
+        while batch := list(islice(levels, size)):
+            _fold_levels(dist, batch, thresholds, magnetic, check_identities)
 
     # exclusions that indicate threshold trouble: borderline cases and
     # unexplained near-degeneracies away from loop points

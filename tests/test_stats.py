@@ -7,6 +7,7 @@ import qgl.magnetic as magnetic
 import qgl.spectrum as spectrum
 from qgl.errors import ExcessiveExclusions, WrongFamily
 from qgl.graphs import load_graph, loop_chain
+from qgl.secular import stack_size
 from qgl.stats import (
     binomial_test,
     draw_lengths,
@@ -52,11 +53,30 @@ def test_dumbbell_run_tallies(dumbbell):
     assert set(d.sigma_hist) == {0, 1, 2}
 
 
-def test_equilateral_star_stops_on_exclusions(star3):
+def test_equilateral_star_stops_on_exclusions(star3, monkeypatch):
     # with equal lengths every level is multiple or vanishes at the centre,
     # so no record ever accumulates: the first batch must end the run
-    with pytest.raises(ExcessiveExclusions, match="indices off loop states excluded"):
-        run_experiment(star3.with_lengths([1.0, 1.0, 1.0]), 10)
+    located = []
+    sweep = spectrum.Walk._sweep
+
+    def recording_sweep(self, *args, **kwargs):
+        located.append(sweep(self, *args, **kwargs))
+        return located[-1]
+
+    monkeypatch.setattr(spectrum.Walk, "_sweep", recording_sweep)
+    size = stack_size(star3)
+    for K in (10, 10 + 8 * size):
+        located.clear()
+        with pytest.raises(ExcessiveExclusions, match="indices off loop states excluded"):
+            run_experiment(star3.with_lengths([1.0, 1.0, 1.0]), K)
+        # the request is located a sweep at a time: the sweeps located the
+        # first batch (stack_size levels, or the whole request), no sweep
+        # after it, and far fewer than K eigenvalues when K spans batches
+        levels = [len(lanes) for lanes in located]
+        eigenvalues = sum(lv.multiplicity for lanes in located for lv in lanes)
+        assert sum(levels) >= size or eigenvalues >= K
+        assert sum(levels[:-1]) < size
+        assert eigenvalues < K / 2 or K < size
 
 
 def test_run_locates_no_level_past_last_record(dumbbell, monkeypatch):
