@@ -191,8 +191,8 @@ def cmd_stats(args, graph, thresholds, out_dir) -> int:
         "omega_hist": {str(k): v for k, v in sorted(dist.omega_hist.items())},
         "sigma_mean": dist.sigma_mean(), "sigma_var": dist.sigma_var(),
         "omega_mean": dist.omega_mean(),
-        # what the localization walk did (`spectrum.WalkTally`)
-        "report": dist.tally.to_json(),
+        # what the localization walk and the reconstruction did
+        "report": dist.report(),
     }
     reports = {name: STATS_TESTS[name](dist) for name in args.asserts}
     summary["tests"] = reports

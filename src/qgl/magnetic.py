@@ -7,8 +7,8 @@ zero set, U(kappa) has an eigenphase theta_0 = 0 with eigenvector a, and the
 secular function equals p * theta_0(alpha) up to second order in the fluxes,
 so its flux Hessian is p times the Hessian of that eigenphase.  Second-order
 perturbation theory gives both exactly from one spectral frame (theta_m, z_m)
-of U(kappa), the one an eigenpair keeps from its reconstruction (Berkolaiko,
-Anal. PDE 6, 2013; Berkolaiko-Weyand, Phil. Trans. R. Soc. A 372, 2014):
+of U(kappa), taken at the eigenpair's kappa (Berkolaiko, Anal. PDE 6, 2013;
+Berkolaiko-Weyand, Phil. Trans. R. Soc. A 372, 2014):
 
     d_j theta_0       = a* A_j a      (zero by time-reversal symmetry)
     d_j d_l theta_0   = -sum_{m != 0} cot((theta_m - theta_0) / 2) Re(conj(b_jm) b_lm)
@@ -18,7 +18,7 @@ where b_jm = z_m* A_j a and R is the branch of det(U)^(-1/2).  The number of
 negative eigenvalues of -H/p = -d^2 theta_0 is the magnetic stability index,
 and the edge-separation blocks give local indices that sum to it.
 
-A batch of eigenpairs is handled as stacked frames: the b and cot factors,
+A batch of eigenpairs is handled as one stacked frame: the b and cot factors,
 the perturbation sums and p are stacked array operations over the batch, and
 the Morse indices come from one stacked `eigvalsh` of the stability matrices
 and one per block order.  Each row comes out as it would alone, and the
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import CriticalPointViolated, DegenerateHessian, IdentityViolated
 from .graphs import MetricGraph
 from .secular import KERNEL_TOL, evolution_matrix, reduce_torus, root_branch
-from .spectrum import Eigenpair, stacked, unitary_frame
+from .spectrum import Eigenpair, kernel_cutoff, stacked, unitary_frame
 
 GRADIENT_TOL = 1e-9      # max |d theta_0| per unit of max |cot|: roundoff only
 # 50x the worst error of the smallest relative eigenvalue against 50-digit
@@ -130,12 +130,13 @@ class _Hessians(NamedTuple):
 
 
 def _hessians(graph: MetricGraph, layout: _FluxLayout, kappa: np.ndarray,
-              theta: np.ndarray, Z: np.ndarray, kernel_tol: float,
+              theta: np.ndarray, Z: np.ndarray, kernel_tol: np.ndarray,
               name: Callable[[int], str]) -> _Hessians:
     """The flux Hessians at points kappa (rows) from their stacked spectral
-    frames (eigenphases theta, eigenvectors Z); every product is stacked
-    over the rows or elementwise, so each row comes out as it would alone.
-    CriticalPointViolated names the first row `name`-d that fails."""
+    frames (eigenphases theta, eigenvectors Z), each with an eigenphase
+    within its `kernel_tol` of 0 (as |1 - e^{i theta}|); every product is
+    stacked over the rows or elementwise, so each row comes out as it would
+    alone.  CriticalPointViolated names the first row `name`-d that fails."""
     rows = np.arange(len(kappa))
     n = theta.shape[1]
     distance = np.abs(1.0 - np.exp(1j * theta))
@@ -144,7 +145,7 @@ def _hessians(graph: MetricGraph, layout: _FluxLayout, kappa: np.ndarray,
     if np.any(far):
         i = int(np.argmax(far))
         raise CriticalPointViolated(
-            f"{name(i)}: no eigenphase within {kernel_tol:.1e} of 0 (nearest "
+            f"{name(i)}: no eigenphase within {kernel_tol[i]:.1e} of 0 (nearest "
             f"|1 - e^(i theta)| = {distance[i, j0[i]]:.2e})")
 
     # b[:, j, m] = z_m* A_j a for the eigenvector a of theta_0
@@ -228,9 +229,12 @@ class MagneticIndices(NamedTuple):
 
 
 def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndices:
-    """Magnetic and local indices of a batch of eigenpairs, from the
-    spectral frames they keep, stacked: one product for the perturbation
-    sums, one `eigvalsh` for the stability matrices and one per block order.
+    """Magnetic and local indices of a batch of eigenpairs, stacked: one
+    spectral frame of U at the batch's kappa (each eigenpair needs an
+    eigenphase within `kernel_cutoff` of 0 there), one product for the
+    perturbation sums, one `eigvalsh` for the stability matrices and one per
+    block order.  This frame is the only decomposition of U an eigenpair
+    costs after localization.
 
     Fluxes sit on the canonical spanning tree.  A row whose Hessian has an
     off-block entry or a (block) eigenvalue too close to 0 is marked
@@ -239,10 +243,10 @@ def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndic
     local-index sum (IdentityViolated) raise, naming the eigenpair.
     """
     layout = _flux_layout(graph, None)
-    h = _hessians(graph, layout, stacked(eps, "kappa"),
-                  np.array([ep.frame.eigenphases for ep in eps]),
-                  np.array([ep.frame.vectors for ep in eps]), np.inf,
-                  lambda i: eps[i].label())
+    kappa = stacked(eps, "kappa")
+    frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
+    h = _hessians(graph, layout, kappa, frame.eigenphases, frame.vectors,
+                  kernel_cutoff(graph, stacked(eps, "k")), lambda i: eps[i].label())
     A = -h.hessian / h.p[:, None, None]
     sigma, singular = _morse_indices(A)
     iota, block_singular = _block_indices(A, layout.block_fluxes)
@@ -257,21 +261,21 @@ def hessian_alpha(graph: MetricGraph, point,
     spectrum point, with the block structure checked, never assumed: the
     batch of one of the stacked Hessians of `indices_batch`.
 
-    `point` is an `Eigenpair`, whose spectral frame of U(kappa) is read as
-    it stands (`eigenfunction_at` has checked its kernel against the cutoff
-    that grows with k), or a bare kappa, for which one frame is built and
-    must have an eigenphase theta_0 with |1 - e^{i theta_0}| at most
-    KERNEL_TOL.
+    `point` is an `Eigenpair` or a bare kappa.  Either way one spectral
+    frame of U(kappa) is built, which must have an eigenphase theta_0 with
+    |1 - e^{i theta_0}| at most `kernel_cutoff` at the eigenpair's k (the
+    cutoff its reconstruction checked, which grows with k) or KERNEL_TOL
+    for a bare kappa.
     """
     layout = _flux_layout(graph, tree)
     if isinstance(point, Eigenpair):
-        kappa, frame, kernel_tol, name = point.kappa, point.frame, np.inf, point.label()
+        kappa, kernel_tol, name = point.kappa, kernel_cutoff(graph, point.k), point.label()
     else:
         kappa = reduce_torus(point)
-        frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
         kernel_tol, name = KERNEL_TOL, f"kappa={kappa}"
+    frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
     h = _hessians(graph, layout, kappa[None], frame.eigenphases[None],
-                  frame.vectors[None], kernel_tol, lambda i: name)
+                  frame.vectors[None], np.array([kernel_tol]), lambda i: name)
     if h.off_block[0]:
         raise DegenerateHessian(
             f"{name}: off-block Hessian entry {h.off_block_residual[0]:.2e} of the "

@@ -52,18 +52,24 @@ numpy decomposes each matrix of a stack alone, so a lane finds what it would
 find walked alone.  A singular solve, an undecided certificate, a close-pair
 retry and the bisection fallback are handled lane by lane.  A count that
 disagrees with an edge's count raises BracketAuditFailed.  The walk carries
-on from the last lane of a request, and tallies the frames (by stack depth),
-solves, lanes, re-counts, retries and fallbacks it takes (`WalkTally`).
+on from the last lane of a request, and tallies the sweeps, lockstep rounds,
+frames (by stack depth), solves, lanes, re-counts, retries and fallbacks it
+takes (`WalkTally`).
 
-An eigenfunction is read from one more frame, with eigenvectors, at the
-located k: its eigenvectors whose eigenphases lie at 0 span the kernel of
-1 - U(k).  Located levels are reconstructed in batches bounded by memory
-(about `secular.BATCH_ENTRIES` complex entries per stacked array): one
-stacked `inv` and `eigh` gives the frames of a batch, and the kernel pick,
-phase alignment, vertex trace, canonical sign, residual and classification
-are array operations over it, each row computed as it would be alone.  The
-eigenpair keeps its frame, which the flux Hessian reuses, and its vertex
-trace as two arrays indexed by directed edge.
+An eigenfunction is read from the frame that certified its level: the
+eigenvector of the eigenphase at 0 spans the kernel of 1 - U(k).  A simple
+level off loop states that its final Newton frame certifies keeps that
+frame's eigenphases and that eigenvector (`LocatedLevel.phases`, `.kernel`);
+the frame lies within a quarter of the tolerance of the root.  A level
+settled afresh (a re-count, a close-pair retry or a bisection) keeps
+nothing and takes one more frame, with eigenvectors, at the located k.
+Located levels are reconstructed in batches bounded by memory (about
+`secular.BATCH_ENTRIES` complex entries per stacked array): the levels
+without a kernel share one stacked `inv` and `eigh`, and the kernel check
+against `kernel_cutoff`, phase alignment, vertex trace, canonical sign,
+residual at the located k and classification are array operations over the
+batch, each row computed as it would be alone.  The eigenpair keeps its
+vertex trace as two arrays indexed by directed edge.
 """
 from __future__ import annotations
 
@@ -233,6 +239,11 @@ class LocatedLevel:
     k: float
     multiplicity: int
     loop_dims: int        # kernel dimensions carried by loop factors
+    # a simple level off loop states certified from its final Newton frame
+    # keeps that frame's eigenphases and the eigenvector of the one nearest
+    # 0, from which it is reconstructed; None for a level settled afresh
+    phases: np.ndarray | None = field(default=None, compare=False, repr=False)
+    kernel: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -243,6 +254,8 @@ class WalkTally:
     frames: Counter = field(default_factory=Counter)
     solves: int = 0       # tracking solves, one matrix each
     lanes: int = 0
+    requests: int = 0     # sweeps walked (a request wider than one is several)
+    rounds: int = 0       # lockstep steps over the open lanes of a sweep
     recounts: int = 0     # audits counted afresh at k* - delta and k* + delta
     retries: int = 0      # Newton run again below the upper root of a close pair
     fallbacks: int = 0    # levels bisected on the count
@@ -255,7 +268,8 @@ class WalkTally:
         return {"levels": self.levels, "frames_by_depth":
                 {str(d): c for d, c in sorted(self.frames.items())},
                 "matrices": self.matrices(), "tracking_solves": self.solves,
-                "lanes": self.lanes, "recounts": self.recounts,
+                "lanes": self.lanes, "requests": self.requests, "rounds": self.rounds,
+                "recounts": self.recounts,
                 "retries": self.retries, "fallbacks": self.fallbacks}
 
 
@@ -570,7 +584,10 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
     """Locate the next level of each lane in `idx` in lockstep: one stacked
     bracket, tracked Newton and certificate over the lanes, with the rare
     undecided or failed audits settled lane by lane.  Moves the lanes past
-    their levels and returns those, one per lane."""
+    their levels and returns those, one per lane.  A simple level off loop
+    states that its final Newton frame certifies keeps that frame's
+    eigenphases and kernel vector."""
+    ctr.tally.rounds += 1
     frame, n = lanes.frame.take(idx), lanes.n[idx]
     a, b, start, z = _phase_bracket(ctr, frame, lanes.phases[idx], lanes.lo[idx])
     # the count at a lane's top edge reaches n + 1
@@ -589,13 +606,18 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
         audit.put(i, settled)
     mult = audit.n_above - n
     loops = np.minimum(_loop_dims(ctr.graph, k_star, delta), mult)
+    # settled rows of `final` were overwritten; certified ones are as Newton left them
+    kept = passed & (mult == 1) & (loops == 0)
+    theta = final.eigenphases
+    vectors = final.vectors[np.arange(len(idx)), :, np.argmin(np.abs(_signed(theta)), axis=-1)]
     lanes.n[idx], lanes.lo[idx] = audit.n_above, k_star + delta
     lanes.frame.put(idx, audit.frame)
     lanes.phases[idx] = audit.phases
     ctr.tally.levels += len(idx)
-    return [LocatedLevel(n=n_i + 1, k=k_i, multiplicity=m_i, loop_dims=l_i)
-            for n_i, k_i, m_i, l_i in zip(n.tolist(), k_star.tolist(),
-                                          mult.tolist(), loops.tolist())]
+    return [LocatedLevel(n_i + 1, k_i, m_i, l_i, t if keep else None, v if keep else None)
+            for n_i, k_i, m_i, l_i, keep, t, v in zip(
+                n.tolist(), k_star.tolist(), mult.tolist(), loops.tolist(), kept.tolist(),
+                theta, vectors)]
 
 
 def _lane_edges(ctr: _Counter, ks, keep_last: bool = False
@@ -744,6 +766,7 @@ class Walk:
             end=counts if closed else np.append(counts, goal),
             top=edges if closed else np.append(edges, np.inf))
         self.tally.lanes += len(lanes.n)
+        self.tally.requests += 1
         # a level may pass an edge kept on an eigenvalue, none a cleared one
         cleared = np.isfinite(lanes.top)
         cleared[-1] &= not keep_top
@@ -793,7 +816,6 @@ class Eigenpair:
     amplitudes: np.ndarray          # unit norm, phase aligned
     values: np.ndarray              # f at the tail of each directed edge
     derivatives: np.ndarray         # outgoing derivative there, canonical k = 1 scale
-    frame: UnitaryFrame             # of U(kappa), with eigenvectors
     residual: float
     flags: "Flags | None" = None
 
@@ -826,27 +848,41 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _reconstruct(graph: MetricGraph, ks: list[float], ns: list[int]) -> list[Eigenpair]:
-    """Eigenpairs at located ks from one stacked frame of U(kappa); NoKernel
-    or NonSimple unless the kernel of 1 - U is one-dimensional at every k.
+def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eigenpair]:
+    """Eigenpairs at located levels; NoKernel or NonSimple unless the kernel
+    of 1 - U is one-dimensional at every k.
 
-    Each row is computed as it would be alone: the stacked `inv` and `eigh`
-    solve each matrix separately, and every later step is elementwise or
-    reduces along a row.
+    A level that kept its certifying frame's eigenphases and kernel vector
+    reads them; the others take one stacked frame of U(kappa) at their k.
+    Both then pass the same kernel check, phase alignment, trace, sign and
+    residual at the located k.  Each row is computed as it would be alone:
+    the stacked `inv` and `eigh` solve each matrix separately, and every
+    later step is elementwise or reduces along a row.
     """
-    k = np.asarray(ks, dtype=float)
+    k = np.array([lv.k for lv in levels], dtype=float)
     kappa = k[:, None] * np.asarray(graph.lengths) % TWO_PI
     U = evolution_matrix(graph, kappa)
-    frame = unitary_frame(U, vectors=True)
-    distance = np.abs(1.0 - np.exp(1j * frame.eigenphases))
+    fresh = np.array([lv.kernel is None for lv in levels], dtype=bool)
+    kept = [lv for lv in levels if lv.kernel is not None]
+    theta = np.empty((len(k), 2 * graph.E))
+    a = np.empty((len(k), 2 * graph.E), dtype=complex)
+    if kept:
+        theta[~fresh] = [lv.phases for lv in kept]
+        a[~fresh] = [lv.kernel for lv in kept]
+    if np.any(fresh):
+        frame = unitary_frame(U[fresh], vectors=True)
+        theta[fresh] = frame.eigenphases
+    distance = np.abs(1.0 - np.exp(1j * theta))
     inside = distance < kernel_cutoff(graph, k)[:, None]
     dims = np.count_nonzero(inside, axis=1)
     for i in np.flatnonzero(dims != 1):
         if dims[i] == 0:
-            raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance[i]):.2e} at k={ks[i]}")
-        raise NonSimple(f"kernel dimension {dims[i]} at k={ks[i]}")
+            raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance[i]):.2e} at k={levels[i].k}")
+        raise NonSimple(f"kernel dimension {dims[i]} at k={levels[i].k}")
+    if np.any(fresh):
+        a[fresh] = frame.vectors[np.arange(len(frame.vectors)), :,
+                                 np.argmax(inside[fresh], axis=1)]
     rows = np.arange(len(k))
-    a = frame.vectors[rows, :, np.argmax(inside, axis=1)]
     a = a / _norm(a)[:, None]
 
     phase = np.repeat(np.exp(-1j * kappa), 2, axis=-1)
@@ -875,32 +911,26 @@ def _reconstruct(graph: MetricGraph, ks: list[float], ns: list[int]) -> list[Eig
     a[flip], values[flip], derivatives[flip] = -a[flip], -values[flip], -derivatives[flip]
 
     residual = np.maximum(_norm(a - (U @ a[:, :, None])[:, :, 0]), imag_res)
-    return [Eigenpair(k=float(ks[i]), n=ns[i], kappa=kappa[i], amplitudes=a[i],
+    return [Eigenpair(k=float(lv.k), n=lv.n, kappa=kappa[i], amplitudes=a[i],
                       values=values[i], derivatives=derivatives[i],
-                      # copies, so that no kept frame holds the whole stack
-                      frame=UnitaryFrame(frame.eigenphases[i].copy(),
-                                         frame.vectors[i].copy(),
-                                         float(frame.rotation[i])),
                       residual=float(residual[i]))
-            for i in rows]
+            for i, lv in enumerate(levels)]
 
 
 def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0) -> Eigenpair:
     """Reconstruct the (canonical, real) eigenfunction at a located k: the
-    batch of one of `eigenpairs`.
+    batch of one of `eigenpairs`, for a level that kept no kernel.
 
-    The kernel of 1 - U is spanned by the eigenvectors of one spectral frame
-    of U whose eigenphases lie within `kernel_cutoff` of 0 (as
-    |1 - e^{i theta}|); the eigenpair keeps that frame, from which
-    `magnetic.hessian_alpha` reads the flux Hessian.  The vertex trace is
-    the value and the outgoing derivative at the tail of every directed
-    edge, indexed by directed edge.
+    The kernel of 1 - U is spanned by the eigenvectors of one fresh spectral
+    frame of U whose eigenphases lie within `kernel_cutoff` of 0 (as
+    |1 - e^{i theta}|).  The vertex trace is the value and the outgoing
+    derivative at the tail of every directed edge, indexed by directed edge.
 
     A kernel of dimension 0 raises NoKernel, and one of dimension 2 or more
     raises NonSimple: multiple levels, at a loop resonance or not, are never
     reconstructed.
     """
-    return _reconstruct(graph, [k], [n])[0]
+    return _reconstruct(graph, [LocatedLevel(n, float(k), 1, 0)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1050,9 +1080,10 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
 def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
                thresholds: Thresholds = Thresholds()) -> list[tuple]:
     """(level, eigenpair, flags, reason) per level, the simple levels off
-    every loop resonance reconstructed as one batch (`_reconstruct`) and
-    classified; other levels carry None for both (at a resonance the loop
-    state is the eigenfunction, so none is reconstructed).  The level's
+    every loop resonance reconstructed as one batch (`_reconstruct`: from
+    the kernel a level kept, else from a fresh frame) and classified; other
+    levels carry None for both (at a resonance the loop state is the
+    eigenfunction, so none is reconstructed).  The level's
     `loop_dims`, decided as it is located, is the only loop decision.
     NoKernel or NonSimple at any level is raised for the whole batch.
 
@@ -1064,7 +1095,7 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
       non_generic         a vertex value or interior derivative is below its threshold
     """
     simple = [lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims]
-    eps = _reconstruct(graph, [lv.k for lv in simple], [lv.n for lv in simple])
+    eps = _reconstruct(graph, simple)
     built = zip(eps, classify_batch(graph, eps, thresholds) if eps else [])
     out = []
     for lv in levels:

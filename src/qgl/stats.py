@@ -53,6 +53,18 @@ class EigenRecord:
 
 
 @dataclass
+class ReconstructionTally:
+    """How a run's eigenpairs were reconstructed."""
+    from_walk: int = 0       # read from the frame that certified the level
+    fresh: int = 0           # from a fresh frame (a level the walk settled afresh)
+    worst_residual: float = 0.0   # largest |a - U(k) a| (or imaginary trace part)
+
+    def to_json(self) -> dict:
+        return {"from_walk_frame": self.from_walk, "fresh_frame": self.fresh,
+                "worst_residual": self.worst_residual}
+
+
+@dataclass
 class SurplusDistribution:
     graph: MetricGraph
     K: int = 0                       # generic eigenpairs accumulated
@@ -67,8 +79,13 @@ class SurplusDistribution:
     excluded: Counter = field(default_factory=Counter)
     records: list[EigenRecord] = field(default_factory=list)
     identity_failures: int = 0
-    # what the localization walk did
+    # what the localization walk and the reconstruction did
     tally: spectrum_mod.WalkTally = field(default_factory=spectrum_mod.WalkTally)
+    reconstruction: ReconstructionTally = field(default_factory=ReconstructionTally)
+
+    def report(self) -> dict:
+        """The run report: the walk's tallies and the reconstruction's."""
+        return {**self.tally.to_json(), "reconstruction": self.reconstruction.to_json()}
 
     # -- moments ----------------------------------------------------------
 
@@ -100,7 +117,8 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     folded in batches of `stack_size` levels as the walk's sweeps yield
     them, so no level past the one that gives the last record is located,
     and thresholds that exclude nearly everything end the run after the
-    first batch.  The walk's tallies are kept on `tally`.  `chunk` has no
+    first batch.  The walk's tallies are kept on `tally`, and how the
+    eigenpairs were reconstructed on `reconstruction`.  `chunk` has no
     effect: the lanes are set by the constants of `spectrum`.
 
     With `seed` given the edge lengths are redrawn uniformly from [1, 2];
@@ -134,9 +152,15 @@ def _fold_levels(dist: SurplusDistribution, batch: list,
                  check_identities: bool):
     """Reconstruct, classify and fold one batch of located levels."""
     graph = dist.graph
-    generic = []
+    generic, made = [], dist.reconstruction
     for lv, ep, _, reason in spectrum_mod.eigenpairs(graph, batch, thresholds):
         dist.N_raw += lv.multiplicity
+        if ep is not None:
+            if lv.kernel is None:
+                made.fresh += 1
+            else:
+                made.from_walk += 1
+            made.worst_residual = max(made.worst_residual, ep.residual)
         if reason == "loop_supported":
             dist.loop_count += lv.multiplicity
             continue

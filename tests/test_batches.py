@@ -14,6 +14,7 @@ from qgl.counts import counts, counts_batch
 from qgl.errors import DegenerateHessian, IdentityViolated
 from qgl.graphs import load_graph
 from qgl.neumann import star_observables, stars_batch
+from qgl.secular import evolution_matrix
 from qgl.stats import run_experiment
 
 BUILTIN = ("chain2", "chain4", "chain8", "dumbbell", "flower3", "k4", "k6",
@@ -50,10 +51,11 @@ def test_batch_rows_equal_the_batch_of_one(name):
     if g.topology.betti == 0:
         return
     m = magnetic.indices_batch(g, eps)
-    h = magnetic._hessians(g, magnetic._flux_layout(g, None),
-                           spectrum.stacked(eps, "kappa"),
-                           np.array([ep.frame.eigenphases for ep in eps]),
-                           np.array([ep.frame.vectors for ep in eps]), np.inf, str)
+    kappa = spectrum.stacked(eps, "kappa")
+    frame = spectrum.unitary_frame(evolution_matrix(g, kappa), vectors=True)
+    h = magnetic._hessians(g, magnetic._flux_layout(g, None), kappa,
+                           frame.eigenphases, frame.vectors,
+                           spectrum.kernel_cutoff(g, spectrum.stacked(eps, "k")), str)
     for i, ep in enumerate(eps):
         if m.degenerate[i]:
             with pytest.raises(DegenerateHessian):
@@ -78,21 +80,19 @@ def test_degenerate_hessian_mid_batch_excludes_only_it(dumbbell, monkeypatch):
     ref = run_experiment(dumbbell, 60, seed=7, magnetic=True, check_identities=True)
     target = ref.records[30].n
     flux = magnetic.flux_edges(dumbbell.with_lengths(ref.graph.lengths))[0]
-    eigenpairs = spectrum.eigenpairs
+    hessians = magnetic._hessians
 
-    def doctored(*args, **kwargs):
-        rows = eigenpairs(*args, **kwargs)
-        for _, ep, _, _ in rows:
-            if ep is not None and ep.n == target:
-                # no kernel amplitude on a flux edge: that flux's Hessian row
-                # and column vanish, so the Hessian is singular
-                vectors = ep.frame.vectors.copy()
-                j0 = np.argmin(np.abs(1.0 - np.exp(1j * ep.frame.eigenphases)))
-                vectors[[2 * flux, 2 * flux + 1], j0] = 0.0
-                ep.frame = ep.frame._replace(vectors=vectors)
-        return rows
+    def doctored(graph, layout, kappa, theta, Z, kernel_tol, name):
+        Z = Z.copy()
+        for i in range(len(kappa)):
+            if name(i).startswith(f"eigenpair n={target},"):
+                # no kernel amplitude on a flux edge in the Hessian's frame:
+                # that flux's Hessian row and column vanish, so it is singular
+                j0 = np.argmin(np.abs(1.0 - np.exp(1j * theta[i])))
+                Z[i, [2 * flux, 2 * flux + 1], j0] = 0.0
+        return hessians(graph, layout, kappa, theta, Z, kernel_tol, name)
 
-    monkeypatch.setattr(spectrum, "eigenpairs", doctored)
+    monkeypatch.setattr(magnetic, "_hessians", doctored)
     d = run_experiment(dumbbell, 60, seed=7, magnetic=True, check_identities=True)
     assert d.excluded == {"degenerate_hessian": 1}
     assert d.identity_failures == 0

@@ -59,6 +59,29 @@ def test_workers_do_not_change_output(tmp_path):
         == (tmp_path / "b/spectrum.csv").read_text()
 
 
+def test_pool_ships_kernels_and_keeps_the_tables(tmp_path, monkeypatch):
+    # the pool's levels carry their certifying frames' kernels, so the
+    # parent process reconstructs them without a fresh frame
+    shipped = {"1": [], "2": []}
+    eigenpairs = qgl.spectrum.eigenpairs
+
+    def recorded(graph, levels, *args):
+        shipped[w].extend(lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims)
+        return eigenpairs(graph, levels, *args)
+
+    monkeypatch.setattr(qgl.spectrum, "eigenpairs", recorded)
+    for w in ("1", "2"):
+        for cmd in ("spectrum", "counts", "domains", "magnetic"):
+            rc = main([cmd, "--graph", "dumbbell", "--K", "300", "--workers", w,
+                       "--out", str(tmp_path / w)])
+            assert rc == 0
+        assert len(shipped[w]) >= 600
+        assert sum(lv.kernel is None for lv in shipped[w]) <= 0.01 * len(shipped[w])
+    for table in ("spectrum", "counts", "domains", "magnetic"):
+        assert (tmp_path / "1" / f"{table}.csv").read_text() \
+            == (tmp_path / "2" / f"{table}.csv").read_text()
+
+
 def test_workers_split_on_degenerate_eigenvalue(tmp_path):
     # with 2 workers the window edge 16 pi is a double eigenvalue of lasso
     for w, sub in (("1", "a"), ("2", "b")):
@@ -130,6 +153,12 @@ def test_stats_summary_and_asserts(tmp_path):
                                      in report["frames_by_depth"].items())
     assert report["matrices"] <= 1.2 * report["levels"]
     assert report["lanes"] >= 1 and report["fallbacks"] == 0
+    assert 1 <= report["requests"] <= report["rounds"] <= report["levels"]
+    # every eigenpair is read from the walk's frame or a fresh one
+    made = report["reconstruction"]
+    assert made["from_walk_frame"] + made["fresh_frame"] >= summary["K"]
+    assert made["fresh_frame"] <= report["recounts"] + report["retries"]
+    assert 0.0 < made["worst_residual"] < 1e-9
     rows = _read_csv(tmp_path / "stats.csv")
     assert rows[0] == ["n", "k", "sigma", "omega"]
     assert len(rows) == 401

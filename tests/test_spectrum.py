@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import qgl.spectrum as spectrum
+from qgl.counts import counts_batch
 from qgl.errors import BracketAuditFailed, NoKernel, NonSimple
 from qgl.graphs import load_graph
 from qgl.secular import evolution_matrix, stack_size
@@ -550,9 +552,12 @@ def test_walk_tallies(dumbbell):
     assert len(levels) <= tally.matrices() <= 1.2 * tally.levels
     assert tally.solves > tally.levels
     assert tally.recounts == tally.retries == tally.fallbacks == 0
+    # one sweep per request; a lockstep round locates at most one level per lane
+    assert tally.requests == 2
+    assert tally.levels / spectrum.LANES <= tally.rounds < tally.levels
     assert set(tally.to_json()) == {"levels", "frames_by_depth", "matrices",
-                                    "tracking_solves", "lanes", "recounts",
-                                    "retries", "fallbacks"}
+                                    "tracking_solves", "lanes", "requests", "rounds",
+                                    "recounts", "retries", "fallbacks"}
 
 
 @pytest.mark.parametrize("name", ("lasso", "flower3", "mandarin3"))
@@ -702,12 +707,13 @@ def _assert_same_rows(got, want):
         if ep is None:
             continue
         for a, b in ((ep.kappa, ep_w.kappa), (ep.amplitudes, ep_w.amplitudes),
-                     (ep.values, ep_w.values), (ep.derivatives, ep_w.derivatives),
-                     (ep.frame.eigenphases, ep_w.frame.eigenphases),
-                     (ep.frame.vectors, ep_w.frame.vectors)):
+                     (ep.values, ep_w.values), (ep.derivatives, ep_w.derivatives)):
             assert a.tobytes() == b.tobytes()
-        assert (ep.k, ep.n, ep.residual, ep.frame.rotation) == (
-            ep_w.k, ep_w.n, ep_w.residual, ep_w.frame.rotation)
+        assert (ep.k, ep.n, ep.residual) == (ep_w.k, ep_w.n, ep_w.residual)
+
+
+def _without_kernel(lv):
+    return dataclasses.replace(lv, phases=None, kernel=None)
 
 
 @pytest.mark.parametrize("name", ("star3", "lasso", "dumbbell", "k6", "tree31_7"))
@@ -717,15 +723,77 @@ def test_eigenpairs_do_not_depend_on_the_batch_split(name):
     whole = spectrum.eigenpairs(g, levels)
     built = [ep for _, ep, _, _ in whole if ep is not None]
     assert len(built) >= 100
-    # a kept frame owns its arrays and holds no stack alive
-    assert all(ep.frame.vectors.base is None for ep in built)
     for size in (1, 7):
         split = [row for i in range(0, len(levels), size)
                  for row in spectrum.eigenpairs(g, levels[i:i + size])]
         _assert_same_rows(split, whole)
-    # eigenfunction_at is the batch of one
+    # the batch of one, and eigenfunction_at is the batch of one of a
+    # level with no kernel, fresh frames mixed with kept kernels or not
     lv, ep, _, _ = next(row for row in whole if row[1] is not None)
-    _assert_same_rows([(lv, eigenfunction_at(g, lv.k, n=lv.n), ep.flags, None)],
+    _assert_same_rows(spectrum.eigenpairs(g, [lv]), [(lv, ep, ep.flags, None)])
+    bare = _without_kernel(lv)
+    fresh = spectrum.eigenpairs(g, [bare])
+    _assert_same_rows([(bare, eigenfunction_at(g, lv.k, n=lv.n), fresh[0][2], None)], fresh)
+    mixed = [_without_kernel(lv) if i % 3 == 0 else lv for i, lv in enumerate(levels)]
+    _assert_same_rows([row for lv in mixed for row in spectrum.eigenpairs(g, [lv])],
+                      spectrum.eigenpairs(g, mixed))
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_walk_kernel_agrees_with_a_fresh_frame(name):
+    # the kernel vector of the frame that certified a level and the one of
+    # a fresh frame at the located k span the same line, and the counts
+    # read from either agree
+    g = load_graph(name)
+    walk = spectrum.Walk(g)
+    levels = list(walk.take(300))
+    assert all(lv.kernel is None for lv in levels if lv.multiplicity > 1 or lv.loop_dims)
+    simple = [lv for lv in levels if lv.kernel is not None]
+    t = walk.tally
+    assert len(simple) >= sum(lv.multiplicity == 1 and not lv.loop_dims
+                              for lv in levels) - (t.recounts + t.retries + t.fallbacks)
+    kept = [ep for _, ep, _, _ in spectrum.eigenpairs(g, simple)]
+    fresh = [ep for _, ep, _, _ in spectrum.eigenpairs(g, list(map(_without_kernel, simple)))]
+    for a, b in zip(kept, fresh):
+        assert 1.0 - abs(np.vdot(a.amplitudes, b.amplitudes)) <= 1e-14, (name, a.n)
+        assert a.residual <= 1e-10 * max(1.0, a.k), (name, a.n)
+    assert [(a.flags.generic, bool(a.flags.borderline)) for a in kept] \
+        == [(b.flags.generic, bool(b.flags.borderline)) for b in fresh]
+    generic = [i for i, ep in enumerate(kept) if ep.flags.generic]
+    assert len(generic) >= 100
+    want = counts_batch(g, [fresh[i] for i in generic])
+    got = counts_batch(g, [kept[i] for i in generic])
+    assert np.array_equal(got.sigma, want.sigma) and np.array_equal(got.omega, want.omega)
+
+
+def test_recounted_level_is_reconstructed_from_a_fresh_frame(dumbbell, monkeypatch):
+    target = next(lv for lv in locate_spectrum(dumbbell, count=300)[40:]
+                  if lv.multiplicity == 1 and not lv.loop_dims)
+    certify = spectrum._certified_counts
+    undecided = []
+
+    def doctored(ctr, frame, k_star, delta):
+        # the certificate of the target's lane, and of no other, is undecided
+        audit = certify(ctr, frame, k_star, delta)
+        rows = np.flatnonzero(np.abs(k_star - target.k) < 1e-9 * target.k)
+        if len(k_star) > 1 and rows.size and not undecided:
+            undecided.append(float(k_star[rows[0]]))
+            audit.decided[rows[0]] = False
+        return audit
+
+    monkeypatch.setattr(spectrum, "_certified_counts", doctored)
+    walk = spectrum.Walk(dumbbell)
+    levels = list(walk.take(300))
+    assert walk.tally.recounts == 1 and len(undecided) == 1
+    lv = next(lv for lv in levels if lv.k == undecided[0])
+    assert lv == target
+    assert lv.kernel is None and lv.phases is None
+    assert sum(x.kernel is None for x in levels) == 1 + sum(
+        x.multiplicity > 1 or x.loop_dims > 0 for x in levels)
+    # in a batch with kept kernels it is bit for bit eigenfunction_at
+    rows = spectrum.eigenpairs(dumbbell, levels)
+    ep = next(ep for x, ep, _, _ in rows if x is lv)
+    _assert_same_rows([(lv, eigenfunction_at(dumbbell, lv.k, n=lv.n), ep.flags, None)],
                       [(lv, ep, ep.flags, None)])
 
 

@@ -97,9 +97,17 @@ def test_run_locates_no_level_past_last_record(dumbbell, monkeypatch):
 
 
 def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
-    # a reconstructed eigenpair costs one matrix of a stacked spectral frame
-    # of U, which the flux Hessian reuses, and no SVD; matrices of the order
-    # of U are counted where they are decomposed, by the depth of each stack
+    # an eigenpair whose level the walk certified from its final Newton
+    # frame is read from that frame: reconstruction decomposes no matrix,
+    # and only the flux Hessian takes one stacked frame per batch; no SVD.
+    # Matrices of the order of U are counted where they are decomposed, by
+    # the depth of each stack
+    for magnetic_run in (False, True):
+        with monkeypatch.context() as patch:
+            _count_frames_beyond_localization(dumbbell, patch, magnetic_run)
+
+
+def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
     calls = Counter()
 
     def counted(name, fn, weight=lambda *args: 1):
@@ -130,11 +138,19 @@ def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
                         counted("hessian", magnetic.indices_batch,
                                 lambda graph, eps, *args: len(eps)))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    d = run_experiment(dumbbell, 50, seed=7, magnetic=True)
-    assert calls["hessian"] >= d.K == 50
-    assert calls["eigenpair"] >= d.K
+    d = run_experiment(dumbbell, 50, seed=7, magnetic=magnetic_run)
+    t = d.tally
+    assert (t.recounts, t.retries, t.fallbacks) == (0, 0, 0)
+    assert calls["eigenpair"] >= d.K == 50
+    assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (calls["eigenpair"], 0)
     assert calls["svd"] == 0
-    assert calls["matrices"] == calls["counting"] + calls["eigenpair"]
+    assert calls["counting"] == t.matrices()
+    if magnetic_run:
+        assert calls["hessian"] >= d.K
+        assert calls["matrices"] == calls["counting"] + calls["hessian"]
+    else:
+        assert calls["hessian"] == 0
+        assert calls["matrices"] == calls["counting"]
 
 
 @pytest.mark.parametrize("name, K, seed", [
