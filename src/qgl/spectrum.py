@@ -40,21 +40,23 @@ that crossed there set to 0, brackets the next one.
 
 A walk (`Walk`) locates levels in lanes.  A request, the levels holding the
 next m eigenvalues or all up to k_max, is split at edges moved clear of the
-spectrum: for a count, where Weyl's upper bound on N(k) reaches n + i m / L,
-so that no lane but the last passes the count asked for; for a range, evenly
-in k.  A request wider than LANES lanes of LANE_SPACINGS mean level spacings
-is walked in several such sweeps, each yielded as it is done.  One stacked
-frame at the edges gives each lane its start frame and the exact count at
-its upper edge, where it ends.  All lanes then advance in lockstep: each
-step brackets, tracks, iterates Newton on and certifies the next level of
-every lane still open with one stacked evolution matrix, solve or frame, and
-numpy decomposes each matrix of a stack alone, so a lane finds what it would
-find walked alone.  A singular solve, an undecided certificate, a close-pair
-retry and the bisection fallback are handled lane by lane.  A count that
-disagrees with an edge's count raises BracketAuditFailed.  The walk carries
-on from the last lane of a request, and tallies the sweeps, lockstep rounds,
-frames (by stack depth), solves, lanes, re-counts, retries and fallbacks it
-takes (`WalkTally`).
+spectrum: for a count, where Weyl's mean count reaches n + i m / L, so that
+the lanes hold about m / L levels each; for a range, evenly in k.  A request
+wider than LANES lanes of LANE_SPACINGS mean level spacings is walked in
+several such sweeps, each yielded as it is done.  One stacked frame at the
+edges gives each lane its start frame and the exact count at its upper edge,
+where it ends; an edge whose count reaches the count asked for ends no lane,
+so no lane but the last, which ends by count, passes it.  All lanes then
+advance in lockstep: each step brackets, tracks, iterates Newton on and
+certifies the next level of every lane still open with one stacked evolution
+matrix, solve or frame, and numpy decomposes each matrix of a stack alone,
+so a lane finds what it would find walked alone.  A singular solve, an
+undecided certificate, a close-pair retry and the bisection fallback are
+handled lane by lane.  A count that disagrees with an edge's count raises
+BracketAuditFailed.  The walk carries on from the last lane of a request,
+and tallies the sweeps, lockstep rounds, frames (by stack depth), matrices
+solved again with the pole moved, solves, lanes, spare edges, re-counts,
+retries and fallbacks it takes (`WalkTally`).
 
 An eigenfunction is read from the frame that certified its level: the
 eigenvector of the eigenphase at 0 spans the kernel of 1 - U(k).  A simple
@@ -188,6 +190,9 @@ class CountingFrame:
     eigenphases: np.ndarray         # of U(k), in [0, 2pi)
     N: float | np.ndarray
     vectors: np.ndarray | None = None   # eigenvectors, when asked for
+    # matrices that `unitary_frame` solved again with the pole moved; a tally
+    # of the call that made the frame, which `take` does not carry
+    resolves: int = 0
 
     def take(self, rows) -> "CountingFrame":
         """The frames of a stack at `rows` (one frame for an integer)."""
@@ -213,7 +218,8 @@ def counting(graph: MetricGraph, k: float | np.ndarray,
     weyl = graph.total_length * k_arr / np.pi
     N = weyl + (graph.E + graph.V) / 2.0 - 1.0 - np.sum(theta, axis=-1) / TWO_PI
     return CountingFrame(k=k if k_arr.ndim == 0 else k_arr, eigenphases=theta,
-                         N=float(N) if k_arr.ndim == 0 else N, vectors=frame.vectors)
+                         N=float(N) if k_arr.ndim == 0 else N, vectors=frame.vectors,
+                         resolves=int(np.count_nonzero(frame.rotation != POLE_ROTATION)))
 
 
 def _empty_frames(count: int, order: int) -> CountingFrame:
@@ -259,10 +265,12 @@ class WalkTally:
     recounts: int = 0     # audits counted afresh at k* - delta and k* + delta
     retries: int = 0      # Newton run again below the upper root of a close pair
     fallbacks: int = 0    # levels bisected on the count
+    resolves: int = 0     # matrices of a frame solved again with the pole moved
+    spare_edges: int = 0  # lane edge frames at or past a request's count
 
     def matrices(self) -> int:
-        """Matrices decomposed in all frames."""
-        return sum(depth * calls for depth, calls in self.frames.items())
+        """Matrices decomposed in all frames, re-solves included."""
+        return sum(depth * calls for depth, calls in self.frames.items()) + self.resolves
 
     def to_json(self) -> dict:
         return {"levels": self.levels, "frames_by_depth":
@@ -270,7 +278,8 @@ class WalkTally:
                 "matrices": self.matrices(), "tracking_solves": self.solves,
                 "lanes": self.lanes, "requests": self.requests, "rounds": self.rounds,
                 "recounts": self.recounts,
-                "retries": self.retries, "fallbacks": self.fallbacks}
+                "retries": self.retries, "fallbacks": self.fallbacks,
+                "resolves": self.resolves, "spare_edges": self.spare_edges}
 
 
 class _Counter:
@@ -285,7 +294,9 @@ class _Counter:
 
     def frame(self, k: float | np.ndarray, vectors: bool = False) -> CountingFrame:
         self.tally.frames[np.size(k)] += 1
-        return counting(self.graph, k, vectors)
+        frame = counting(self.graph, k, vectors)
+        self.tally.resolves += frame.resolves
+        return frame
 
     def exact(self, k: float, vectors: bool = False) -> tuple[int, CountingFrame]:
         """The integer count at k, with its frame."""
@@ -712,16 +723,19 @@ class Walk:
         level is located once they do.
 
         A sweep of m eigenvalues from count n is split into L lanes at the
-        edges where Weyl's upper bound N(k) <= L k / pi + (E + V)/2 - 1
-        reaches n + i m / L, so no lane but the last passes the count n + m;
-        the last lane ends when its levels reach it.
+        edges where Weyl's mean count L k / pi + (V - E)/2 - 1 reaches
+        n + i m / L: N(k) exceeds it by E - sum theta / 2pi, which lies in
+        (-E, E] and averages 0 over the torus (Barra-Gaspard), so the lanes
+        hold about m / L levels each.  An edge whose exact count reaches
+        n + m is dropped (`_sweep`), so no lane but the last passes that
+        count; the last lane ends when its levels reach it.
         """
         goal, g = self.n + count, self.graph
         while self.n < goal:
             m = min(goal - self.n, self._most_lanes() * LANE_SPACINGS)
             lanes = self._lane_count(m)
-            bound = self.n + m * np.arange(1, lanes) / lanes - (g.E + g.V) / 2.0 + 1.0
-            yield from self._sweep(np.pi * bound / g.total_length, goal=self.n + m)
+            mean = self.n + m * np.arange(1, lanes) / lanes - (g.V - g.E) / 2.0 + 1.0
+            yield from self._sweep(np.pi * mean / g.total_length, goal=self.n + m)
 
     def until(self, k_max: float) -> Iterator[LocatedLevel]:
         """The levels up to k_max, split evenly in k into lanes; the last
@@ -739,8 +753,10 @@ class Walk:
         `edges`, moved clear of the spectrum.  The frames at the edges, one
         stack, give each lane its start and the exact count at the edge,
         where the lane below ends.  With `goal` the last lane is open and
-        ends by count; without, the last edge closes it (kept where it is
-        with `keep_top`).  Lanes come in order, so the levels do too.  The
+        ends by count, and the edges whose count reaches `goal` are spare:
+        they are dropped, and the lane below the first of them is the last;
+        without, the last edge closes it (kept where it is with
+        `keep_top`).  Lanes come in order, so the levels do too.  The
         walk carries on from the last lane's last audit frame."""
         closed = goal is None
         reach = 6.0 * EDGE_MARGIN * _audit_step(edges) * self.ctr.l_max / self.ctr.l_min
@@ -757,6 +773,12 @@ class Walk:
         # an interior edge that no candidate clears joins its two lanes
         edges, frames = edges[found], frames.take(found)
         counts = _exact_counts(frames)
+        if not closed:
+            # an edge whose exact count reaches the goal ends no lane: the
+            # lane below the first such edge is the open last lane
+            spare = counts >= goal
+            self.tally.spare_edges += int(np.count_nonzero(spare))
+            edges, frames, counts = edges[~spare], frames.take(~spare), counts[~spare]
         starts = len(edges) - closed
         lanes = _Lanes(
             frame=_concat([self.frame, frames.take(slice(starts))]),

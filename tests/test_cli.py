@@ -149,8 +149,9 @@ def test_stats_summary_and_asserts(tmp_path):
     # decomposed matrices each
     report = summary["report"]
     assert report["levels"] <= summary["N_raw"] <= 2 * report["levels"]
-    assert report["matrices"] == sum(int(depth) * calls for depth, calls
-                                     in report["frames_by_depth"].items())
+    assert report["matrices"] == report["resolves"] + sum(
+        int(depth) * calls for depth, calls in report["frames_by_depth"].items())
+    assert report["spare_edges"] >= 0
     assert report["matrices"] <= 1.2 * report["levels"]
     assert report["lanes"] >= 1 and report["fallbacks"] == 0
     assert 1 <= report["requests"] <= report["rounds"] <= report["levels"]

@@ -557,7 +557,59 @@ def test_walk_tallies(dumbbell):
     assert tally.levels / spectrum.LANES <= tally.rounds < tally.levels
     assert set(tally.to_json()) == {"levels", "frames_by_depth", "matrices",
                                     "tracking_solves", "lanes", "requests", "rounds",
-                                    "recounts", "retries", "fallbacks"}
+                                    "recounts", "retries", "fallbacks", "resolves",
+                                    "spare_edges"}
+
+
+# rounds a request of m eigenvalues in L lanes may take beyond ceil(levels / L):
+# the worst measured on the built-in graphs is 3 (chain8, 1000 eigenvalues)
+LANE_SLACK = 4
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_lanes_are_balanced(name):
+    # edges split at Weyl's mean count give each lane about m / L levels,
+    # so the lockstep rounds stay near levels / lanes
+    g = load_graph(name)
+    for count in (100, 1000):
+        walk = spectrum.Walk(g)
+        list(walk.take(count))
+        t = walk.tally
+        assert t.requests == 1
+        assert t.rounds <= -(-t.levels // walk._lane_count(count)) + LANE_SLACK, count
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_requests_take_whole_levels(name):
+    # a request stops at the first level that completes its count, and a
+    # second request carries on from there
+    g = load_graph(name)
+    for count in (1, 7, 100, 1000):
+        walk = spectrum.Walk(g)
+        first = list(walk.take(count))
+        second = list(walk.take(count))
+        assert second[0].n == first[-1].n + first[-1].multiplicity
+        for levels in (first, second):
+            held = [lv.multiplicity for lv in levels]
+            assert sum(held[:-1]) < count <= sum(held), count
+
+
+def test_edge_past_the_goal_is_spare(dumbbell, monkeypatch):
+    # an edge whose exact count reaches the request's count ends no lane:
+    # the lane below it becomes the open last lane
+    want = locate_spectrum(dumbbell, count=200)
+    lane_edges = spectrum._lane_edges
+
+    def past(ctr, ks, keep_last=False):
+        ks = np.array(ks)
+        ks[-1] += 20 * np.pi / dumbbell.total_length   # 20 mean level spacings up
+        return lane_edges(ctr, ks, keep_last)
+
+    monkeypatch.setattr(spectrum, "_lane_edges", past)
+    walk = spectrum.Walk(dumbbell)
+    _assert_same_levels(list(walk.take(200)), want)
+    assert walk.tally.spare_edges == 1
+    assert walk.tally.lanes == walk._lane_count(200) - 1
 
 
 @pytest.mark.parametrize("name", ("lasso", "flower3", "mandarin3"))

@@ -107,7 +107,20 @@ def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
             _count_frames_beyond_localization(dumbbell, patch, magnetic_run)
 
 
+@pytest.mark.parametrize("magnetic_run", (False, True))
+def test_resolved_frames_are_tallied(dumbbell, monkeypatch, magnetic_run):
+    # a pole limit this low moves the pole of many frames; each matrix solved
+    # again is one more decomposition, in the walk's tally too
+    monkeypatch.setattr(spectrum, "POLE_LIMIT", 3.0)
+    calls, tally = _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run)
+    assert tally.resolves == calls["walk resolves"] > 0
+    if magnetic_run:
+        assert calls["hessian resolves"] > 0
+
+
 def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
+    """(calls, tally) of a short run, after checking that every matrix
+    decomposed is in the walk's tally or the flux Hessian's frame."""
     calls = Counter()
 
     def counted(name, fn, weight=lambda *args: 1):
@@ -122,9 +135,25 @@ def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
     monkeypatch.setattr(np.linalg, "eigh", counted("matrices", np.linalg.eigh, depth))
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         counted("matrices", np.linalg.eigvalsh, depth))
-    # a stacked counting call decomposes one matrix per k
-    monkeypatch.setattr(spectrum, "counting", counted("counting", spectrum.counting,
-                                                      lambda graph, k, *args: np.size(k)))
+    counting, cayley_frame, walking = spectrum.counting, spectrum._cayley_frame, []
+
+    def counted_counting(graph, k, *args):
+        # a stacked counting call decomposes one matrix per k
+        calls["counting"] += np.size(k)
+        walking.append(k)
+        try:
+            return counting(graph, k, *args)
+        finally:
+            walking.pop()
+
+    def counted_cayley_frame(U, phi, vectors):
+        # a matrix solved again, alone, with the pole moved
+        if phi != spectrum.POLE_ROTATION:
+            calls["walk resolves" if walking else "hessian resolves"] += 1
+        return cayley_frame(U, phi, vectors)
+
+    monkeypatch.setattr(spectrum, "counting", counted_counting)
+    monkeypatch.setattr(spectrum, "_cayley_frame", counted_cayley_frame)
     eigenpairs = spectrum.eigenpairs
 
     def counted_eigenpairs(*args, **kwargs):
@@ -144,13 +173,16 @@ def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
     assert calls["eigenpair"] >= d.K == 50
     assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (calls["eigenpair"], 0)
     assert calls["svd"] == 0
-    assert calls["counting"] == t.matrices()
+    assert calls["counting"] + calls["walk resolves"] == t.matrices()
+    assert t.resolves == calls["walk resolves"]
     if magnetic_run:
         assert calls["hessian"] >= d.K
-        assert calls["matrices"] == calls["counting"] + calls["hessian"]
+        assert calls["matrices"] == (t.matrices() + calls["hessian"]
+                                     + calls["hessian resolves"])
     else:
-        assert calls["hessian"] == 0
-        assert calls["matrices"] == calls["counting"]
+        assert calls["hessian"] == calls["hessian resolves"] == 0
+        assert calls["matrices"] == t.matrices()
+    return calls, t
 
 
 @pytest.mark.parametrize("name, K, seed", [
