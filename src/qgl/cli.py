@@ -125,7 +125,7 @@ def cmd_counts(args, graph, thresholds, out_dir) -> int:
 
 
 def cmd_domains(args, graph, thresholds, out_dir) -> int:
-    star_threshold = np.pi / graph.min_length
+    star_threshold = graph.star_threshold
     rows, skipped = [], 0
     for lv, ep, flags, _ in chain.from_iterable(_batches(args, graph, thresholds)):
         if flags is None or not flags.generic or lv.k <= star_threshold:

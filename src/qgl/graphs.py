@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -66,6 +67,8 @@ class MetricGraph:
         self.lengths = tuple(e.length for e in self.edges)
         self.total_length = float(sum(self.lengths))
         self.min_length = min(self.lengths) if self.edges else 0.0
+        # pi / l_min: above it every Neumann domain at an interior vertex is a star
+        self.star_threshold = math.pi / self.min_length if self.edges else math.inf
 
         deg = [0] * self.V
         incidence: list[list[int]] = [[] for _ in range(self.V)]

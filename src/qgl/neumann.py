@@ -79,7 +79,7 @@ def stars_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
     domains around interior vertices (columns; every interior vertex in
     order by default) for each eigenpair of a batch (rows), from vertex trace
     data alone, with their bounds checked row by row."""
-    star_threshold = np.pi / graph.min_length
+    star_threshold = graph.star_threshold
     for ep in eps:
         if ep.k <= star_threshold:
             raise NotStarRegime(f"{ep.label()}: k below pi/l_min={star_threshold}")
@@ -135,7 +135,7 @@ def star_observables(graph: MetricGraph, ep: Eigenpair, vertex: int) -> tuple[in
 def partition(graph: MetricGraph, ep: Eigenpair) -> NeumannPartition:
     if ep.flags is not None and not ep.flags.generic:
         raise NotGeneric(f"eigenpair n={ep.n} is not generic")
-    star_regime = ep.k > np.pi / graph.min_length
+    star_regime = ep.k > graph.star_threshold
     boundary = set(graph.topology.boundary)
 
     points: list[tuple[int, float]] = []
@@ -201,7 +201,7 @@ def sum_rules(graph: MetricGraph, counts: Counts, N: np.ndarray,
     """The two sum rules tying the per-vertex observables of a batch
     (`stars_batch` over every interior vertex) to its global counts, row by
     row."""
-    star_threshold = np.pi / graph.min_length
+    star_threshold = graph.star_threshold
     if np.any(counts.k <= star_threshold):
         k = counts.k[np.argmax(counts.k <= star_threshold)]
         raise NotStarRegime(f"k={k} below star-regime threshold")
@@ -223,7 +223,7 @@ def local_global_check(graph: MetricGraph, ep: Eigenpair, record: CountRecord,
     """The sum rules of one eigenpair over the stars of `part` (or of its
     partition), the batch of one of `sum_rules`; IdentityViolated unless
     they hold."""
-    if ep.k <= np.pi / graph.min_length:
+    if ep.k <= graph.star_threshold:
         raise NotStarRegime(f"k={ep.k} below star-regime threshold")
     stars = (part or partition(graph, ep)).stars.values()
     rules = sum_rules(graph, Counts(*map(np.atleast_1d, astuple(record))),

@@ -38,25 +38,26 @@ holds a loop state of every loop e with k l_e on a multiple of 2pi somewhere
 in the audited interval.  The frame that audited a root, with the eigenphases
 that crossed there set to 0, brackets the next one.
 
-A walk (`Walk`) locates levels in lanes.  A request, the levels holding the
-next m eigenvalues or all up to k_max, is split at edges moved clear of the
-spectrum: for a count, where Weyl's mean count reaches n + i m / L, so that
-the lanes hold about m / L levels each; for a range, evenly in k.  A request
-wider than LANES lanes of LANE_SPACINGS mean level spacings is walked in
-several such sweeps, each yielded as it is done.  One stacked frame at the
-edges gives each lane its start frame and the exact count at its upper edge,
-where it ends; an edge whose count reaches the count asked for ends no lane,
-so no lane but the last, which ends by count, passes it.  All lanes then
-advance in lockstep: each step brackets, tracks, iterates Newton on and
-certifies the next level of every lane still open with one stacked evolution
-matrix, solve or frame, and numpy decomposes each matrix of a stack alone,
-so a lane finds what it would find walked alone.  A singular solve, an
-undecided certificate, a close-pair retry and the bisection fallback are
-handled lane by lane.  A count that disagrees with an edge's count raises
-BracketAuditFailed.  The walk carries on from the last lane of a request,
-and tallies the sweeps, lockstep rounds, frames (by stack depth), matrices
-solved again with the pole moved, solves, lanes, spare edges, re-counts,
-retries and fallbacks it takes (`WalkTally`).
+A walk (`Walk`) locates levels in lanes.  A request is the levels holding
+the next m eigenvalues; one for all levels up to k_max asks for those up to
+the exact count at k_max.  One splitter (`_split`) places the edges of the
+lanes, and of the windows of a process pool: where Weyl's mean count reaches
+n + i m / L, so that each holds about m / L levels, moved clear of the
+spectrum.  A request wider than LANES lanes of LANE_SPACINGS mean level
+spacings is walked in several such sweeps, each yielded as it is done.  One
+stacked frame at the edges gives each lane its start frame and the exact
+count at its upper edge, where it ends; an edge whose count reaches the
+count asked for ends no lane, so no lane but the last, which ends by count,
+passes it.  All lanes then advance in lockstep: each step brackets, tracks,
+iterates Newton on and certifies the next level of every lane still open
+with one stacked evolution matrix, solve or frame, and numpy decomposes each
+matrix of a stack alone, so a lane finds what it would find walked alone.  A
+singular solve, an undecided certificate, a close-pair retry and the
+bisection fallback are handled lane by lane.  A count that disagrees with an
+edge's count raises BracketAuditFailed.  The walk carries on from the last
+lane of a request, and tallies the sweeps, lockstep rounds, frames (by stack
+depth), matrices solved again with the pole moved, solves, lanes, spare
+edges, re-counts, retries and fallbacks it takes (`WalkTally`).
 
 An eigenfunction is read from the frame that certified its level: the
 eigenvector of the eigenphase at 0 spans the kernel of 1 - U(k).  A simple
@@ -582,7 +583,8 @@ class _Lanes:
     """The lanes of a sweep, a row per lane.  A lane's frame and phases
     bracket its next level past `lo`, where its count is `n`; it is done
     once `n` reaches `end`: the exact count at its upper edge `top`, or,
-    for an open last lane (top = inf), the count a request asks for."""
+    for the last lane, which is open (top = inf), the count the sweep asks
+    for."""
     frame: CountingFrame
     phases: np.ndarray
     n: np.ndarray
@@ -631,13 +633,12 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
                 theta, vectors)]
 
 
-def _lane_edges(ctr: _Counter, ks, keep_last: bool = False
-                ) -> tuple[np.ndarray, CountingFrame, np.ndarray]:
+def _lane_edges(ctr: _Counter, ks) -> tuple[np.ndarray, CountingFrame, np.ndarray]:
     """Lane edges at or near each of `ks` that no eigenvalue lies within
     EDGE_MARGIN audit steps of, so that the counting function is an integer
-    there with margin and no audit around a root reaches across an edge;
-    with `keep_last`, the last edge stays where it is.  Returns the edges,
-    their frames, with vectors, and whether each edge was found.
+    there with margin and no audit around a root reaches across an edge.
+    Returns the edges, their frames, with vectors, and whether each edge
+    was found.
 
     Eigenphases move with k at speeds between the shortest and the longest
     edge length, so |psi| >= l_max * margin at every eigenphase keeps every
@@ -659,8 +660,6 @@ def _lane_edges(ctr: _Counter, ks, keep_last: bool = False
         frame = ctr.frame(candidate, vectors=True)
         clear = (np.min(np.abs(_signed(frame.eigenphases)), axis=-1)
                  >= ctr.l_max * margin[tried])
-        if keep_last:
-            clear |= tried == len(ks) - 1
         edges[tried[clear]] = candidate[clear]
         frames.put(tried[clear], frame.take(clear))
         todo = np.setdiff1d(todo, tried[clear])
@@ -669,13 +668,30 @@ def _lane_edges(ctr: _Counter, ks, keep_last: bool = False
     return edges, frames, found
 
 
-def window_edge(graph: MetricGraph, k: float) -> float:
-    """A window edge at or near `k` clear of the spectrum (`_lane_edges`).
-    Neighbouring windows must share the returned edge."""
-    edges, _, found = _lane_edges(_Counter(graph), [k])
-    if not found[0]:
-        raise BracketAuditFailed(f"no window edge clear of the spectrum near k={k}")
-    return float(edges[0])
+def _split(ctr: _Counter, lo: float, n: int, m: int,
+           parts: int) -> tuple[np.ndarray, CountingFrame, np.ndarray]:
+    """Edges that split the next m eigenvalues past count n, from lo, into
+    at most `parts` spectral windows, with their frames and exact counts.
+
+    The edges sit where Weyl's mean count Lk/pi + (V - E)/2 - 1 reaches
+    n + i m / parts: N(k) exceeds it by E - sum theta / 2pi, which lies in
+    (-E, E] and averages 0 over the torus (Barra-Gaspard), so the windows
+    hold about m / parts eigenvalues each.  `_lane_edges` moves them clear
+    of the spectrum in one stacked frame.  An edge it could move below lo
+    (three steps at most) or could not clear is dropped, joining its two
+    windows; so is a spare edge, whose count reaches n + m, so that the
+    window below the first of them is the last and ends by count.
+    """
+    g = ctr.graph
+    mean = n + m * np.arange(1, parts) / parts - (g.V - g.E) / 2.0 + 1.0
+    ks = np.pi * mean / g.total_length
+    reach = 6.0 * EDGE_MARGIN * _audit_step(ks) * ctr.l_max / ctr.l_min
+    edges, frames, found = _lane_edges(ctr, ks[ks - reach > lo])
+    edges, frames = edges[found], frames.take(found)
+    counts = _exact_counts(frames)
+    kept = counts < n + m
+    ctr.tally.spare_edges += int(np.count_nonzero(~kept))
+    return edges[kept], frames.take(kept), counts[kept]
 
 
 def _concat(frames: Sequence[CountingFrame]) -> CountingFrame:
@@ -685,9 +701,10 @@ def _concat(frames: Sequence[CountingFrame]) -> CountingFrame:
 
 class Walk:
     """The spectrum walked upward from k_min, one request at a time.  Each
-    request is split into lanes: spectral windows between edges moved clear
-    of the spectrum, walked in lockstep (`_step`).  The walk carries on
-    from where the last lane of a request stops.
+    request, a count of eigenvalues (`take`; `until` counts them at k_max),
+    is split into lanes: spectral windows between `_split`'s edges, walked
+    in lockstep (`_step`).  The walk carries on from where the last lane of
+    a request stops.
 
     `n_offset` is the count at k_min when known (it is measured otherwise).
     A request wider than LANES lanes of LANE_SPACINGS mean level spacings is
@@ -720,82 +737,48 @@ class Walk:
 
     def take(self, count: int) -> Iterator[LocatedLevel]:
         """The next whole levels until they hold `count` eigenvalues; no
-        level is located once they do.
-
-        A sweep of m eigenvalues from count n is split into L lanes at the
-        edges where Weyl's mean count L k / pi + (V - E)/2 - 1 reaches
-        n + i m / L: N(k) exceeds it by E - sum theta / 2pi, which lies in
-        (-E, E] and averages 0 over the torus (Barra-Gaspard), so the lanes
-        hold about m / L levels each.  An edge whose exact count reaches
-        n + m is dropped (`_sweep`), so no lane but the last passes that
-        count; the last lane ends when its levels reach it.
-        """
-        goal, g = self.n + count, self.graph
+        level is located once they do.  Each sweep of m eigenvalues is
+        split into lanes at `_split`'s edges: every lane but the last ends
+        at the exact count at its upper edge, and the last ends when its
+        levels reach the sweep's count."""
+        goal = self.n + count
         while self.n < goal:
-            m = min(goal - self.n, self._most_lanes() * LANE_SPACINGS)
-            lanes = self._lane_count(m)
-            mean = self.n + m * np.arange(1, lanes) / lanes - (g.V - g.E) / 2.0 + 1.0
-            yield from self._sweep(np.pi * mean / g.total_length, goal=self.n + m)
+            yield from self._sweep(min(goal - self.n, self._most_lanes() * LANE_SPACINGS))
 
     def until(self, k_max: float) -> Iterator[LocatedLevel]:
-        """The levels up to k_max, split evenly in k into lanes; the last
-        lane ends at the exact count at k_max."""
-        covered, spacing = self.lo, np.pi / self.graph.total_length
-        while covered < k_max:
-            top = min(k_max, covered + self._most_lanes() * LANE_SPACINGS * spacing)
-            edges = np.linspace(self.lo, top, self._lane_count((top - self.lo) / spacing) + 1)
-            yield from self._sweep(edges[1:], keep_top=top == k_max)
-            covered = top
+        """The levels up to k_max: `take` of the eigenvalues up to the exact
+        count at k_max."""
+        yield from self.take(self._count_to(k_max))
 
-    def _sweep(self, edges: np.ndarray, goal: int | None = None,
-               keep_top: bool = False) -> list[LocatedLevel]:
-        """One request's levels from the walk's state: lanes split at
-        `edges`, moved clear of the spectrum.  The frames at the edges, one
-        stack, give each lane its start and the exact count at the edge,
-        where the lane below ends.  With `goal` the last lane is open and
-        ends by count, and the edges whose count reaches `goal` are spare:
-        they are dropped, and the lane below the first of them is the last;
-        without, the last edge closes it (kept where it is with
-        `keep_top`).  Lanes come in order, so the levels do too.  The
-        walk carries on from the last lane's last audit frame."""
-        closed = goal is None
-        reach = 6.0 * EDGE_MARGIN * _audit_step(edges) * self.ctr.l_max / self.ctr.l_min
-        # edges that `_lane_edges` could move (three steps at most) below
-        # the lane start are dropped
-        keep = edges - reach > self.lo
-        if closed:
-            keep[-1] = True
-        edges, frames, found = _lane_edges(self.ctr, edges[keep],
-                                           keep_last=closed and keep_top)
-        if closed and not found[-1]:
-            raise BracketAuditFailed(
-                f"no lane edge clear of the spectrum near k={edges[-1]}")
-        # an interior edge that no candidate clears joins its two lanes
-        edges, frames = edges[found], frames.take(found)
-        counts = _exact_counts(frames)
-        if not closed:
-            # an edge whose exact count reaches the goal ends no lane: the
-            # lane below the first such edge is the open last lane
-            spare = counts >= goal
-            self.tally.spare_edges += int(np.count_nonzero(spare))
-            edges, frames, counts = edges[~spare], frames.take(~spare), counts[~spare]
-        starts = len(edges) - closed
+    def _count_to(self, k_max: float) -> int:
+        """The eigenvalues past the walk's count up to k_max, from the exact
+        count there (none at or below the walk's start)."""
+        return self.ctr.exact(k_max, vectors=True)[0] - self.n if k_max > self.lo else 0
+
+    def _sweep(self, m: int) -> list[LocatedLevel]:
+        """The levels holding the next m eigenvalues, from the walk's state:
+        lanes split at `_split`'s edges, whose frames, one stack, give each
+        lane its start and the exact count at its upper edge, where the
+        lane below ends.  The last lane is open and ends by count.  Lanes
+        come in order, so the levels do too.  The walk carries on from the
+        last lane's last audit frame."""
+        goal = self.n + m
+        edges, frames, counts = _split(self.ctr, self.lo, self.n, m, self._lane_count(m))
         lanes = _Lanes(
-            frame=_concat([self.frame, frames.take(slice(starts))]),
-            phases=np.concatenate([self.phases, frames.eigenphases[:starts]]),
-            n=np.concatenate([[self.n], counts[:starts]]),
-            lo=np.concatenate([[self.lo], edges[:starts]]),
-            end=counts if closed else np.append(counts, goal),
-            top=edges if closed else np.append(edges, np.inf))
+            frame=_concat([self.frame, frames]),
+            phases=np.concatenate([self.phases, frames.eigenphases]),
+            n=np.concatenate([[self.n], counts]),
+            lo=np.concatenate([[self.lo], edges]),
+            end=np.append(counts, goal),
+            top=np.append(edges, np.inf))
         self.tally.lanes += len(lanes.n)
         self.tally.requests += 1
-        # a level may pass an edge kept on an eigenvalue, none a cleared one
-        cleared = np.isfinite(lanes.top)
-        cleared[-1] &= not keep_top
         out = [[] for _ in lanes.n]
         while True:
-            if np.any(cleared & (lanes.n > lanes.end)):
-                i = int(np.argmax(cleared & (lanes.n > lanes.end)))
+            # no level passes a lane's upper edge
+            passed = lanes.n[:-1] > lanes.end[:-1]
+            if np.any(passed):
+                i = int(np.argmax(passed))
                 raise BracketAuditFailed(
                     f"count {lanes.n[i]} passes the count {lanes.end[i]} at the "
                     f"lane edge k={lanes.top[i]}")
@@ -820,10 +803,6 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
         raise ValueError("specify exactly one of count, k_max")
     walk = Walk(graph, k_min, n_offset)
     return list(walk.take(count) if count is not None else walk.until(k_max))
-
-
-def len_done(levels: list[LocatedLevel]) -> int:
-    return sum(lv.multiplicity for lv in levels)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,38 +996,35 @@ def classify(graph: MetricGraph, ep: Eigenpair,
 
 def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
                   workers: int) -> Iterator[LocatedLevel]:
-    """(0, k_max] in `workers` windows located on a process pool.  For
-    `count`, k_max is past the count-th eigenvalue by the exact Weyl bound
-    (`_weyl_edge`)."""
+    """The levels holding `count` eigenvalues, or those up to the exact
+    count at k_max, in `workers` windows walked on a process pool.  The
+    windows split the count at `_split`'s edges, as a sweep splits it into
+    lanes: each starts at its lower edge with that edge's exact count and
+    takes the eigenvalues up to the next edge's count, the last up to the
+    count asked for.  BracketAuditFailed unless the windows' levels run
+    consecutively in n."""
     from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
 
-    if k_max is None:
-        k_max = _weyl_edge(graph, count)
-    edges = np.linspace(0.0, k_max, workers + 1).tolist()
-    edges[1:-1] = [window_edge(graph, e) for e in edges[1:-1]]
+    walk = Walk(graph)   # from k -> 0+, where the count is 0
+    if k_max is not None:
+        count = walk._count_to(k_max)
+    edges, _, counts = _split(walk.ctr, walk.lo, 0, count, workers)
+    starts = [0.0, *edges.tolist()]
+    offsets = [0, *counts.tolist()]
+    shares = np.diff([*offsets, count]).tolist()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # locate_spectrum(graph, count=None, k_max=b, k_min=a) per window
-        windows = pool.map(locate_spectrum, repeat(graph), repeat(None),
-                           edges[1:], edges[:-1])
+        # locate_spectrum(graph, count=share, k_max=None, k_min=start, n_offset=offset)
+        windows = pool.map(locate_spectrum, repeat(graph), shares, repeat(None),
+                           starts, offsets)
         levels = [lv for window in windows for lv in window]
-    if count is not None and len_done(levels) < count:
-        raise BracketAuditFailed(
-            f"{len_done(levels)} eigenvalues in (0, {k_max}], below the Weyl "
-            f"bound for {count}")
+    n = 1
+    for lv in levels:
+        if lv.n != n:
+            raise BracketAuditFailed(
+                f"level n={lv.n} at k={lv.k} follows count {n - 1} across the "
+                "pool's windows")
+        n += lv.multiplicity
     yield from levels
-
-
-def _weyl_edge(graph: MetricGraph, count: int) -> float:
-    """A window edge with at least `count` eigenvalues below it.
-
-    With every eigenphase in [0, 2pi), the counting function
-    N(k) = Lk/pi + (E + V)/2 - 1 - sum theta / 2pi exceeds
-    Lk/pi - (3E - V)/2 - 1, so N > count + 1 at the k where that bound is
-    count + 1.  `window_edge` moves the edge by a few audit steps, far less
-    than the spare level spacing, and N there is at most count + 2E + 1.
-    """
-    bound = count + (3 * graph.E - graph.V) / 2.0 + 2.0
-    return window_edge(graph, np.pi * bound / graph.total_length)
 
 
 def _walked(graph: MetricGraph, count: int | None,
@@ -1066,18 +1042,6 @@ def _walked(graph: MetricGraph, count: int | None,
             yield from walk.take(LANES * LANE_LEVELS)
 
 
-def _first(levels: Iterator[LocatedLevel], count: int | None) -> Iterator[LocatedLevel]:
-    """Whole levels until they hold `count` eigenvalues; no level is asked
-    for once they do."""
-    done = 0
-    while count is None or done < count:
-        lv = next(levels, None)
-        if lv is None:
-            return
-        yield lv
-        done += lv.multiplicity
-
-
 def stream_levels(graph: MetricGraph, count: int | None = None,
                   k_max: float | None = None,
                   workers: int = 1) -> Iterator[LocatedLevel]:
@@ -1085,17 +1049,18 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
     all in (0, k_max], or, given neither, without end.
 
     One worker walks the spectrum in-process (`Walk`), a sweep of lanes at
-    a time as the levels are asked for; more split the range into `workers`
-    windows, each walked in lanes on a process pool.  Window and lane edges
-    are moved clear of the spectrum, so the levels do not depend on the
-    split.
+    a time as the levels are asked for.  More split the count (for k_max,
+    the exact count there) into `workers` windows with the lanes' splitter
+    and walk each in lanes on a process pool (`_pool_windows`).  Window and
+    lane edges are moved clear of the spectrum and carry exact counts, so
+    the levels do not depend on the split.
     """
     if count is not None and k_max is not None:
         raise ValueError("specify at most one of count, k_max")
     if workers > 1 and count is None and k_max is None:
         raise ValueError("a process pool takes count or k_max")
     if workers > 1 and (k_max is None or k_max > 0.0):
-        return _first(_pool_windows(graph, count, k_max, workers), count)
+        return _pool_windows(graph, count, k_max, workers)
     return _walked(graph, count, k_max)
 
 

@@ -17,7 +17,7 @@ from . import counts as counts_mod
 from . import magnetic as magnetic_mod
 from . import neumann as neumann_mod
 from . import spectrum as spectrum_mod
-from .errors import ExcessiveExclusions, WrongFamily
+from .errors import ExcessiveExclusions, IdentityViolated, WrongFamily
 from .graphs import MetricGraph, loop_chain
 from .secular import stack_size
 
@@ -188,7 +188,7 @@ def _fold(dist: SurplusDistribution, eps: list, magnetic: bool,
     graph = dist.graph
     interior = graph.topology.interior
     c = counts_mod.counts_batch(graph, eps)
-    regime = c.k > np.pi / graph.min_length
+    regime = c.k > graph.star_threshold
     N = np.zeros((len(eps), len(interior)), dtype=int)
     rho = np.zeros(N.shape)
     if np.any(regime):
@@ -309,7 +309,8 @@ def binomial_test(dist: SurplusDistribution) -> dict:
         raise WrongFamily(f"families {families} carry no binomial theorem")
     K = int(observed.sum())
     if K != dist.K:
-        raise AssertionError("histogram mass escaped the binomial support")
+        raise IdentityViolated(
+            f"{K} of {dist.K} records fall in the binomial support 0..{m} of {label}")
     probs = np.array([scipy.stats.binom.pmf(j, m, 0.5) for j in range(m + 1)])
     expected = K * probs
     stat = float(np.sum((observed - expected) ** 2 / expected))
@@ -353,7 +354,7 @@ def signature_recurrence(dist: SurplusDistribution) -> dict:
     Records from below the star-regime threshold are a one-time transient
     (their star observables are missing), so they are skipped.
     """
-    star_threshold = np.pi / dist.graph.min_length
+    star_threshold = dist.graph.star_threshold
     records = [r for r in dist.records if r.k > star_threshold]
     cut = max(1, int(len(records) * HEAD_FRACTION))
     head = {r.signature() for r in records[:cut]}

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import qgl
 import qgl.spectrum
+import qgl.stats
 from qgl import errors
 from qgl.cli import main
 from qgl.graphs import load_graph, save_graph
@@ -83,7 +85,8 @@ def test_pool_ships_kernels_and_keeps_the_tables(tmp_path, monkeypatch):
 
 
 def test_workers_split_on_degenerate_eigenvalue(tmp_path):
-    # with 2 workers the window edge 16 pi is a double eigenvalue of lasso
+    # the range ends on the double eigenvalue 32 pi of lasso, where both the
+    # walk and the pool take the exact count
     for w, sub in (("1", "a"), ("2", "b")):
         rc = main(["spectrum", "--graph", "lasso", "--kmax", "100.53096491487338",
                    "--workers", w, "--out", str(tmp_path / sub)])
@@ -171,6 +174,20 @@ def test_failed_assert_exits_3(tmp_path):
     rc = main(["stats", "--graph", "dumbbell", "--K", "200", "--seed", "5",
                "--out", str(tmp_path), "--assert", "binomial"])
     assert rc == 3
+
+
+def test_binomial_support_escape_exits_4(tmp_path, monkeypatch, capsys):
+    # a surplus outside [0, beta] breaks a hard bound: a failed computation,
+    # not a failed distribution test
+    def escaped(graph, K, **kwargs):
+        return qgl.stats.SurplusDistribution(
+            graph, K=2, N_raw=2, sigma_hist=Counter({1: 1, 3: 1}))
+
+    monkeypatch.setattr(qgl.stats, "run_experiment", escaped)
+    rc = main(["stats", "--graph", "dumbbell", "--K", "2",
+               "--out", str(tmp_path), "--assert", "binomial"])
+    assert rc == 4
+    assert "binomial support" in capsys.readouterr().err
 
 
 def test_stats_rejects_workers(tmp_path):

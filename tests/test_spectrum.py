@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -16,12 +17,10 @@ from qgl.spectrum import (
     classify,
     counting,
     eigenfunction_at,
-    len_done,
     locate_spectrum,
     stream_eigenpairs,
     stream_levels,
     unitary_frame,
-    window_edge,
 )
 from conftest import star_relation_roots
 
@@ -189,7 +188,7 @@ def test_at_most_two_frames_per_level(name, monkeypatch):
     g = load_graph(name)
     ks = _counting_calls(monkeypatch)
     levels = locate_spectrum(g, count=1000)
-    assert len_done(levels) >= 1000
+    assert sum(lv.multiplicity for lv in levels) >= 1000
     assert len(ks) <= 1.2 * len(levels)
 
 
@@ -496,8 +495,8 @@ def test_doctored_edge_count_raises(dumbbell, shift, monkeypatch):
     # lane starts: a wrong count there is caught
     lane_edges = spectrum._lane_edges
 
-    def doctored(ctr, ks, keep_last=False):
-        edges, frames, found = lane_edges(ctr, ks, keep_last)
+    def doctored(ctr, ks):
+        edges, frames, found = lane_edges(ctr, ks)
         frames.N[len(edges) // 2] += shift
         return edges, frames, found
 
@@ -510,8 +509,8 @@ def test_unclear_lane_edge_joins_its_lanes(dumbbell, monkeypatch):
     want = locate_spectrum(dumbbell, count=200)
     lane_edges = spectrum._lane_edges
 
-    def unclear(ctr, ks, keep_last=False):
-        edges, frames, found = lane_edges(ctr, ks, keep_last)
+    def unclear(ctr, ks):
+        edges, frames, found = lane_edges(ctr, ks)
         found[len(edges) // 2] = False
         return edges, frames, found
 
@@ -600,16 +599,27 @@ def test_edge_past_the_goal_is_spare(dumbbell, monkeypatch):
     want = locate_spectrum(dumbbell, count=200)
     lane_edges = spectrum._lane_edges
 
-    def past(ctr, ks, keep_last=False):
+    def past(ctr, ks):
         ks = np.array(ks)
         ks[-1] += 20 * np.pi / dumbbell.total_length   # 20 mean level spacings up
-        return lane_edges(ctr, ks, keep_last)
+        return lane_edges(ctr, ks)
 
     monkeypatch.setattr(spectrum, "_lane_edges", past)
     walk = spectrum.Walk(dumbbell)
     _assert_same_levels(list(walk.take(200)), want)
     assert walk.tally.spare_edges == 1
     assert walk.tally.lanes == walk._lane_count(200) - 1
+
+
+def _clear_edge(g, k):
+    """A window edge at or near k clear of the spectrum (`_lane_edges`)."""
+    edges, _, found = spectrum._lane_edges(spectrum._Counter(g), [k])
+    assert found[0]
+    return float(edges[0])
+
+
+def test_lane_edge_keeps_generic_points():
+    assert _clear_edge(load_graph("k6"), 17.3) == 17.3
 
 
 @pytest.mark.parametrize("name", ("lasso", "flower3", "mandarin3"))
@@ -621,16 +631,42 @@ def test_window_split_on_eigenvalues(name):
     for m in range(1, 12):
         split = m * TWO_PI
         assert min(abs(lv.k - split) for lv in full) < 1e-9 * split
-        edge = window_edge(g, split)
+        edge = _clear_edge(g, split)
         assert 0.0 < abs(edge - split) < 1e-6 * split
         merged = (locate_spectrum(g, k_max=edge)
                   + locate_spectrum(g, k_min=edge, k_max=k_top))
         _assert_same_levels(merged, full)
 
 
+def test_lane_edge_on_a_double_eigenvalue_moves_clear(lasso, monkeypatch):
+    # 16 pi is a double eigenvalue of lasso: a lane edge asked for there is
+    # moved clear of it, and the levels do not change
+    double = 8 * TWO_PI
+    want = locate_spectrum(lasso, count=40)
+    assert [(lv.multiplicity, lv.loop_dims) for lv in want
+            if abs(lv.k - double) < 1e-9 * double] == [(2, 1)]
+    lane_edges = spectrum._lane_edges
+    moved = []
+
+    def on_the_double(ctr, ks):
+        ks = np.array(ks)
+        i = int(np.argmin(np.abs(ks - double)))
+        ks[i] = double
+        edges, frames, found = lane_edges(ctr, ks)
+        moved.append((edges[i], found[i]))
+        return edges, frames, found
+
+    monkeypatch.setattr(spectrum, "_lane_edges", on_the_double)
+    walk = spectrum.Walk(lasso)
+    _assert_same_levels(list(walk.take(40)), want)
+    edge, found = moved[0]
+    assert found and 0.0 < abs(edge - double) < 1e-6 * double
+    assert walk.tally.lanes == walk._lane_count(40)
+
+
 @pytest.mark.parametrize("name", ("lasso", "flower3", "mandarin3"))
 def test_workers_split_on_eigenvalues(name):
-    # with 2 and 3 workers every interior window edge starts on an eigenvalue
+    # the range ends on an eigenvalue, where the pool's count is taken
     g = load_graph(name)
     k_top = 6 * TWO_PI
     full = locate_spectrum(g, k_max=k_top)
@@ -642,30 +678,49 @@ def test_workers_split_on_eigenvalues(name):
             full)
 
 
-@pytest.mark.parametrize("name", ALL_GRAPHS)
-def test_weyl_edge_holds_the_count(name):
-    # the pool's windows end at this edge; they hold the count, and at most
-    # 2E + 1 eigenvalues more
-    g = load_graph(name)
-    for count in (1, 7, 100, 1000):
-        held = spectrum._Counter(g).integer(spectrum._weyl_edge(g, count))
-        assert count <= held <= count + 2 * g.E + 1, (count, held)
+@pytest.mark.parametrize("shift", (1, -1))
+def test_doctored_window_edge_count_raises(dumbbell, shift, monkeypatch):
+    # each window starts from its edge's count, taken in this process: a
+    # wrong count there is caught in the window's walk or in the merge
+    split, parent = spectrum._split, os.getpid()
 
+    def doctored(ctr, lo, n, m, parts):
+        edges, frames, counts = split(ctr, lo, n, m, parts)
+        if os.getpid() == parent:
+            counts = counts + shift
+        return edges, frames, counts
 
-def test_pool_short_of_the_count_raises(dumbbell, monkeypatch):
-    monkeypatch.setattr(spectrum, "_weyl_edge", lambda g, count: window_edge(g, 10.0))
+    monkeypatch.setattr(spectrum, "_split", doctored)
     with pytest.raises(BracketAuditFailed):
-        list(stream_levels(dumbbell, count=40, workers=2))
+        list(stream_levels(dumbbell, count=200, workers=2))
 
 
-def test_window_edge_keeps_generic_points():
-    g = load_graph("k6")
-    assert window_edge(g, 17.3) == 17.3
+def _first_window_past_its_edge(graph, count, k_max, k_min, n_offset):
+    """`locate_spectrum` as the pool calls it, with the first window taking
+    one eigenvalue past its upper edge."""
+    return list(spectrum.Walk(graph, k_min, n_offset).take(count + (k_min == 0.0)))
+
+
+def test_pool_window_past_its_edge_raises(dumbbell, monkeypatch):
+    # a window whose levels pass its upper edge breaks the run of n
+    monkeypatch.setattr(spectrum, "locate_spectrum", _first_window_past_its_edge)
+    with pytest.raises(BracketAuditFailed, match="pool's windows"):
+        list(stream_levels(dumbbell, count=200, workers=2))
+
+
+@pytest.mark.parametrize("name", ALL_GRAPHS)
+def test_pool_windows_take_the_count(name):
+    # the windows split the count at exact edge counts: no level past the
+    # count is located, and the levels are those of one walk
+    g = load_graph(name)
+    for count in (1, 7, 100):
+        want = locate_spectrum(g, count=count)
+        _assert_same_levels(list(stream_levels(g, count=count, workers=2)), want)
 
 
 def test_count_mode_counts_multiplicity(lasso):
     levels = locate_spectrum(lasso, count=12)
-    assert len_done(levels) >= 12
+    assert sum(lv.multiplicity for lv in levels) >= 12
     # indices are consecutive across multiplicities
     expect = 1
     for lv in levels:
@@ -735,7 +790,7 @@ def _svd_kernel_vector(g, k):
 def test_kernel_matches_svd_oracle(name, k_min):
     g = load_graph(name)
     if k_min:
-        edge = window_edge(g, k_min)
+        edge = _clear_edge(g, k_min)
         levels = locate_spectrum(g, k_max=edge + 50.0, k_min=edge)
     else:
         levels = stream_levels(g)

@@ -5,13 +5,14 @@ import pytest
 
 import qgl.magnetic as magnetic
 import qgl.spectrum as spectrum
-from qgl.errors import ExcessiveExclusions, WrongFamily
+from qgl.errors import ExcessiveExclusions, IdentityViolated, WrongFamily
 from qgl.graphs import load_graph, loop_chain
 from qgl.secular import stack_size
 from qgl.stats import (
     binomial_test,
     draw_lengths,
     gaussian_limit_scan,
+    SurplusDistribution,
     run_experiment,
     signature_recurrence,
     symmetry_test,
@@ -245,6 +246,14 @@ def test_binomial_test_tree31(tree31):
 def test_binomial_test_rejects_other_families(k4):
     d = run_experiment(k4, 50, seed=2)
     with pytest.raises(WrongFamily):
+        binomial_test(d)
+
+
+def test_binomial_test_rejects_sigma_outside_its_bounds(dumbbell):
+    # the nodal surplus of a dumbbell lies in [0, beta] = [0, 2]; a record
+    # outside breaks the hard bound, which is a failed identity
+    d = SurplusDistribution(dumbbell, K=3, sigma_hist=Counter({0: 1, 1: 1, 3: 1}))
+    with pytest.raises(IdentityViolated):
         binomial_test(d)
 
 
