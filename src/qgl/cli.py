@@ -75,16 +75,14 @@ def _batches(args, graph, thresholds):
 def _generic(batch) -> tuple[list, int]:
     """The (level, eigenpair) pairs of the generic items of a batch, and the
     number of eigenvalues skipped."""
-    kept = [(lv, ep) for lv, ep, flags, _ in batch if flags is not None and flags.generic]
-    skipped = sum(lv.multiplicity for lv, _, flags, _ in batch
-                  if flags is None or not flags.generic)
+    kept = [(lv, ep) for lv, ep, generic, _ in batch if generic]
+    skipped = sum(lv.multiplicity for lv, _, generic, _ in batch if not generic)
     return kept, skipped
 
 
 def cmd_spectrum(args, graph, thresholds, out_dir) -> int:
     rows = []
-    for lv, _, flags, _ in chain.from_iterable(_batches(args, graph, thresholds)):
-        generic = flags is not None and flags.generic
+    for lv, _, generic, _ in chain.from_iterable(_batches(args, graph, thresholds)):
         for j in range(lv.multiplicity):
             bits = (lv.multiplicity == 1, generic, j < lv.loop_dims)
             rows.append([lv.n + j, _fmt_k(lv.k), *map(int, bits)])
@@ -127,8 +125,8 @@ def cmd_counts(args, graph, thresholds, out_dir) -> int:
 def cmd_domains(args, graph, thresholds, out_dir) -> int:
     star_threshold = graph.star_threshold
     rows, skipped = [], 0
-    for lv, ep, flags, _ in chain.from_iterable(_batches(args, graph, thresholds)):
-        if flags is None or not flags.generic or lv.k <= star_threshold:
+    for lv, ep, generic, _ in chain.from_iterable(_batches(args, graph, thresholds)):
+        if not generic or lv.k <= star_threshold:
             skipped += lv.multiplicity
             continue
         part = neumann_mod.partition(graph, ep)

@@ -4,10 +4,14 @@ Counts are computed from vertex trace data and the torus point only; no
 profile sampling happens here (a dense-sampling oracle lives in the tests).
 Every rule is elementwise over (eigenpair, edge) of a batch of eigenpairs,
 and the one-eigenpair functions are its batch of one.
+
+Genericity is decided once, by `spectrum.classify_batch`, with thresholds
+never below TRACE_FLOOR; the counts take it as given.  An eigenpair passed in
+unclassified raises NotGeneric when an endpoint trace lies below the floor or
+a vertex sign is zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,32 +21,19 @@ from .graphs import MetricGraph
 from .secular import TWO_PI
 from .spectrum import TRACE_FLOOR, Eigenpair, stacked
 
-# a torus coordinate this close to pi makes the parity branch ambiguous; the
-# rules are continuous across 0, so nothing is checked there
-BRANCH_TOL = 1e-9
-
-
-@dataclass
-class CountRecord:
-    n: int
-    k: float
-    phi: int        # interior zeros of the eigenfunction
-    mu: int         # interior critical points
-    sigma: int      # nodal surplus, phi - n
-    omega: int      # neumann surplus, mu - n
-
 
 class Counts(NamedTuple):
     """The counts of a batch of eigenpairs, one entry per eigenpair."""
     n: np.ndarray
     k: np.ndarray
-    phi: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    omega: np.ndarray
+    phi: np.ndarray     # interior zeros of the eigenfunction
+    mu: np.ndarray      # interior critical points
+    sigma: np.ndarray   # nodal surplus, phi - n
+    omega: np.ndarray   # neumann surplus, mu - n
 
-    def record(self, i: int) -> CountRecord:
-        return CountRecord(*(x[i].item() for x in self))
+    def record(self, i: int) -> "Counts":
+        """The counts of eigenpair i, as Python scalars."""
+        return Counts(*(x[i].item() for x in self))
 
 
 def _edges(graph: MetricGraph, edges: Sequence[int] | None) -> np.ndarray:
@@ -64,21 +55,18 @@ def _endpoint_traces(eps: Sequence[Eigenpair], name: str, edges: np.ndarray,
     return tail, head
 
 
-def _parity_rule(eps: Sequence[Eigenpair], kl: np.ndarray, odd: np.ndarray,
-                 edges: np.ndarray) -> np.ndarray:
+def _parity_rule(kl: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """2 floor(kl / 2pi) + 1 where the endpoint signs make the count odd, or
     else 2 floor(kl / 2pi), plus 2 when kl mod 2pi lies past pi.
 
     Across kl mod 2pi = 0 the even count is continuous (floor drops by one
-    where the remainder jumps past pi), so only the remainder at pi is a
-    branch cut."""
+    where the remainder jumps past pi).  At pi it jumps, but behind the
+    floor guard no even count comes near it: for a unit amplitude vector
+    with tail value A and scaled tail derivative B (|A|, |B| <= 2), an even
+    nodal parity at kl mod 2pi = pi + eps needs |A| <= |B| |tan eps|, so
+    |tan eps| >= TRACE_FLOOR / 2; the Neumann rule swaps A and B."""
     r0 = kl % TWO_PI
     base = 2 * np.floor(kl / TWO_PI).astype(int)
-    cut = ~odd & (np.abs(r0 - np.pi) < BRANCH_TOL)
-    if np.any(cut):
-        i, j = np.argwhere(cut)[0]
-        raise NotGeneric(f"{eps[i].label()}: edge {edges[j]}: torus coordinate "
-                         f"{r0[i, j]} on a branch cut")
     return np.where(odd, base + 1, np.where(r0 < np.pi, base, base + 2))
 
 
@@ -91,7 +79,7 @@ def nodal_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
     """Interior zeros per (eigenpair, edge), over every edge by default."""
     edges = _edges(graph, edges)
     tail, head = _endpoint_traces(eps, "values", edges, "value")
-    return _parity_rule(eps, _kl(graph, eps, edges), tail * head < 0, edges)
+    return _parity_rule(_kl(graph, eps, edges), tail * head < 0)
 
 
 def neumann_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
@@ -107,7 +95,7 @@ def neumann_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
                      and graph.edges[i].head not in boundary for i in edges], dtype=bool)
     if np.any(free):
         tail, head = _endpoint_traces(eps, "derivatives", edges[free], "derivative")
-        out[:, free] = _parity_rule(eps, kl[:, free], tail * head > 0, edges[free])
+        out[:, free] = _parity_rule(kl[:, free], tail * head > 0)
     return out
 
 
@@ -127,9 +115,6 @@ def vertex_sign_sums(graph: MetricGraph, eps: Sequence[Eigenpair]) -> np.ndarray
 def counts_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> Counts:
     """The counts of each eigenpair of a batch, with the surplus ranges and
     the difference identity checked row by row; errors name the eigenpair."""
-    for ep in eps:
-        if ep.flags is not None and not ep.flags.generic:
-            raise NotGeneric(f"{ep.label()} is not generic")
     n = stacked(eps, "n")
     phi = np.sum(nodal_counts(graph, eps), axis=1)
     mu = np.sum(neumann_counts(graph, eps), axis=1)
@@ -162,6 +147,6 @@ def vertex_sign_sum(graph: MetricGraph, ep: Eigenpair) -> int:
     return int(vertex_sign_sums(graph, [ep])[0])
 
 
-def counts(graph: MetricGraph, ep: Eigenpair) -> CountRecord:
+def counts(graph: MetricGraph, ep: Eigenpair) -> Counts:
     """The counts of one eigenpair: the batch of one of `counts_batch`."""
     return counts_batch(graph, [ep]).record(0)

@@ -8,12 +8,12 @@ formulas; segments have both equal to 1.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .counts import CountRecord, Counts
+from .counts import Counts
 from .errors import IdentityViolated, NotGeneric, NotStarRegime
 from .graphs import MetricGraph
 from .spectrum import Eigenpair, stacked
@@ -133,8 +133,6 @@ def star_observables(graph: MetricGraph, ep: Eigenpair, vertex: int) -> tuple[in
 
 
 def partition(graph: MetricGraph, ep: Eigenpair) -> NeumannPartition:
-    if ep.flags is not None and not ep.flags.generic:
-        raise NotGeneric(f"eigenpair n={ep.n} is not generic")
     star_regime = ep.k > graph.star_threshold
     boundary = set(graph.topology.boundary)
 
@@ -176,17 +174,6 @@ def partition(graph: MetricGraph, ep: Eigenpair) -> NeumannPartition:
                             segment_count=segment_count, star_regime=star_regime)
 
 
-@dataclass
-class LocalGlobalReport:
-    n: int
-    k: float
-    sum_positions: int
-    position_identity_rhs: int
-    sum_capacities: float
-    capacity_identity_rhs: float
-    ok: bool
-
-
 class SumRules(NamedTuple):
     """Both sides of the two sum rules, and whether both hold, per eigenpair."""
     sum_positions: np.ndarray
@@ -218,17 +205,18 @@ def sum_rules(graph: MetricGraph, counts: Counts, N: np.ndarray,
     return SumRules(sum_N, rhs_N, sum_rho, rhs_rho, ok)
 
 
-def local_global_check(graph: MetricGraph, ep: Eigenpair, record: CountRecord,
-                       part: NeumannPartition | None = None) -> LocalGlobalReport:
+def local_global_check(graph: MetricGraph, ep: Eigenpair, record: Counts,
+                       part: NeumannPartition | None = None) -> SumRules:
     """The sum rules of one eigenpair over the stars of `part` (or of its
-    partition), the batch of one of `sum_rules`; IdentityViolated unless
-    they hold."""
+    partition), as Python scalars: the batch of one of `sum_rules`, with
+    `record` its counts (`Counts.record`); IdentityViolated unless they
+    hold."""
     if ep.k <= graph.star_threshold:
         raise NotStarRegime(f"k={ep.k} below star-regime threshold")
     stars = (part or partition(graph, ep)).stars.values()
-    rules = sum_rules(graph, Counts(*map(np.atleast_1d, astuple(record))),
+    rules = sum_rules(graph, Counts(*map(np.atleast_1d, record)),
                       np.array([[s.N for s in stars]]), np.array([[s.rho for s in stars]]))
-    report = LocalGlobalReport(ep.n, ep.k, *(x.item() for x in rules))
+    report = SumRules(*(x.item() for x in rules))
     if not report.ok:
-        raise IdentityViolated(str(report))
+        raise IdentityViolated(f"{ep.label()}: {report}")
     return report

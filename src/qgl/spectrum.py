@@ -114,25 +114,31 @@ class Thresholds:
     derivative: float = TRACE_FLOOR
     support: float = 1e-8
 
-    @staticmethod
-    def from_dict(d: dict | None) -> "Thresholds":
-        """Thresholds from a JSON object of overrides; ValueError unless
-        every key is a field and every value a finite positive number, with
-        `value` and `derivative` at or above TRACE_FLOOR."""
-        if d is None:
-            return Thresholds()
-        if not isinstance(d, dict):
-            raise ValueError(f"thresholds must be a JSON object, got {d!r}")
-        names = [f.name for f in fields(Thresholds)]
-        for key, x in d.items():
-            if key not in names:
-                raise ValueError(f"unknown threshold '{key}' (accepted: {', '.join(names)})")
+    def __post_init__(self):
+        """ValueError unless every threshold is a finite positive number,
+        with `value` and `derivative` at or above TRACE_FLOOR: an eigenpair
+        that passes them then passes the counts' floor guard."""
+        for f in fields(self):
+            key, x = f.name, getattr(self, f.name)
             if isinstance(x, bool) or not isinstance(x, (int, float)) \
                     or not 0 < x < np.inf:
                 raise ValueError(f"threshold '{key}' must be a finite positive number, got {x!r}")
             if key != "support" and x < TRACE_FLOOR:
                 raise ValueError(f"threshold '{key}' {x!r} is below the trace floor "
                                  f"{TRACE_FLOOR} that the counts need")
+
+    @staticmethod
+    def from_dict(d: dict | None) -> "Thresholds":
+        """Thresholds from a JSON object of overrides; ValueError unless
+        every key is a field, and for any value the constructor rejects."""
+        if d is None:
+            return Thresholds()
+        if not isinstance(d, dict):
+            raise ValueError(f"thresholds must be a JSON object, got {d!r}")
+        names = [f.name for f in fields(Thresholds)]
+        for key in d:
+            if key not in names:
+                raise ValueError(f"unknown threshold '{key}' (accepted: {', '.join(names)})")
         return Thresholds(**d)
 
 
@@ -818,7 +824,6 @@ class Eigenpair:
     values: np.ndarray              # f at the tail of each directed edge
     derivatives: np.ndarray         # outgoing derivative there, canonical k = 1 scale
     residual: float
-    flags: "Flags | None" = None
 
     def label(self) -> str:
         """How an error names this eigenpair."""
@@ -938,10 +943,10 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0) -> Eigenpair:
 # classification
 
 
-@dataclass
-class Flags:
-    generic: bool      # every vertex value and interior derivative clears its threshold
-    borderline: list[str] = field(default_factory=list)
+class Flags(NamedTuple):
+    """The classification of a batch of eigenpairs, one entry per eigenpair."""
+    generic: np.ndarray     # every vertex value and interior derivative clears its threshold
+    borderline: np.ndarray  # one of those, or a loop's outside mass, within 10x of its threshold
 
 
 def _band(q: np.ndarray, eps: float) -> np.ndarray:
@@ -950,44 +955,33 @@ def _band(q: np.ndarray, eps: float) -> np.ndarray:
 
 
 def classify_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
-                   thresholds: Thresholds = Thresholds()) -> list[Flags]:
-    """The flags of each eigenpair of a batch, also set on it, from
-    reductions over the stacked vertex traces."""
+                   thresholds: Thresholds = Thresholds()) -> Flags:
+    """The classification of each eigenpair of a batch, from reductions over
+    the stacked vertex traces: the only place genericity is decided.  The
+    counts and star observables take a generic eigenpair as given; their
+    own guards only catch eigenpairs passed to them unclassified."""
     interior_dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
     min_val = np.min(np.abs(stacked(eps, "values")), axis=1)
     min_der = np.min(np.abs(stacked(eps, "derivatives")[:, interior_dirs]), axis=1,
                      initial=np.inf)
-    generic = (min_val > thresholds.value) & (min_der > thresholds.derivative)
-    band_val = _band(min_val, thresholds.value)
-    band_der = np.isfinite(min_der) & _band(min_der, thresholds.derivative)
-
+    borderline = _band(min_val, thresholds.value) | _band(min_der, thresholds.derivative)
     loops = list(graph.topology.loops)
-    band_loop = np.zeros((len(eps), len(loops)), dtype=bool)
     if loops:
         mass = np.abs(stacked(eps, "amplitudes")) ** 2
         total = np.sum(mass, axis=1)
         outside = np.stack([total - mass[:, 2 * i] - mass[:, 2 * i + 1] for i in loops], axis=1)
         # only ambiguous when the resonance condition is in play as well
-        band_loop = ((np.abs(np.exp(1j * stacked(eps, "kappa")[:, loops]) - 1.0) < 1e-3)
-                     & _band(outside, thresholds.support))
-
-    out = [Flags(generic=g) for g in generic.tolist()]
-    for r in np.flatnonzero(band_val | band_der | np.any(band_loop, axis=1)):
-        if band_val[r]:
-            out[r].borderline.append(f"vertex value {min_val[r]:.2e}")
-        if band_der[r]:
-            out[r].borderline.append(f"vertex derivative {min_der[r]:.2e}")
-        out[r].borderline.extend(f"loop {i} outside mass {outside[r, j]:.2e}"
-                                 for j, i in enumerate(loops) if band_loop[r, j])
-    for ep, flags in zip(eps, out):
-        ep.flags = flags
-    return out
+        borderline |= np.any((np.abs(np.exp(1j * stacked(eps, "kappa")[:, loops]) - 1.0) < 1e-3)
+                             & _band(outside, thresholds.support), axis=1)
+    return Flags(generic=(min_val > thresholds.value) & (min_der > thresholds.derivative),
+                 borderline=borderline)
 
 
 def classify(graph: MetricGraph, ep: Eigenpair,
              thresholds: Thresholds = Thresholds()) -> Flags:
-    """The flags of one eigenpair: the batch of one of `classify_batch`."""
-    return classify_batch(graph, [ep], thresholds)[0]
+    """The classification of one eigenpair, as Python bools: the batch of
+    one of `classify_batch`."""
+    return Flags(*(x[0].item() for x in classify_batch(graph, [ep], thresholds)))
 
 
 # ---------------------------------------------------------------------------
@@ -1027,26 +1021,11 @@ def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
     yield from levels
 
 
-def _walked(graph: MetricGraph, count: int | None,
-            k_max: float | None) -> Iterator[LocatedLevel]:
-    """The levels of one in-process walk: those holding `count` eigenvalues,
-    those in (0, k_max], or, given neither, requests of LANES * LANE_LEVELS
-    eigenvalues without end."""
-    walk = Walk(graph)
-    if count is not None:
-        yield from walk.take(count)
-    elif k_max is not None:
-        yield from walk.until(k_max)
-    else:
-        while True:
-            yield from walk.take(LANES * LANE_LEVELS)
-
-
 def stream_levels(graph: MetricGraph, count: int | None = None,
                   k_max: float | None = None,
                   workers: int = 1) -> Iterator[LocatedLevel]:
     """Levels in order: whole levels up to the first `count` eigenvalues,
-    all in (0, k_max], or, given neither, without end.
+    or all in (0, k_max]; ValueError unless exactly one of them is given.
 
     One worker walks the spectrum in-process (`Walk`), a sweep of lanes at
     a time as the levels are asked for.  More split the count (for k_max,
@@ -1055,26 +1034,27 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
     lane edges are moved clear of the spectrum and carry exact counts, so
     the levels do not depend on the split.
     """
-    if count is not None and k_max is not None:
-        raise ValueError("specify at most one of count, k_max")
-    if workers > 1 and count is None and k_max is None:
-        raise ValueError("a process pool takes count or k_max")
+    if (count is None) == (k_max is None):
+        raise ValueError("specify exactly one of count, k_max")
     if workers > 1 and (k_max is None or k_max > 0.0):
         return _pool_windows(graph, count, k_max, workers)
-    return _walked(graph, count, k_max)
+    walk = Walk(graph)
+    return walk.take(count) if count is not None else walk.until(k_max)
 
 
 def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
                thresholds: Thresholds = Thresholds()) -> list[tuple]:
-    """(level, eigenpair, flags, reason) per level, the simple levels off
+    """(level, eigenpair, generic, reason) per level, the simple levels off
     every loop resonance reconstructed as one batch (`_reconstruct`: from
-    the kernel a level kept, else from a fresh frame) and classified; other
-    levels carry None for both (at a resonance the loop state is the
-    eigenfunction, so none is reconstructed).  The level's
-    `loop_dims`, decided as it is located, is the only loop decision.
-    NoKernel or NonSimple at any level is raised for the whole batch.
+    the kernel a level kept, else from a fresh frame) and classified by
+    `classify_batch`; other levels carry no eigenpair and are not generic
+    (at a resonance the loop state is the eigenfunction, so none is
+    reconstructed).  The level's `loop_dims`, decided as it is located, is
+    the only loop decision.  NoKernel or NonSimple at any level is raised
+    for the whole batch.
 
-    `reason` is None for a generic eigenpair, or else one of
+    `generic` is the verdict of `classify_batch`, a bool.  `reason` is None
+    for a generic eigenpair that is not borderline, or else one of
       loop_supported      every kernel direction is a loop state
       degenerate_at_loop  a multiple level holding loop states and more
       non_simple          a multiple level away from loop resonances
@@ -1083,18 +1063,20 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
     """
     simple = [lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims]
     eps = _reconstruct(graph, simple)
-    built = zip(eps, classify_batch(graph, eps, thresholds) if eps else [])
+    built = iter(())
+    if eps:
+        flags = classify_batch(graph, eps, thresholds)
+        built = zip(eps, flags.generic.tolist(), flags.borderline.tolist())
     out = []
     for lv in levels:
         if lv.multiplicity > 1 or lv.loop_dims:
-            out.append((lv, None, None,
+            out.append((lv, None, False,
                         "loop_supported" if lv.loop_dims == lv.multiplicity
                         else "degenerate_at_loop" if lv.loop_dims else "non_simple"))
             continue
-        ep, flags = next(built)
-        out.append((lv, ep, flags,
-                    "borderline" if flags.borderline
-                    else None if flags.generic else "non_generic"))
+        ep, generic, borderline = next(built)
+        out.append((lv, ep, generic,
+                    "borderline" if borderline else None if generic else "non_generic"))
     return out
 
 
@@ -1115,7 +1097,7 @@ def stream_eigenpairs(graph: MetricGraph, count: int | None = None,
                       k_max: float | None = None,
                       thresholds: Thresholds = Thresholds(),
                       workers: int = 1) -> Iterator[tuple]:
-    """The items of `stream_batches`, one (level, eigenpair, flags, reason)
-    at a time."""
+    """The items of `stream_batches`, one (level, eigenpair, generic,
+    reason) at a time."""
     for batch in stream_batches(graph, count, k_max, thresholds, workers):
         yield from batch

@@ -23,20 +23,21 @@ BUILTIN = ("chain2", "chain4", "chain8", "dumbbell", "flower3", "k4", "k6",
 
 def _batch(graph, want=200):
     """The first `want` generic eigenpairs, reconstructed and classified as
-    one batch, with the flags the batch gave every eigenpair."""
+    one batch, with the verdict the batch gave every eigenpair."""
     rows = spectrum.eigenpairs(graph, spectrum.locate_spectrum(graph, count=3 * want))
-    flags = [(ep, f) for _, ep, f, _ in rows if ep is not None]
+    verdicts = [(ep, (generic, reason == "borderline"))
+                for _, ep, generic, reason in rows if ep is not None]
     generic = [ep for _, ep, _, reason in rows if reason is None][:want]
-    return generic, flags
+    return generic, verdicts
 
 
 @pytest.mark.parametrize("name", BUILTIN)
 def test_batch_rows_equal_the_batch_of_one(name):
     g = load_graph(name)
-    eps, flags = _batch(g)
+    eps, verdicts = _batch(g)
     assert len(eps) >= 100
-    for ep, f in flags:
-        assert spectrum.classify(g, ep) == f, ep.n
+    for ep, verdict in verdicts:
+        assert spectrum.classify(g, ep) == verdict, ep.n
 
     c = counts_batch(g, eps)
     for i, ep in enumerate(eps):

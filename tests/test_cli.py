@@ -218,13 +218,15 @@ def test_stats_across_the_torus_origin_exits_0(tmp_path):
 @pytest.mark.parametrize("name", ("chain2", "chain4", "chain8", "dumbbell", "flower3",
                                   "k4", "k6", "lasso", "mandarin3", "star3", "tree31_7"))
 def test_stats_on_every_built_in_graph_exits_0(tmp_path, name):
-    # built-in lengths, the magnetic index wherever the graph has a cycle,
-    # and every identity checked
+    # built-in and seed 0 and 1 lengths, the magnetic index wherever the
+    # graph has a cycle, and every identity checked
     magnetic = ["--magnetic"] if load_graph(name).topology.betti > 0 else []
-    rc = main(["stats", "--graph", name, "--K", "1000", "--out", str(tmp_path)] + magnetic)
-    assert rc == 0
-    summary = json.loads((tmp_path / "stats_summary.json").read_text())
-    assert summary["K"] == 1000 and summary["identity_failures"] == 0
+    for K, seed in ((1000, []), (3000, ["--seed", "0"]), (3000, ["--seed", "1"])):
+        rc = main(["stats", "--graph", name, "--K", str(K), "--out", str(tmp_path)]
+                  + seed + magnetic)
+        assert rc == 0, seed
+        summary = json.loads((tmp_path / "stats_summary.json").read_text())
+        assert summary["K"] == K and summary["identity_failures"] == 0, seed
 
 
 def test_thresholds_excluding_every_eigenpair_exit_4(tmp_path):

@@ -9,7 +9,7 @@ from qgl.counts import (
 )
 from qgl.errors import NotGeneric
 from qgl.graphs import load_graph
-from qgl.spectrum import classify, eigenfunction_at, locate_spectrum
+from qgl.spectrum import classify, eigenfunction_at, eigenpairs, locate_spectrum
 from qgl.stats import draw_lengths
 from conftest import count_extrema_sampled, count_zeros_sampled
 
@@ -17,17 +17,8 @@ GRAPHS = ("star3", "lasso", "dumbbell", "mandarin3", "k4", "tree31_7")
 
 
 def _generic_eigenpairs(graph, want):
-    out = []
-    for lv in locate_spectrum(graph, count=3 * want):
-        if lv.multiplicity != 1 or lv.loop_dims:
-            continue
-        ep = eigenfunction_at(graph, lv.k, n=lv.n)
-        flags = classify(graph, ep)
-        if flags.generic and not flags.borderline:
-            out.append(ep)
-        if len(out) == want:
-            break
-    return out
+    rows = eigenpairs(graph, locate_spectrum(graph, count=3 * want))
+    return [ep for _, ep, _, reason in rows if reason is None][:want]
 
 
 # ---------------------------------------------------------------------------

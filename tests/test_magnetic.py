@@ -25,7 +25,7 @@ from qgl.secular import (
     reduce_torus,
     root_branch,
 )
-from qgl.spectrum import classify, eigenfunction_at, locate_spectrum
+from qgl.spectrum import eigenpairs, locate_spectrum
 
 GRAPHS = ("lasso", "dumbbell", "mandarin3", "k4", "flower3", "chain4", "tree31_7")
 FD_STEP = 1e-4
@@ -84,17 +84,8 @@ def fd_hessian(graph, kappa, tree=None, step=FD_STEP):
 
 
 def _generic_levels(graph, want):
-    out = []
-    for lv in locate_spectrum(graph, count=4 * want):
-        if lv.multiplicity != 1 or lv.loop_dims:
-            continue
-        ep = eigenfunction_at(graph, lv.k, n=lv.n)
-        flags = classify(graph, ep)
-        if flags.generic and not flags.borderline:
-            out.append(ep)
-        if len(out) == want:
-            break
-    return out
+    rows = eigenpairs(graph, locate_spectrum(graph, count=4 * want))
+    return [ep for _, ep, _, reason in rows if reason is None][:want]
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,12 @@ from qgl.neumann import (
     partition,
     star_observables,
 )
-from qgl.spectrum import classify, eigenfunction_at, locate_spectrum
+from qgl.spectrum import eigenpairs, locate_spectrum
 
 
 def _generic_eigenpairs(graph, want, k_min=0.0):
-    out = []
-    for lv in locate_spectrum(graph, count=6 * want):
-        if lv.multiplicity != 1 or lv.loop_dims or lv.k <= k_min:
-            continue
-        ep = eigenfunction_at(graph, lv.k, n=lv.n)
-        flags = classify(graph, ep)
-        if flags.generic and not flags.borderline:
-            out.append(ep)
-        if len(out) == want:
-            break
-    return out
+    rows = eigenpairs(graph, locate_spectrum(graph, count=6 * want))
+    return [ep for lv, ep, _, reason in rows if reason is None and lv.k > k_min][:want]
 
 
 # ---------------------------------------------------------------------------

@@ -793,7 +793,7 @@ def test_kernel_matches_svd_oracle(name, k_min):
         edge = _clear_edge(g, k_min)
         levels = locate_spectrum(g, k_max=edge + 50.0, k_min=edge)
     else:
-        levels = stream_levels(g)
+        levels = spectrum.Walk(g).take(1000)
     simple = (lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims)
     checked = 0
     for lv in itertools.islice(simple, 100):
@@ -806,10 +806,10 @@ def test_kernel_matches_svd_oracle(name, k_min):
 
 
 def _assert_same_rows(got, want):
-    """Bit for bit: level, reason, flags and every array of the eigenpair."""
+    """Bit for bit: level, verdict, reason and every array of the eigenpair."""
     assert len(got) == len(want)
-    for (lv, ep, flags, reason), (lv_w, ep_w, flags_w, reason_w) in zip(got, want):
-        assert (lv, flags, reason) == (lv_w, flags_w, reason_w)
+    for (lv, ep, generic, reason), (lv_w, ep_w, generic_w, reason_w) in zip(got, want):
+        assert (lv, generic, reason) == (lv_w, generic_w, reason_w)
         assert (ep is None) == (ep_w is None)
         if ep is None:
             continue
@@ -836,8 +836,8 @@ def test_eigenpairs_do_not_depend_on_the_batch_split(name):
         _assert_same_rows(split, whole)
     # the batch of one, and eigenfunction_at is the batch of one of a
     # level with no kernel, fresh frames mixed with kept kernels or not
-    lv, ep, _, _ = next(row for row in whole if row[1] is not None)
-    _assert_same_rows(spectrum.eigenpairs(g, [lv]), [(lv, ep, ep.flags, None)])
+    lv, ep, generic, _ = next(row for row in whole if row[1] is not None)
+    _assert_same_rows(spectrum.eigenpairs(g, [lv]), [(lv, ep, generic, None)])
     bare = _without_kernel(lv)
     fresh = spectrum.eigenpairs(g, [bare])
     _assert_same_rows([(bare, eigenfunction_at(g, lv.k, n=lv.n), fresh[0][2], None)], fresh)
@@ -859,14 +859,15 @@ def test_walk_kernel_agrees_with_a_fresh_frame(name):
     t = walk.tally
     assert len(simple) >= sum(lv.multiplicity == 1 and not lv.loop_dims
                               for lv in levels) - (t.recounts + t.retries + t.fallbacks)
-    kept = [ep for _, ep, _, _ in spectrum.eigenpairs(g, simple)]
-    fresh = [ep for _, ep, _, _ in spectrum.eigenpairs(g, list(map(_without_kernel, simple)))]
+    kept_rows = spectrum.eigenpairs(g, simple)
+    fresh_rows = spectrum.eigenpairs(g, list(map(_without_kernel, simple)))
+    kept = [ep for _, ep, _, _ in kept_rows]
+    fresh = [ep for _, ep, _, _ in fresh_rows]
     for a, b in zip(kept, fresh):
         assert 1.0 - abs(np.vdot(a.amplitudes, b.amplitudes)) <= 1e-14, (name, a.n)
         assert a.residual <= 1e-10 * max(1.0, a.k), (name, a.n)
-    assert [(a.flags.generic, bool(a.flags.borderline)) for a in kept] \
-        == [(b.flags.generic, bool(b.flags.borderline)) for b in fresh]
-    generic = [i for i, ep in enumerate(kept) if ep.flags.generic]
+    assert [row[2:] for row in kept_rows] == [row[2:] for row in fresh_rows]
+    generic = [i for i, row in enumerate(kept_rows) if row[2]]
     assert len(generic) >= 100
     want = counts_batch(g, [fresh[i] for i in generic])
     got = counts_batch(g, [kept[i] for i in generic])
@@ -899,9 +900,8 @@ def test_recounted_level_is_reconstructed_from_a_fresh_frame(dumbbell, monkeypat
         x.multiplicity > 1 or x.loop_dims > 0 for x in levels)
     # in a batch with kept kernels it is bit for bit eigenfunction_at
     rows = spectrum.eigenpairs(dumbbell, levels)
-    ep = next(ep for x, ep, _, _ in rows if x is lv)
-    _assert_same_rows([(lv, eigenfunction_at(dumbbell, lv.k, n=lv.n), ep.flags, None)],
-                      [(lv, ep, ep.flags, None)])
+    row = next(row for row in rows if row[0] is lv)
+    _assert_same_rows([(lv, eigenfunction_at(dumbbell, lv.k, n=lv.n), *row[2:])], [row])
 
 
 def test_canonical_sign_is_deterministic(dumbbell):
@@ -929,7 +929,7 @@ def test_lasso_loop_mode_classification(lasso):
         eigenfunction_at(lasso, loop_lv.k, n=loop_lv.n)
     row = next(row for row in stream_eigenpairs(lasso, count=loop_lv.n + 1)
                if row[0] == loop_lv)
-    assert row[1:] == (None, None, "degenerate_at_loop")
+    assert row[1:] == (None, False, "degenerate_at_loop")
 
 
 def test_generic_classification_on_tree(tree31):
@@ -958,3 +958,7 @@ def test_thresholds_from_dict_round_trip():
 def test_thresholds_from_dict_rejects(d):
     with pytest.raises(ValueError):
         Thresholds.from_dict(d)
+    # a value that fails fails when the thresholds are built, too
+    if isinstance(d, dict) and set(d) <= {f.name for f in dataclasses.fields(Thresholds)}:
+        with pytest.raises(ValueError):
+            Thresholds(**d)

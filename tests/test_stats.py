@@ -192,13 +192,13 @@ def test_stream_reasons_reproduce_run_tallies(name, K, seed):
     d = run_experiment(load_graph(name), K, seed=seed)
     excluded, loop_count, generic = Counter(), 0, 0
     # one window, unlike the run's 512-level windows
-    for lv, ep, flags, reason in spectrum.stream_eigenpairs(d.graph, count=d.N_raw):
+    for lv, ep, is_generic, reason in spectrum.stream_eigenpairs(d.graph, count=d.N_raw):
         if reason == "loop_supported":
             loop_count += lv.multiplicity
             continue
         loop_count += lv.loop_dims
         if reason is None:
-            assert flags.generic and not flags.borderline
+            assert is_generic
             generic += 1
         else:
             excluded[reason] += lv.multiplicity - lv.loop_dims
