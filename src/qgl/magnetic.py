@@ -18,12 +18,18 @@ where b_jm = z_m* A_j a and R is the branch of det(U)^(-1/2).  The number of
 negative eigenvalues of -H/p = -d^2 theta_0 is the magnetic stability index,
 and the edge-separation blocks give local indices that sum to it.
 
-A batch of eigenpairs is handled as one stacked frame: the b and cot factors,
-the perturbation sums and p are stacked array operations over the batch, and
-the Morse indices come from one stacked `eigvalsh` of the stability matrices
-and one per block order.  Each row comes out as it would alone, and the
-one-point functions (`hessian_alpha`, `local_indices`, `morse_index`) are
-the batch of one.
+An eigenpair brings these inputs with it: the eigenphases of the frame its
+kernel was read from and the couplings b of its kernel vector through every
+edge (`spectrum.edge_couplings`), of which the flux edges' rows are taken.
+That frame is the walk's final Newton frame, within a quarter of the
+tolerance of the root, or for a level settled afresh the frame
+reconstruction took at the located k, so no decomposition of U is taken
+here for an eigenpair; a bare kappa takes one frame.  A batch is handled as
+stacked arrays: the cot factors, the perturbation sums and p are array
+operations over the batch, and the Morse indices come from one stacked
+`eigvalsh` of the stability matrices and one per block order.  Each row
+comes out as it would alone, and the one-point functions (`hessian_alpha`,
+`local_indices`, `morse_index`) are the batch of one.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ import numpy as np
 from .errors import CriticalPointViolated, DegenerateHessian, IdentityViolated
 from .graphs import MetricGraph
 from .secular import KERNEL_TOL, evolution_matrix, reduce_torus, root_branch
-from .spectrum import Eigenpair, kernel_cutoff, stacked, unitary_frame
+from .spectrum import Eigenpair, edge_couplings, kernel_cutoff, stacked, unitary_frame
 
 GRADIENT_TOL = 1e-9      # max |d theta_0| per unit of max |cot|: roundoff only
 # 50x the worst error of the smallest relative eigenvalue against 50-digit
@@ -130,13 +136,14 @@ class _Hessians(NamedTuple):
 
 
 def _hessians(graph: MetricGraph, layout: _FluxLayout, kappa: np.ndarray,
-              theta: np.ndarray, Z: np.ndarray, kernel_tol: np.ndarray,
+              theta: np.ndarray, couplings: np.ndarray, kernel_tol: np.ndarray,
               name: Callable[[int], str]) -> _Hessians:
-    """The flux Hessians at points kappa (rows) from their stacked spectral
-    frames (eigenphases theta, eigenvectors Z), each with an eigenphase
-    within its `kernel_tol` of 0 (as |1 - e^{i theta}|); every product is
-    stacked over the rows or elementwise, so each row comes out as it would
-    alone.  CriticalPointViolated names the first row `name`-d that fails."""
+    """The flux Hessians at points kappa (rows) from the eigenphases theta
+    of a spectral frame near each, one of them within its `kernel_tol` of 0
+    (as |1 - e^{i theta}|), and the `edge_couplings` of that eigenphase's
+    eigenvector in the frame; every product is stacked over the rows or
+    elementwise, so each row comes out as it would alone.
+    CriticalPointViolated names the first row `name`-d that fails."""
     rows = np.arange(len(kappa))
     n = theta.shape[1]
     distance = np.abs(1.0 - np.exp(1j * theta))
@@ -148,11 +155,8 @@ def _hessians(graph: MetricGraph, layout: _FluxLayout, kappa: np.ndarray,
             f"{name(i)}: no eigenphase within {kernel_tol[i]:.1e} of 0 (nearest "
             f"|1 - e^(i theta)| = {distance[i, j0[i]]:.2e})")
 
-    # b[:, j, m] = z_m* A_j a for the eigenvector a of theta_0
-    a = Z[rows, :, j0]
-    plus = 2 * np.asarray(layout.fluxes, dtype=int)
-    b = (Z[:, plus, :].conj() * a[:, plus, None]
-         - Z[:, plus + 1, :].conj() * a[:, plus + 1, None])
+    # b[:, j, m] = z_m* A_j a for the flux edges j and the eigenvector a of theta_0
+    b = couplings[:, list(layout.fluxes), :]
     # the eigenphase indices other than j0, in order
     rest = np.arange(n - 1) + (np.arange(n - 1) >= j0[:, None])
     theta_rest = np.take_along_axis(theta, rest, axis=1)
@@ -229,12 +233,12 @@ class MagneticIndices(NamedTuple):
 
 
 def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndices:
-    """Magnetic and local indices of a batch of eigenpairs, stacked: one
-    spectral frame of U at the batch's kappa (each eigenpair needs an
-    eigenphase within `kernel_cutoff` of 0 there), one product for the
+    """Magnetic and local indices of a batch of eigenpairs, stacked, from
+    the eigenphases and couplings each eigenpair carries (each needs an
+    eigenphase within `kernel_cutoff` of 0 there): one product for the
     perturbation sums, one `eigvalsh` for the stability matrices and one per
-    block order.  This frame is the only decomposition of U an eigenpair
-    costs after localization.
+    block order.  No decomposition of U is taken, and on a graph without
+    fluxes (a tree) nothing is computed: every index is 0 and iota empty.
 
     Fluxes sit on the canonical spanning tree.  A row whose Hessian has an
     off-block entry or a (block) eigenvalue too close to 0 is marked
@@ -243,9 +247,11 @@ def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndic
     local-index sum (IdentityViolated) raise, naming the eigenpair.
     """
     layout = _flux_layout(graph, None)
+    if not layout.fluxes:
+        return MagneticIndices(np.zeros(len(eps), dtype=int), np.zeros((len(eps), 0), dtype=int),
+                               np.zeros(len(eps), dtype=bool))
     kappa = stacked(eps, "kappa")
-    frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
-    h = _hessians(graph, layout, kappa, frame.eigenphases, frame.vectors,
+    h = _hessians(graph, layout, kappa, stacked(eps, "phases"), stacked(eps, "couplings"),
                   kernel_cutoff(graph, stacked(eps, "k")), lambda i: eps[i].label())
     A = -h.hessian / h.p[:, None, None]
     sigma, singular = _morse_indices(A)
@@ -261,21 +267,28 @@ def hessian_alpha(graph: MetricGraph, point,
     spectrum point, with the block structure checked, never assumed: the
     batch of one of the stacked Hessians of `indices_batch`.
 
-    `point` is an `Eigenpair` or a bare kappa.  Either way one spectral
-    frame of U(kappa) is built, which must have an eigenphase theta_0 with
-    |1 - e^{i theta_0}| at most `kernel_cutoff` at the eigenpair's k (the
-    cutoff its reconstruction checked, which grows with k) or KERNEL_TOL
-    for a bare kappa.
+    `point` is an `Eigenpair` or a bare kappa.  An eigenpair brings the
+    eigenphases and couplings of the frame its kernel was read from, and
+    must have an eigenphase theta_0 with |1 - e^{i theta_0}| at most
+    `kernel_cutoff` at its k (the cutoff its reconstruction checked, which
+    grows with k).  A bare kappa takes one spectral frame of U(kappa), with
+    KERNEL_TOL in place of the cutoff.
     """
     layout = _flux_layout(graph, tree)
     if isinstance(point, Eigenpair):
         kappa, kernel_tol, name = point.kappa, kernel_cutoff(graph, point.k), point.label()
+        theta = point.phases
+        couplings = (np.zeros((graph.E, len(theta)), dtype=complex)
+                     if point.couplings is None else point.couplings)
     else:
         kappa = reduce_torus(point)
         kernel_tol, name = KERNEL_TOL, f"kappa={kappa}"
-    frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
-    h = _hessians(graph, layout, kappa[None], frame.eigenphases[None],
-                  frame.vectors[None], np.array([kernel_tol]), lambda i: name)
+        frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
+        theta = frame.eigenphases
+        a = frame.vectors[:, np.argmin(np.abs(1.0 - np.exp(1j * theta)))]
+        couplings = edge_couplings(frame.vectors, a)
+    h = _hessians(graph, layout, kappa[None], theta[None], couplings[None],
+                  np.array([kernel_tol]), lambda i: name)
     if h.off_block[0]:
         raise DegenerateHessian(
             f"{name}: off-block Hessian entry {h.off_block_residual[0]:.2e} of the "

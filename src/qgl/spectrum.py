@@ -43,8 +43,12 @@ the next m eigenvalues; one for all levels up to k_max asks for those up to
 the exact count at k_max.  One splitter (`_split`) places the edges of the
 lanes, and of the windows of a process pool: where Weyl's mean count reaches
 n + i m / L, so that each holds about m / L levels, moved clear of the
-spectrum.  A request wider than LANES lanes of LANE_SPACINGS mean level
-spacings is walked in several such sweeps, each yielded as it is done.  One
+spectrum.  A lane holds at least LANE_LEVELS levels, or SHORT_LANE_LEVELS in a
+sweep of fewer than 2 LANES eigenvalues, such as the shrinking trailing
+requests of a statistics run, which would otherwise walk about one lockstep
+round per level.  A request wider than LANES lanes of LANE_SPACINGS mean
+level spacings is walked in several such sweeps, each yielded as it is
+done.  One
 stacked frame at the edges gives each lane its start frame and the exact
 count at its upper edge, where it ends; an edge whose count reaches the
 count asked for ends no lane, so no lane but the last, which ends by count,
@@ -63,9 +67,13 @@ An eigenfunction is read from the frame that certified its level: the
 eigenvector of the eigenphase at 0 spans the kernel of 1 - U(k).  A simple
 level off loop states that its final Newton frame certifies keeps that
 frame's eigenphases and that eigenvector (`LocatedLevel.phases`, `.kernel`);
-the frame lies within a quarter of the tolerance of the root.  A level
-settled afresh (a re-count, a close-pair retry or a bisection) keeps
-nothing and takes one more frame, with eigenvectors, at the located k.
+the frame lies within a quarter of the tolerance of the root.  On a graph
+with cycles it also keeps the vector's couplings to the frame's
+eigenvectors through each edge (`edge_couplings`, E x 2E complex numbers:
+288 B on `dumbbell`, 7.2 KB on `k6`), from which `magnetic` takes the flux
+Hessian.  A level settled afresh (a re-count, a close-pair retry or a
+bisection) keeps nothing and takes one more frame, with eigenvectors, at
+the located k, which gives its couplings too.
 Located levels are reconstructed in batches bounded by memory (about
 `secular.BATCH_ENTRIES` complex entries per stacked array): the levels
 without a kernel share one stacked `inv` and `eigh`, and the kernel check
@@ -98,7 +106,8 @@ TRACK_HANDOFF = 1e-7  # a tracking step below this times max(1, k) ends tracking
 PSI_EXACT = 1e-10    # nearest eigenphase farther from 0 than this: count is exact
 EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
 LANES = 32           # most lanes walked in lockstep (at most `stack_size` of a graph)
-LANE_LEVELS = 8      # fewest levels in a lane
+LANE_LEVELS = 8      # fewest levels in a lane of a sweep of 2 LANES eigenvalues or more
+SHORT_LANE_LEVELS = 2  # fewest levels in a lane of a smaller sweep
 LANE_SPACINGS = 32   # widest lane, in mean level spacings
 # bound on the eigensolver's rounding of an eigenphase: 500 times the worst
 # error against np.linalg.eigvals over 15000 frames of five graphs (2e-12)
@@ -253,10 +262,12 @@ class LocatedLevel:
     multiplicity: int
     loop_dims: int        # kernel dimensions carried by loop factors
     # a simple level off loop states certified from its final Newton frame
-    # keeps that frame's eigenphases and the eigenvector of the one nearest
-    # 0, from which it is reconstructed; None for a level settled afresh
+    # keeps that frame's eigenphases, the eigenvector of the one nearest 0,
+    # from which it is reconstructed, and on a graph with cycles that
+    # vector's `edge_couplings`; None for a level settled afresh
     phases: np.ndarray | None = field(default=None, compare=False, repr=False)
     kernel: np.ndarray | None = field(default=None, compare=False, repr=False)
+    couplings: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -312,6 +323,15 @@ class _Counter:
 
     def integer(self, k: float) -> int:
         return self.exact(k)[0]
+
+
+def edge_couplings(Z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b[..., e, m] = z_m* A_e a for every edge e, with A_e = diag(+1 on 2e,
+    -1 on 2e + 1): how a flux on edge e couples the vector a to each
+    eigenvector z_m (the columns of Z), for one frame or a stack.  With the
+    eigenphases these are all the flux Hessian of a's eigenphase needs."""
+    product = Z.conj() * a[..., :, None]
+    return product[..., 0::2, :] - product[..., 1::2, :]
 
 
 def _loop_dims(graph: MetricGraph, k: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -605,7 +625,8 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
     undecided or failed audits settled lane by lane.  Moves the lanes past
     their levels and returns those, one per lane.  A simple level off loop
     states that its final Newton frame certifies keeps that frame's
-    eigenphases and kernel vector."""
+    eigenphases and kernel vector, with the vector's couplings (one stacked
+    product over the lanes)."""
     ctr.tally.rounds += 1
     frame, n = lanes.frame.take(idx), lanes.n[idx]
     a, b, start, z = _phase_bracket(ctr, frame, lanes.phases[idx], lanes.lo[idx])
@@ -629,14 +650,16 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
     kept = passed & (mult == 1) & (loops == 0)
     theta = final.eigenphases
     vectors = final.vectors[np.arange(len(idx)), :, np.argmin(np.abs(_signed(theta)), axis=-1)]
+    # no flux acts on a tree
+    couplings = edge_couplings(final.vectors, vectors) if ctr.graph.topology.betti else None
     lanes.n[idx], lanes.lo[idx] = audit.n_above, k_star + delta
     lanes.frame.put(idx, audit.frame)
     lanes.phases[idx] = audit.phases
     ctr.tally.levels += len(idx)
-    return [LocatedLevel(n_i + 1, k_i, m_i, l_i, t if keep else None, v if keep else None)
-            for n_i, k_i, m_i, l_i, keep, t, v in zip(
+    return [LocatedLevel(n_i + 1, k_i, m_i, l_i, *((t, v, b) if keep else ()))
+            for n_i, k_i, m_i, l_i, keep, t, v, b in zip(
                 n.tolist(), k_star.tolist(), mult.tolist(), loops.tolist(), kept.tolist(),
-                theta, vectors)]
+                theta, vectors, repeat(None) if couplings is None else couplings)]
 
 
 def _lane_edges(ctr: _Counter, ks) -> tuple[np.ndarray, CountingFrame, np.ndarray]:
@@ -735,8 +758,11 @@ class Walk:
 
     def _lane_count(self, levels: float) -> int:
         """Lanes for a sweep of about `levels` levels: at most LANES (and
-        `stack_size`), none below LANE_LEVELS levels."""
-        return max(1, min(self._most_lanes(), int(levels // LANE_LEVELS)))
+        `stack_size`), none below LANE_LEVELS levels, or SHORT_LANE_LEVELS
+        in a sweep of fewer than 2 LANES, whose lockstep rounds would
+        otherwise be about one per level."""
+        shortest = SHORT_LANE_LEVELS if levels < 2 * LANES else LANE_LEVELS
+        return max(1, min(self._most_lanes(), int(levels // shortest)))
 
     def _most_lanes(self) -> int:
         return min(LANES, stack_size(self.graph))
@@ -759,7 +785,7 @@ class Walk:
     def _count_to(self, k_max: float) -> int:
         """The eigenvalues past the walk's count up to k_max, from the exact
         count there (none at or below the walk's start)."""
-        return self.ctr.exact(k_max, vectors=True)[0] - self.n if k_max > self.lo else 0
+        return self.ctr.exact(k_max)[0] - self.n if k_max > self.lo else 0
 
     def _sweep(self, m: int) -> list[LocatedLevel]:
         """The levels holding the next m eigenvalues, from the walk's state:
@@ -824,6 +850,11 @@ class Eigenpair:
     values: np.ndarray              # f at the tail of each directed edge
     derivatives: np.ndarray         # outgoing derivative there, canonical k = 1 scale
     residual: float
+    # the eigenphases of the frame the kernel was read from and, on a graph
+    # with cycles, the kernel vector's `edge_couplings` in that frame: the
+    # flux Hessian's inputs
+    phases: np.ndarray | None = field(default=None, compare=False, repr=False)
+    couplings: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def label(self) -> str:
         """How an error names this eigenpair."""
@@ -858,18 +889,21 @@ def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eig
     """Eigenpairs at located levels; NoKernel or NonSimple unless the kernel
     of 1 - U is one-dimensional at every k.
 
-    A level that kept its certifying frame's eigenphases and kernel vector
-    reads them; the others take one stacked frame of U(kappa) at their k.
-    Both then pass the same kernel check, phase alignment, trace, sign and
-    residual at the located k.  Each row is computed as it would be alone:
-    the stacked `inv` and `eigh` solve each matrix separately, and every
-    later step is elementwise or reduces along a row.
+    A level that kept its certifying frame's eigenphases, kernel vector and
+    couplings reads them; the others take one stacked frame of U(kappa) at
+    their k and the couplings of its kernel vector.  Both then pass the same
+    kernel check, phase alignment, trace, sign and residual at the located
+    k, and the eigenpair keeps the eigenphases and couplings.  Each row is
+    computed as it would be alone: the stacked `inv` and `eigh` solve each
+    matrix separately, and every later step is elementwise or reduces along
+    a row.
     """
     k = np.array([lv.k for lv in levels], dtype=float)
     kappa = k[:, None] * np.asarray(graph.lengths) % TWO_PI
     U = evolution_matrix(graph, kappa)
     fresh = np.array([lv.kernel is None for lv in levels], dtype=bool)
     kept = [lv for lv in levels if lv.kernel is not None]
+    couplings = [lv.couplings for lv in levels]
     theta = np.empty((len(k), 2 * graph.E))
     a = np.empty((len(k), 2 * graph.E), dtype=complex)
     if kept:
@@ -888,6 +922,9 @@ def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eig
     if np.any(fresh):
         a[fresh] = frame.vectors[np.arange(len(frame.vectors)), :,
                                  np.argmax(inside[fresh], axis=1)]
+        if graph.topology.betti:
+            for i, b in zip(np.flatnonzero(fresh), edge_couplings(frame.vectors, a[fresh])):
+                couplings[i] = b
     rows = np.arange(len(k))
     a = a / _norm(a)[:, None]
 
@@ -919,7 +956,7 @@ def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eig
     residual = np.maximum(_norm(a - (U @ a[:, :, None])[:, :, 0]), imag_res)
     return [Eigenpair(k=float(lv.k), n=lv.n, kappa=kappa[i], amplitudes=a[i],
                       values=values[i], derivatives=derivatives[i],
-                      residual=float(residual[i]))
+                      residual=float(residual[i]), phases=theta[i], couplings=couplings[i])
             for i, lv in enumerate(levels)]
 
 

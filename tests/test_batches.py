@@ -14,7 +14,6 @@ from qgl.counts import counts, counts_batch
 from qgl.errors import DegenerateHessian, IdentityViolated
 from qgl.graphs import load_graph
 from qgl.neumann import star_observables, stars_batch
-from qgl.secular import evolution_matrix
 from qgl.stats import run_experiment
 
 BUILTIN = ("chain2", "chain4", "chain8", "dumbbell", "flower3", "k4", "k6",
@@ -52,10 +51,8 @@ def test_batch_rows_equal_the_batch_of_one(name):
     if g.topology.betti == 0:
         return
     m = magnetic.indices_batch(g, eps)
-    kappa = spectrum.stacked(eps, "kappa")
-    frame = spectrum.unitary_frame(evolution_matrix(g, kappa), vectors=True)
-    h = magnetic._hessians(g, magnetic._flux_layout(g, None), kappa,
-                           frame.eigenphases, frame.vectors,
+    h = magnetic._hessians(g, magnetic._flux_layout(g, None), spectrum.stacked(eps, "kappa"),
+                           spectrum.stacked(eps, "phases"), spectrum.stacked(eps, "couplings"),
                            spectrum.kernel_cutoff(g, spectrum.stacked(eps, "k")), str)
     for i, ep in enumerate(eps):
         if m.degenerate[i]:
@@ -83,15 +80,14 @@ def test_degenerate_hessian_mid_batch_excludes_only_it(dumbbell, monkeypatch):
     flux = magnetic.flux_edges(dumbbell.with_lengths(ref.graph.lengths))[0]
     hessians = magnetic._hessians
 
-    def doctored(graph, layout, kappa, theta, Z, kernel_tol, name):
-        Z = Z.copy()
+    def doctored(graph, layout, kappa, theta, couplings, kernel_tol, name):
+        couplings = couplings.copy()
         for i in range(len(kappa)):
             if name(i).startswith(f"eigenpair n={target},"):
-                # no kernel amplitude on a flux edge in the Hessian's frame:
-                # that flux's Hessian row and column vanish, so it is singular
-                j0 = np.argmin(np.abs(1.0 - np.exp(1j * theta[i])))
-                Z[i, [2 * flux, 2 * flux + 1], j0] = 0.0
-        return hessians(graph, layout, kappa, theta, Z, kernel_tol, name)
+                # no kernel amplitude on a flux edge, so no coupling through
+                # it: that flux's Hessian row and column vanish, so it is singular
+                couplings[i, flux] = 0.0
+        return hessians(graph, layout, kappa, theta, couplings, kernel_tol, name)
 
     monkeypatch.setattr(magnetic, "_hessians", doctored)
     d = run_experiment(dumbbell, 60, seed=7, magnetic=True, check_identities=True)

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qgl
+import qgl.magnetic as magnetic
 
 from qgl.counts import counts
 from qgl.errors import CriticalPointViolated, DegenerateHessian
@@ -25,10 +27,16 @@ from qgl.secular import (
     reduce_torus,
     root_branch,
 )
-from qgl.spectrum import eigenpairs, locate_spectrum
+from qgl.spectrum import eigenfunction_at, eigenpairs, kernel_cutoff, locate_spectrum, stacked
 
 GRAPHS = ("lasso", "dumbbell", "mandarin3", "k4", "flower3", "chain4", "tree31_7")
+BUILTIN = ("chain2", "chain4", "chain8", "dumbbell", "flower3", "k4", "k6",
+           "lasso", "mandarin3", "star3", "tree31_7")
 FD_STEP = 1e-4
+# a Hessian from the walk's frame, within a quarter of the tolerance of the
+# root, against a fresh frame at the root, relative to max(1, max |H|): at
+# most 4.1e-11 over the first 300 levels of the built-in graphs (k4)
+FRAME_HESSIAN_TOL = 1e-9
 
 
 def magnetic_secular(graph, kappa, alpha, fluxes=None):
@@ -185,11 +193,59 @@ def test_closed_form_hessian_matches_finite_differences(name):
 
 @pytest.mark.parametrize("name", GRAPHS)
 def test_eigenpair_frame_gives_the_kappa_hessian(name):
+    # an eigenpair read from the walk's frame, within a quarter of the
+    # tolerance of the root, agrees with a frame at its kappa to
+    # FRAME_HESSIAN_TOL; one reconstructed from a fresh frame at its k
+    # gives the kappa Hessian bit for bit
     g = load_graph(name)
     for ep in _generic_levels(g, 10):
         a, b = hessian_alpha(g, ep), hessian_alpha(g, ep.kappa)
-        assert np.array_equal(a.hessian, b.hessian), (name, ep.n)
-        assert a.p == b.p
+        scale = max(1.0, float(np.max(np.abs(b.hessian), initial=0.0)))
+        assert np.max(np.abs(a.hessian - b.hessian), initial=0.0) \
+            <= FRAME_HESSIAN_TOL * scale, (name, ep.n)
+        assert a.p == pytest.approx(b.p, rel=FRAME_HESSIAN_TOL)
+        fresh = hessian_alpha(g, eigenfunction_at(g, ep.k, ep.n))
+        assert np.array_equal(fresh.hessian, b.hessian), (name, ep.n)
+        assert fresh.p == b.p
+
+
+@pytest.mark.parametrize("name", [name for name in BUILTIN if load_graph(name).topology.betti])
+def test_walk_frame_hessians_agree_with_fresh_frames(name):
+    # the first 300 levels: the Hessians from the couplings the walk kept
+    # against those of a fresh frame at each located kappa, and the indices
+    # they give, degenerate rows included
+    g = load_graph(name)
+    levels = locate_spectrum(g, count=300)
+    fresh_levels = [replace(lv, phases=None, kernel=None, couplings=None) for lv in levels]
+    walked, fresh = ([ep for _, ep, _, _ in eigenpairs(g, lvs) if ep is not None]
+                     for lvs in (levels, fresh_levels))
+    assert any(lv.couplings is not None for lv in levels)
+    assert [ep.n for ep in walked] == [ep.n for ep in fresh]
+    layout = magnetic._flux_layout(g, None)
+    a, b = (magnetic._hessians(g, layout, stacked(eps, "kappa"), stacked(eps, "phases"),
+                               stacked(eps, "couplings"),
+                               kernel_cutoff(g, stacked(eps, "k")), str)
+            for eps in (walked, fresh))
+    scale = np.maximum(1.0, np.max(np.abs(b.hessian), axis=(1, 2)))
+    assert np.all(np.max(np.abs(a.hessian - b.hessian), axis=(1, 2))
+                  <= FRAME_HESSIAN_TOL * scale), name
+    assert np.allclose(a.p, b.p, rtol=FRAME_HESSIAN_TOL, atol=0.0), name
+    m, m_fresh = magnetic.indices_batch(g, walked), magnetic.indices_batch(g, fresh)
+    for got, want in zip(m, m_fresh):
+        assert np.array_equal(got, want), name
+
+
+def test_tree_batch_takes_no_frame(tree31, monkeypatch):
+    # no flux acts on a tree: the walk keeps no couplings, and the batch's
+    # indices are 0 and empty without a decomposition
+    rows = eigenpairs(tree31, locate_spectrum(tree31, count=60))
+    eps = [ep for _, ep, _, _ in rows if ep is not None]
+    assert all(lv.couplings is None for lv, _, _, _ in rows)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    m = magnetic.indices_batch(tree31, eps)
+    assert m.sigma.tolist() == [0] * len(eps) and m.iota.shape == (len(eps), 0)
+    assert not np.any(m.degenerate)
 
 
 def test_point_off_the_zero_set_raises(dumbbell):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,31 +98,104 @@ def test_run_locates_no_level_past_last_record(dumbbell, monkeypatch):
     assert d.tally.levels == len(located) and d.tally.lanes >= 4
 
 
+@pytest.mark.parametrize("name", ("dumbbell", "lasso", "chain4"))
+def test_short_lanes_keep_the_records(name, monkeypatch):
+    # the shrinking trailing requests of a run walk in lanes of
+    # SHORT_LANE_LEVELS levels: fewer lockstep rounds than lanes of
+    # LANE_LEVELS, and the same records; lane edges move the frames, so k
+    # agrees to the walk's 1e-12 and rho to its last digits
+    g = load_graph(name)
+    sweep = spectrum.Walk._sweep
+
+    def recording_sweep(self, m):
+        before = self.tally.rounds
+        levels = sweep(self, m)
+        if m < 2 * spectrum.LANES:
+            small_rounds[-1] += self.tally.rounds - before
+        return levels
+
+    monkeypatch.setattr(spectrum.Walk, "_sweep", recording_sweep)
+    for seed in (1, 2, 3):
+        runs, small_rounds = [], []
+        for shortest in (spectrum.LANE_LEVELS, spectrum.SHORT_LANE_LEVELS):
+            small_rounds.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrum, "SHORT_LANE_LEVELS", shortest)
+                runs.append(run_experiment(g, 500, seed=seed, magnetic=True,
+                                           check_identities=True))
+        old, new = runs
+        assert small_rounds[1] < small_rounds[0], (name, seed)
+        assert (new.N_raw, new.excluded, new.identity_failures) \
+            == (old.N_raw, old.excluded, old.identity_failures)
+        assert [(r.n, r.sigma, r.omega, r.positions, r.iota) for r in new.records] \
+            == [(r.n, r.sigma, r.omega, r.positions, r.iota) for r in old.records]
+        for a, b in zip(new.records, old.records):
+            assert a.k == pytest.approx(b.k, rel=1e-12)
+            assert a.capacities == pytest.approx(b.capacities, rel=1e-6)
+
+
+def test_magnetic_tree_run_equals_plain_run(tree31):
+    # no flux acts on a tree: a magnetic run takes no frame and keeps no
+    # couplings, so it walks and reconstructs as a plain run and gives its
+    # records, with an empty iota
+    plain = run_experiment(tree31, 300, seed=236)
+    mag = run_experiment(tree31, 300, seed=236, magnetic=True)
+    assert all(r.iota == () for r in mag.records)
+    assert [replace(r, iota=None) for r in mag.records] == plain.records
+    assert mag.report() == plain.report()
+
+
 def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
     # an eigenpair whose level the walk certified from its final Newton
-    # frame is read from that frame: reconstruction decomposes no matrix,
-    # and only the flux Hessian takes one stacked frame per batch; no SVD.
-    # Matrices of the order of U are counted where they are decomposed, by
-    # the depth of each stack
+    # frame is read from that frame, flux Hessian included: no matrix is
+    # decomposed after the walk, magnetic run or not; no SVD.  Matrices of
+    # the order of U are counted where they are decomposed, by the depth of
+    # each stack
     for magnetic_run in (False, True):
         with monkeypatch.context() as patch:
-            _count_frames_beyond_localization(dumbbell, patch, magnetic_run)
+            calls, d = _count_frames_beyond_localization(dumbbell, patch, magnetic_run)
+        t = d.tally
+        assert (t.recounts, t.retries, t.fallbacks) == (0, 0, 0)
+        assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (calls["eigenpair"], 0)
+        assert calls["matrices"] == t.matrices()
 
 
 @pytest.mark.parametrize("magnetic_run", (False, True))
 def test_resolved_frames_are_tallied(dumbbell, monkeypatch, magnetic_run):
     # a pole limit this low moves the pole of many frames; each matrix solved
-    # again is one more decomposition, in the walk's tally too
+    # again is one more decomposition, in the walk's tally too, and none is
+    # left after the walk
     monkeypatch.setattr(spectrum, "POLE_LIMIT", 3.0)
-    calls, tally = _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run)
-    assert tally.resolves == calls["walk resolves"] > 0
-    if magnetic_run:
-        assert calls["hessian resolves"] > 0
+    calls, d = _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run)
+    assert d.tally.resolves == calls["walk resolves"] > 0
+    assert calls["reconstruction resolves"] == 0
+
+
+def test_levels_settled_afresh_take_one_frame_each(dumbbell, monkeypatch):
+    # certificates that decide nothing make the walk re-count every level,
+    # so every eigenpair takes a fresh frame at its k, which also gives its
+    # flux Hessian: a magnetic run decomposes that frame and nothing more
+    # after the walk, and finds the records a certified walk finds
+    ref = run_experiment(dumbbell, 50, seed=7, magnetic=True)
+    certified_counts = spectrum._certified_counts
+
+    def undecided(*args):
+        audit = certified_counts(*args)
+        return audit._replace(decided=np.zeros_like(audit.decided))
+
+    monkeypatch.setattr(spectrum, "_certified_counts", undecided)
+    calls, d = _count_frames_beyond_localization(dumbbell, monkeypatch, True)
+    assert d.tally.recounts == d.tally.levels
+    assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (0, calls["eigenpair"])
+    assert calls["matrices"] == (d.tally.matrices() + d.reconstruction.fresh
+                                 + calls["reconstruction resolves"])
+    assert [(r.n, r.sigma, r.omega, r.positions, r.iota) for r in d.records] \
+        == [(r.n, r.sigma, r.omega, r.positions, r.iota) for r in ref.records]
 
 
 def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
-    """(calls, tally) of a short run, after checking that every matrix
-    decomposed is in the walk's tally or the flux Hessian's frame."""
+    """(calls, run) of a short run, after checking that every matrix
+    decomposed is in the walk's tally or a fresh reconstruction frame."""
     calls = Counter()
 
     def counted(name, fn, weight=lambda *args: 1):
@@ -150,7 +224,7 @@ def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
     def counted_cayley_frame(U, phi, vectors):
         # a matrix solved again, alone, with the pole moved
         if phi != spectrum.POLE_ROTATION:
-            calls["walk resolves" if walking else "hessian resolves"] += 1
+            calls["walk resolves" if walking else "reconstruction resolves"] += 1
         return cayley_frame(U, phi, vectors)
 
     monkeypatch.setattr(spectrum, "counting", counted_counting)
@@ -170,20 +244,18 @@ def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     d = run_experiment(dumbbell, 50, seed=7, magnetic=magnetic_run)
     t = d.tally
-    assert (t.recounts, t.retries, t.fallbacks) == (0, 0, 0)
     assert calls["eigenpair"] >= d.K == 50
-    assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (calls["eigenpair"], 0)
+    assert d.reconstruction.from_walk + d.reconstruction.fresh == calls["eigenpair"]
     assert calls["svd"] == 0
     assert calls["counting"] + calls["walk resolves"] == t.matrices()
     assert t.resolves == calls["walk resolves"]
+    assert calls["matrices"] == (t.matrices() + d.reconstruction.fresh
+                                 + calls["reconstruction resolves"])
     if magnetic_run:
         assert calls["hessian"] >= d.K
-        assert calls["matrices"] == (t.matrices() + calls["hessian"]
-                                     + calls["hessian resolves"])
     else:
-        assert calls["hessian"] == calls["hessian resolves"] == 0
-        assert calls["matrices"] == t.matrices()
-    return calls, t
+        assert calls["hessian"] == 0
+    return calls, d
 
 
 @pytest.mark.parametrize("name, K, seed", [
