@@ -66,10 +66,10 @@ def _fmt_k(k: float) -> str:
 # subcommands
 
 
-def _batches(args, graph, thresholds):
+def _batches(args, graph, thresholds, couplings=False):
     return spectrum_mod.stream_batches(
         graph, count=args.K, k_max=args.kmax, thresholds=thresholds,
-        workers=args.workers)
+        workers=args.workers, couplings=couplings)
 
 
 def _generic(batch) -> tuple[list, int]:
@@ -146,7 +146,7 @@ def cmd_magnetic(args, graph, thresholds, out_dir) -> int:
     header = (["n", "k", "sigma_counting", "sigma_magnetic"]
               + [f"iota_{j + 1}" for j in range(n_blocks)])
     rows, skipped, agree = [], 0, True
-    for batch in _batches(args, graph, thresholds):
+    for batch in _batches(args, graph, thresholds, couplings=True):
         kept, skip = _generic(batch)
         skipped += skip
         if not kept:

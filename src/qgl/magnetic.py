@@ -18,18 +18,19 @@ where b_jm = z_m* A_j a and R is the branch of det(U)^(-1/2).  The number of
 negative eigenvalues of -H/p = -d^2 theta_0 is the magnetic stability index,
 and the edge-separation blocks give local indices that sum to it.
 
-An eigenpair brings these inputs with it: the eigenphases of the frame its
-kernel was read from and the couplings b of its kernel vector through every
-edge (`spectrum.edge_couplings`), of which the flux edges' rows are taken.
-That frame is the walk's final Newton frame, within a quarter of the
-tolerance of the root, or for a level settled afresh the frame
-reconstruction took at the located k, so no decomposition of U is taken
-here for an eigenpair; a bare kappa takes one frame.  A batch is handled as
-stacked arrays: the cot factors, the perturbation sums and p are array
-operations over the batch, and the Morse indices come from one stacked
-`eigvalsh` of the stability matrices and one per block order.  Each row
-comes out as it would alone, and the one-point functions (`hessian_alpha`,
-`local_indices`, `morse_index`) are the batch of one.
+An eigenpair streamed with `couplings=True` brings these inputs with it:
+the eigenphases of the frame its kernel was read from and the couplings b
+of its kernel vector through every edge (`spectrum.edge_couplings`), of
+which the flux edges' rows are taken.  That frame is the walk's final
+Newton frame, within a quarter of the tolerance of the root, or for a level
+settled afresh the frame reconstruction took at the located k, so no
+decomposition of U is taken here for such an eigenpair.  A bare kappa, or
+an eigenpair without couplings passed to `hessian_alpha`, takes one frame.
+A batch is handled as stacked arrays: the cot factors, the perturbation
+sums and p are array operations over the batch, and the Morse indices come
+from one stacked `eigvalsh` of the stability matrices and one per block
+order.  Each row comes out as it would alone, and the one-point functions
+(`hessian_alpha`, `local_indices`, `morse_index`) are the batch of one.
 """
 from __future__ import annotations
 
@@ -239,6 +240,7 @@ def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndic
     perturbation sums, one `eigvalsh` for the stability matrices and one per
     block order.  No decomposition of U is taken, and on a graph without
     fluxes (a tree) nothing is computed: every index is 0 and iota empty.
+    Elsewhere an eigenpair streamed without couplings raises ValueError.
 
     Fluxes sit on the canonical spanning tree.  A row whose Hessian has an
     off-block entry or a (block) eigenvalue too close to 0 is marked
@@ -250,6 +252,10 @@ def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndic
     if not layout.fluxes:
         return MagneticIndices(np.zeros(len(eps), dtype=int), np.zeros((len(eps), 0), dtype=int),
                                np.zeros(len(eps), dtype=bool))
+    for ep in eps:
+        if ep.couplings is None:
+            raise ValueError(f"{ep.label()} carries no flux couplings; stream it "
+                             "with couplings=True")
     kappa = stacked(eps, "kappa")
     h = _hessians(graph, layout, kappa, stacked(eps, "phases"), stacked(eps, "couplings"),
                   kernel_cutoff(graph, stacked(eps, "k")), lambda i: eps[i].label())
@@ -267,22 +273,26 @@ def hessian_alpha(graph: MetricGraph, point,
     spectrum point, with the block structure checked, never assumed: the
     batch of one of the stacked Hessians of `indices_batch`.
 
-    `point` is an `Eigenpair` or a bare kappa.  An eigenpair brings the
-    eigenphases and couplings of the frame its kernel was read from, and
-    must have an eigenphase theta_0 with |1 - e^{i theta_0}| at most
-    `kernel_cutoff` at its k (the cutoff its reconstruction checked, which
-    grows with k).  A bare kappa takes one spectral frame of U(kappa), with
+    `point` is an `Eigenpair` or a bare kappa.  An eigenpair must have an
+    eigenphase theta_0 with |1 - e^{i theta_0}| at most `kernel_cutoff` at
+    its k (the cutoff its reconstruction checked, which grows with k); it
+    brings the eigenphases and couplings of the frame its kernel was read
+    from, or, streamed without couplings on a graph with cycles, takes one
+    spectral frame of U at its kappa.  A bare kappa takes that frame, with
     KERNEL_TOL in place of the cutoff.
     """
     layout = _flux_layout(graph, tree)
     if isinstance(point, Eigenpair):
         kappa, kernel_tol, name = point.kappa, kernel_cutoff(graph, point.k), point.label()
-        theta = point.phases
-        couplings = (np.zeros((graph.E, len(theta)), dtype=complex)
-                     if point.couplings is None else point.couplings)
     else:
         kappa = reduce_torus(point)
         kernel_tol, name = KERNEL_TOL, f"kappa={kappa}"
+    if isinstance(point, Eigenpair) and (point.couplings is not None or not layout.fluxes):
+        theta = point.phases
+        # a tree has no flux rows to read
+        couplings = (np.zeros((graph.E, len(theta)), dtype=complex)
+                     if point.couplings is None else point.couplings)
+    else:
         frame = unitary_frame(evolution_matrix(graph, kappa), vectors=True)
         theta = frame.eigenphases
         a = frame.vectors[:, np.argmin(np.abs(1.0 - np.exp(1j * theta)))]

@@ -44,12 +44,13 @@ the exact count at k_max.  One splitter (`_split`) places the edges of the
 lanes, and of the windows of a process pool: where Weyl's mean count reaches
 n + i m / L, so that each holds about m / L levels, moved clear of the
 spectrum.  A lane holds at least LANE_LEVELS levels, or SHORT_LANE_LEVELS in a
-sweep of fewer than 2 LANES eigenvalues, such as the shrinking trailing
+sweep of fewer than LANES eigenvalues, such as the shrinking trailing
 requests of a statistics run, which would otherwise walk about one lockstep
-round per level.  A request wider than LANES lanes of LANE_SPACINGS mean
-level spacings is walked in several such sweeps, each yielded as it is
-done.  One
-stacked frame at the edges gives each lane its start frame and the exact
+round per level.  Each lane edge costs a frame: below LANES eigenvalues
+short lanes are faster on every built-in graph, but above it they are
+slower where U is of order 30 (`k6`, `chain8`).  A request wider than
+LANES lanes of LANE_SPACINGS mean level spacings is walked in several such
+sweeps, each yielded as it is done.  One stacked frame at the edges gives each lane its start frame and the exact
 count at its upper edge, where it ends; an edge whose count reaches the
 count asked for ends no lane, so no lane but the last, which ends by count,
 passes it.  All lanes then advance in lockstep: each step brackets, tracks,
@@ -67,13 +68,14 @@ An eigenfunction is read from the frame that certified its level: the
 eigenvector of the eigenphase at 0 spans the kernel of 1 - U(k).  A simple
 level off loop states that its final Newton frame certifies keeps that
 frame's eigenphases and that eigenvector (`LocatedLevel.phases`, `.kernel`);
-the frame lies within a quarter of the tolerance of the root.  On a graph
-with cycles it also keeps the vector's couplings to the frame's
+the frame lies within a quarter of the tolerance of the root.  A walk
+asked for couplings (`couplings=True`, which magnetic indices need) on a
+graph with cycles also keeps the vector's couplings to the frame's
 eigenvectors through each edge (`edge_couplings`, E x 2E complex numbers:
 288 B on `dumbbell`, 7.2 KB on `k6`), from which `magnetic` takes the flux
 Hessian.  A level settled afresh (a re-count, a close-pair retry or a
 bisection) keeps nothing and takes one more frame, with eigenvectors, at
-the located k, which gives its couplings too.
+the located k, which gives its couplings too when they are asked for.
 Located levels are reconstructed in batches bounded by memory (about
 `secular.BATCH_ENTRIES` complex entries per stacked array): the levels
 without a kernel share one stacked `inv` and `eigh`, and the kernel check
@@ -106,7 +108,7 @@ TRACK_HANDOFF = 1e-7  # a tracking step below this times max(1, k) ends tracking
 PSI_EXACT = 1e-10    # nearest eigenphase farther from 0 than this: count is exact
 EDGE_MARGIN = 10.0   # window edges keep this many audit steps from eigenvalues
 LANES = 32           # most lanes walked in lockstep (at most `stack_size` of a graph)
-LANE_LEVELS = 8      # fewest levels in a lane of a sweep of 2 LANES eigenvalues or more
+LANE_LEVELS = 8      # fewest levels in a lane of a sweep of LANES eigenvalues or more
 SHORT_LANE_LEVELS = 2  # fewest levels in a lane of a smaller sweep
 LANE_SPACINGS = 32   # widest lane, in mean level spacings
 # bound on the eigensolver's rounding of an eigenphase: 500 times the worst
@@ -263,8 +265,9 @@ class LocatedLevel:
     loop_dims: int        # kernel dimensions carried by loop factors
     # a simple level off loop states certified from its final Newton frame
     # keeps that frame's eigenphases, the eigenvector of the one nearest 0,
-    # from which it is reconstructed, and on a graph with cycles that
-    # vector's `edge_couplings`; None for a level settled afresh
+    # from which it is reconstructed, and, when the walk was asked for them
+    # on a graph with cycles, that vector's `edge_couplings`; None for a
+    # level settled afresh
     phases: np.ndarray | None = field(default=None, compare=False, repr=False)
     kernel: np.ndarray | None = field(default=None, compare=False, repr=False)
     couplings: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -619,14 +622,15 @@ class _Lanes:
     top: np.ndarray
 
 
-def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
+def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray,
+          couplings: bool) -> list[LocatedLevel]:
     """Locate the next level of each lane in `idx` in lockstep: one stacked
     bracket, tracked Newton and certificate over the lanes, with the rare
     undecided or failed audits settled lane by lane.  Moves the lanes past
     their levels and returns those, one per lane.  A simple level off loop
     states that its final Newton frame certifies keeps that frame's
-    eigenphases and kernel vector, with the vector's couplings (one stacked
-    product over the lanes)."""
+    eigenphases and kernel vector, and with `couplings` the vector's
+    couplings (one stacked product over the lanes)."""
     ctr.tally.rounds += 1
     frame, n = lanes.frame.take(idx), lanes.n[idx]
     a, b, start, z = _phase_bracket(ctr, frame, lanes.phases[idx], lanes.lo[idx])
@@ -650,8 +654,7 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
     kept = passed & (mult == 1) & (loops == 0)
     theta = final.eigenphases
     vectors = final.vectors[np.arange(len(idx)), :, np.argmin(np.abs(_signed(theta)), axis=-1)]
-    # no flux acts on a tree
-    couplings = edge_couplings(final.vectors, vectors) if ctr.graph.topology.betti else None
+    b_kept = edge_couplings(final.vectors, vectors) if couplings else repeat(None)
     lanes.n[idx], lanes.lo[idx] = audit.n_above, k_star + delta
     lanes.frame.put(idx, audit.frame)
     lanes.phases[idx] = audit.phases
@@ -659,7 +662,7 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray) -> list[LocatedLevel]:
     return [LocatedLevel(n_i + 1, k_i, m_i, l_i, *((t, v, b) if keep else ()))
             for n_i, k_i, m_i, l_i, keep, t, v, b in zip(
                 n.tolist(), k_star.tolist(), mult.tolist(), loops.tolist(), kept.tolist(),
-                theta, vectors, repeat(None) if couplings is None else couplings)]
+                theta, vectors, b_kept)]
 
 
 def _lane_edges(ctr: _Counter, ks) -> tuple[np.ndarray, CountingFrame, np.ndarray]:
@@ -736,14 +739,17 @@ class Walk:
     a request stops.
 
     `n_offset` is the count at k_min when known (it is measured otherwise).
-    A request wider than LANES lanes of LANE_SPACINGS mean level spacings is
-    walked in several sweeps, each located in full before its first level
-    is yielded.  `tally` counts what the walk did.
+    With `couplings` the levels keep their kernel vector's `edge_couplings`
+    where they keep a kernel, on a graph with cycles (no flux acts on a
+    tree).  A request wider than LANES lanes of LANE_SPACINGS mean level
+    spacings is walked in several sweeps, each located in full before its
+    first level is yielded.  `tally` counts what the walk did.
     """
 
     def __init__(self, graph: MetricGraph, k_min: float = 0.0,
-                 n_offset: int | None = None):
+                 n_offset: int | None = None, couplings: bool = False):
         self.graph = graph
+        self.couplings = couplings and graph.topology.betti > 0
         self.ctr = _Counter(graph)
         self.tally = self.ctr.tally
         self.lo = 1e-6 * np.pi / graph.total_length if k_min <= 0.0 else k_min
@@ -759,9 +765,9 @@ class Walk:
     def _lane_count(self, levels: float) -> int:
         """Lanes for a sweep of about `levels` levels: at most LANES (and
         `stack_size`), none below LANE_LEVELS levels, or SHORT_LANE_LEVELS
-        in a sweep of fewer than 2 LANES, whose lockstep rounds would
+        in a sweep of fewer than LANES, whose lockstep rounds would
         otherwise be about one per level."""
-        shortest = SHORT_LANE_LEVELS if levels < 2 * LANES else LANE_LEVELS
+        shortest = SHORT_LANE_LEVELS if levels < LANES else LANE_LEVELS
         return max(1, min(self._most_lanes(), int(levels // shortest)))
 
     def _most_lanes(self) -> int:
@@ -817,7 +823,7 @@ class Walk:
             idx = np.flatnonzero(lanes.n < lanes.end)
             if not idx.size:
                 break
-            for i, lv in zip(idx, _step(self.ctr, lanes, idx)):
+            for i, lv in zip(idx, _step(self.ctr, lanes, idx, self.couplings)):
                 out[i].append(lv)
         self.frame, self.phases = lanes.frame.take([-1]), lanes.phases[-1:]
         self.n, self.lo = int(lanes.n[-1]), float(lanes.lo[-1])
@@ -826,14 +832,16 @@ class Walk:
 
 def locate_spectrum(graph: MetricGraph, count: int | None = None,
                     k_max: float | None = None, k_min: float = 0.0,
-                    n_offset: int | None = None) -> list[LocatedLevel]:
+                    n_offset: int | None = None,
+                    couplings: bool = False) -> list[LocatedLevel]:
     """Locate eigenvalues, either the first `count` of them or all in
     (k_min, k_max].  Indexing starts at n = 1 for the first positive
     eigenvalue (n = 0, the constant eigenfunction, is never emitted).
+    `couplings` is the `Walk`'s.
     """
     if (count is None) == (k_max is None):
         raise ValueError("specify exactly one of count, k_max")
-    walk = Walk(graph, k_min, n_offset)
+    walk = Walk(graph, k_min, n_offset, couplings)
     return list(walk.take(count) if count is not None else walk.until(k_max))
 
 
@@ -850,9 +858,9 @@ class Eigenpair:
     values: np.ndarray              # f at the tail of each directed edge
     derivatives: np.ndarray         # outgoing derivative there, canonical k = 1 scale
     residual: float
-    # the eigenphases of the frame the kernel was read from and, on a graph
-    # with cycles, the kernel vector's `edge_couplings` in that frame: the
-    # flux Hessian's inputs
+    # the eigenphases of the frame the kernel was read from and, when asked
+    # for on a graph with cycles, the kernel vector's `edge_couplings` in
+    # that frame: the flux Hessian's inputs
     phases: np.ndarray | None = field(default=None, compare=False, repr=False)
     couplings: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -885,25 +893,27 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eigenpair]:
+def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel],
+                 couplings: bool = False) -> list[Eigenpair]:
     """Eigenpairs at located levels; NoKernel or NonSimple unless the kernel
     of 1 - U is one-dimensional at every k.
 
     A level that kept its certifying frame's eigenphases, kernel vector and
     couplings reads them; the others take one stacked frame of U(kappa) at
-    their k and the couplings of its kernel vector.  Both then pass the same
-    kernel check, phase alignment, trace, sign and residual at the located
-    k, and the eigenpair keeps the eigenphases and couplings.  Each row is
-    computed as it would be alone: the stacked `inv` and `eigh` solve each
-    matrix separately, and every later step is elementwise or reduces along
-    a row.
+    their k, and with `couplings` (on a graph with cycles) the couplings of
+    its kernel vector, which a level walked with `couplings` kept.  Both
+    then pass the same kernel check, phase alignment, trace, sign and
+    residual at the located k, and the eigenpair keeps the eigenphases and
+    couplings.  Each row is computed as it would be alone: the stacked `inv`
+    and `eigh` solve each matrix separately, and every later step is
+    elementwise or reduces along a row.
     """
     k = np.array([lv.k for lv in levels], dtype=float)
     kappa = k[:, None] * np.asarray(graph.lengths) % TWO_PI
     U = evolution_matrix(graph, kappa)
     fresh = np.array([lv.kernel is None for lv in levels], dtype=bool)
     kept = [lv for lv in levels if lv.kernel is not None]
-    couplings = [lv.couplings for lv in levels]
+    kept_b = [lv.couplings for lv in levels]
     theta = np.empty((len(k), 2 * graph.E))
     a = np.empty((len(k), 2 * graph.E), dtype=complex)
     if kept:
@@ -922,9 +932,9 @@ def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eig
     if np.any(fresh):
         a[fresh] = frame.vectors[np.arange(len(frame.vectors)), :,
                                  np.argmax(inside[fresh], axis=1)]
-        if graph.topology.betti:
+        if couplings and graph.topology.betti:
             for i, b in zip(np.flatnonzero(fresh), edge_couplings(frame.vectors, a[fresh])):
-                couplings[i] = b
+                kept_b[i] = b
     rows = np.arange(len(k))
     a = a / _norm(a)[:, None]
 
@@ -956,7 +966,7 @@ def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eig
     residual = np.maximum(_norm(a - (U @ a[:, :, None])[:, :, 0]), imag_res)
     return [Eigenpair(k=float(lv.k), n=lv.n, kappa=kappa[i], amplitudes=a[i],
                       values=values[i], derivatives=derivatives[i],
-                      residual=float(residual[i]), phases=theta[i], couplings=couplings[i])
+                      residual=float(residual[i]), phases=theta[i], couplings=kept_b[i])
             for i, lv in enumerate(levels)]
 
 
@@ -1026,7 +1036,7 @@ def classify(graph: MetricGraph, ep: Eigenpair,
 
 
 def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
-                  workers: int) -> Iterator[LocatedLevel]:
+                  workers: int, couplings: bool) -> Iterator[LocatedLevel]:
     """The levels holding `count` eigenvalues, or those up to the exact
     count at k_max, in `workers` windows walked on a process pool.  The
     windows split the count at `_split`'s edges, as a sweep splits it into
@@ -1044,9 +1054,10 @@ def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
     offsets = [0, *counts.tolist()]
     shares = np.diff([*offsets, count]).tolist()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # locate_spectrum(graph, count=share, k_max=None, k_min=start, n_offset=offset)
+        # locate_spectrum(graph, count=share, k_max=None, k_min=start,
+        #                 n_offset=offset, couplings=couplings)
         windows = pool.map(locate_spectrum, repeat(graph), shares, repeat(None),
-                           starts, offsets)
+                           starts, offsets, repeat(couplings))
         levels = [lv for window in windows for lv in window]
     n = 1
     for lv in levels:
@@ -1059,8 +1070,8 @@ def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
 
 
 def stream_levels(graph: MetricGraph, count: int | None = None,
-                  k_max: float | None = None,
-                  workers: int = 1) -> Iterator[LocatedLevel]:
+                  k_max: float | None = None, workers: int = 1,
+                  couplings: bool = False) -> Iterator[LocatedLevel]:
     """Levels in order: whole levels up to the first `count` eigenvalues,
     or all in (0, k_max]; ValueError unless exactly one of them is given.
 
@@ -1069,25 +1080,28 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
     the exact count there) into `workers` windows with the lanes' splitter
     and walk each in lanes on a process pool (`_pool_windows`).  Window and
     lane edges are moved clear of the spectrum and carry exact counts, so
-    the levels do not depend on the split.
+    the levels do not depend on the split.  `couplings` is the `Walk`'s.
     """
     if (count is None) == (k_max is None):
         raise ValueError("specify exactly one of count, k_max")
     if workers > 1 and (k_max is None or k_max > 0.0):
-        return _pool_windows(graph, count, k_max, workers)
-    walk = Walk(graph)
+        return _pool_windows(graph, count, k_max, workers, couplings)
+    walk = Walk(graph, couplings=couplings)
     return walk.take(count) if count is not None else walk.until(k_max)
 
 
 def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
-               thresholds: Thresholds = Thresholds()) -> list[tuple]:
+               thresholds: Thresholds = Thresholds(),
+               couplings: bool = False) -> list[tuple]:
     """(level, eigenpair, generic, reason) per level, the simple levels off
     every loop resonance reconstructed as one batch (`_reconstruct`: from
     the kernel a level kept, else from a fresh frame) and classified by
     `classify_batch`; other levels carry no eigenpair and are not generic
     (at a resonance the loop state is the eigenfunction, so none is
-    reconstructed).  The level's `loop_dims`, decided as it is located, is
-    the only loop decision.  NoKernel or NonSimple at any level is raised
+    reconstructed).  With `couplings` every eigenpair carries the flux
+    couplings magnetic indices need (see `_reconstruct`); levels walked with
+    `couplings` bring them.  The level's `loop_dims`, decided as it is
+    located, is the only loop decision.  NoKernel or NonSimple at any level is raised
     for the whole batch.
 
     `generic` is the verdict of `classify_batch`, a bool.  `reason` is None
@@ -1099,7 +1113,7 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
       non_generic         a vertex value or interior derivative is below its threshold
     """
     simple = [lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims]
-    eps = _reconstruct(graph, simple)
+    eps = _reconstruct(graph, simple, couplings)
     built = iter(())
     if eps:
         flags = classify_batch(graph, eps, thresholds)
@@ -1120,14 +1134,15 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
 def stream_batches(graph: MetricGraph, count: int | None = None,
                    k_max: float | None = None,
                    thresholds: Thresholds = Thresholds(),
-                   workers: int = 1) -> Iterator[list[tuple]]:
+                   workers: int = 1, couplings: bool = False) -> Iterator[list[tuple]]:
     """`eigenpairs` of consecutive batches of `stack_size(graph)` levels of
     `stream_levels` (in-process, or in `workers` pool windows); a batch is
-    located in full before it is yielded."""
-    levels = stream_levels(graph, count, k_max, workers)
+    located in full before it is yielded.  With `couplings` the eigenpairs
+    carry what magnetic indices need."""
+    levels = stream_levels(graph, count, k_max, workers, couplings)
     size = stack_size(graph)
     while batch := list(islice(levels, size)):
-        yield eigenpairs(graph, batch, thresholds)
+        yield eigenpairs(graph, batch, thresholds, couplings)
 
 
 def stream_eigenpairs(graph: MetricGraph, count: int | None = None,

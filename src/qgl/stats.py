@@ -117,8 +117,10 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     folded in batches of `stack_size` levels as the walk's sweeps yield
     them, so no level past the one that gives the last record is located,
     and thresholds that exclude nearly everything end the run after the
-    first batch.  The walk's tallies are kept on `tally`, and how the
-    eigenpairs were reconstructed on `reconstruction`.  `chunk` has no
+    first batch.  Only a magnetic run asks the walk and reconstruction for
+    the flux couplings its indices are read from.  The walk's tallies are
+    kept on `tally`, and how the eigenpairs were reconstructed on
+    `reconstruction`.  `chunk` has no
     effect: the lanes are set by the constants of `spectrum`.
 
     With `seed` given the edge lengths are redrawn uniformly from [1, 2];
@@ -128,7 +130,7 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     if seed is not None:
         graph = graph.with_lengths(draw_lengths(graph.E, seed))
 
-    walk = spectrum_mod.Walk(graph)
+    walk = spectrum_mod.Walk(graph, couplings=magnetic)
     dist = SurplusDistribution(graph=graph, tally=walk.tally)
     size = stack_size(graph)
     while dist.K < K_target:
@@ -153,7 +155,7 @@ def _fold_levels(dist: SurplusDistribution, batch: list,
     """Reconstruct, classify and fold one batch of located levels."""
     graph = dist.graph
     generic, made = [], dist.reconstruction
-    for lv, ep, _, reason in spectrum_mod.eigenpairs(graph, batch, thresholds):
+    for lv, ep, _, reason in spectrum_mod.eigenpairs(graph, batch, thresholds, magnetic):
         dist.N_raw += lv.multiplicity
         if ep is not None:
             if lv.kernel is None:

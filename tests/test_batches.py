@@ -23,7 +23,9 @@ BUILTIN = ("chain2", "chain4", "chain8", "dumbbell", "flower3", "k4", "k6",
 def _batch(graph, want=200):
     """The first `want` generic eigenpairs, reconstructed and classified as
     one batch, with the verdict the batch gave every eigenpair."""
-    rows = spectrum.eigenpairs(graph, spectrum.locate_spectrum(graph, count=3 * want))
+    rows = spectrum.eigenpairs(
+        graph, spectrum.locate_spectrum(graph, count=3 * want, couplings=True),
+        couplings=True)
     verdicts = [(ep, (generic, reason == "borderline"))
                 for _, ep, generic, reason in rows if ep is not None]
     generic = [ep for _, ep, _, reason in rows if reason is None][:want]

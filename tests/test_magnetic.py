@@ -92,7 +92,8 @@ def fd_hessian(graph, kappa, tree=None, step=FD_STEP):
 
 
 def _generic_levels(graph, want):
-    rows = eigenpairs(graph, locate_spectrum(graph, count=4 * want))
+    rows = eigenpairs(graph, locate_spectrum(graph, count=4 * want, couplings=True),
+                      couplings=True)
     return [ep for _, ep, _, reason in rows if reason is None][:want]
 
 
@@ -215,9 +216,10 @@ def test_walk_frame_hessians_agree_with_fresh_frames(name):
     # against those of a fresh frame at each located kappa, and the indices
     # they give, degenerate rows included
     g = load_graph(name)
-    levels = locate_spectrum(g, count=300)
+    levels = locate_spectrum(g, count=300, couplings=True)
     fresh_levels = [replace(lv, phases=None, kernel=None, couplings=None) for lv in levels]
-    walked, fresh = ([ep for _, ep, _, _ in eigenpairs(g, lvs) if ep is not None]
+    walked, fresh = ([ep for _, ep, _, _ in eigenpairs(g, lvs, couplings=True)
+                      if ep is not None]
                      for lvs in (levels, fresh_levels))
     assert any(lv.couplings is not None for lv in levels)
     assert [ep.n for ep in walked] == [ep.n for ep in fresh]
@@ -238,7 +240,8 @@ def test_walk_frame_hessians_agree_with_fresh_frames(name):
 def test_tree_batch_takes_no_frame(tree31, monkeypatch):
     # no flux acts on a tree: the walk keeps no couplings, and the batch's
     # indices are 0 and empty without a decomposition
-    rows = eigenpairs(tree31, locate_spectrum(tree31, count=60))
+    rows = eigenpairs(tree31, locate_spectrum(tree31, count=60, couplings=True),
+                      couplings=True)
     eps = [ep for _, ep, _, _ in rows if ep is not None]
     assert all(lv.couplings is None for lv, _, _, _ in rows)
     monkeypatch.setattr(np.linalg, "eigh", None)
@@ -246,6 +249,20 @@ def test_tree_batch_takes_no_frame(tree31, monkeypatch):
     m = magnetic.indices_batch(tree31, eps)
     assert m.sigma.tolist() == [0] * len(eps) and m.iota.shape == (len(eps), 0)
     assert not np.any(m.degenerate)
+
+
+def test_couplings_only_when_asked(dumbbell):
+    # a walk keeps no flux couplings unless asked, as a magnetic run asks:
+    # eigenpairs without them are refused by indices_batch, and
+    # hessian_alpha takes a frame at their kappa
+    rows = eigenpairs(dumbbell, locate_spectrum(dumbbell, count=40))
+    assert all(lv.couplings is None for lv, _, _, _ in rows)
+    eps = [ep for _, ep, _, reason in rows if reason is None]
+    assert eps and all(ep.couplings is None for ep in eps)
+    with pytest.raises(ValueError, match="couplings"):
+        magnetic.indices_batch(dumbbell, eps)
+    a, b = hessian_alpha(dumbbell, eps[0]), hessian_alpha(dumbbell, eps[0].kappa)
+    assert np.array_equal(a.hessian, b.hessian) and a.p == b.p
 
 
 def test_point_off_the_zero_set_raises(dumbbell):

@@ -695,10 +695,10 @@ def test_doctored_window_edge_count_raises(dumbbell, shift, monkeypatch):
         list(stream_levels(dumbbell, count=200, workers=2))
 
 
-def _first_window_past_its_edge(graph, count, k_max, k_min, n_offset):
+def _first_window_past_its_edge(graph, count, k_max, k_min, n_offset, couplings):
     """`locate_spectrum` as the pool calls it, with the first window taking
     one eigenvalue past its upper edge."""
-    return list(spectrum.Walk(graph, k_min, n_offset).take(count + (k_min == 0.0)))
+    return list(spectrum.Walk(graph, k_min, n_offset, couplings).take(count + (k_min == 0.0)))
 
 
 def test_pool_window_past_its_edge_raises(dumbbell, monkeypatch):

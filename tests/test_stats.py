@@ -110,7 +110,7 @@ def test_short_lanes_keep_the_records(name, monkeypatch):
     def recording_sweep(self, m):
         before = self.tally.rounds
         levels = sweep(self, m)
-        if m < 2 * spectrum.LANES:
+        if m < spectrum.LANES:
             small_rounds[-1] += self.tally.rounds - before
         return levels
 
@@ -134,6 +134,14 @@ def test_short_lanes_keep_the_records(name, monkeypatch):
             assert a.capacities == pytest.approx(b.capacities, rel=1e-6)
 
 
+def test_plain_run_keeps_no_couplings(dumbbell, monkeypatch):
+    # only a magnetic run asks its walk and reconstruction for the flux
+    # couplings; a plain run never computes them
+    ref = run_experiment(dumbbell, 100, seed=7)
+    monkeypatch.setattr(spectrum, "edge_couplings", None)
+    assert run_experiment(dumbbell, 100, seed=7).records == ref.records
+
+
 def test_magnetic_tree_run_equals_plain_run(tree31):
     # no flux acts on a tree: a magnetic run takes no frame and keeps no
     # couplings, so it walks and reconstructs as a plain run and gives its
@@ -153,11 +161,8 @@ def test_one_frame_per_eigenpair_beyond_localization(dumbbell, monkeypatch):
     # each stack
     for magnetic_run in (False, True):
         with monkeypatch.context() as patch:
-            calls, d = _count_frames_beyond_localization(dumbbell, patch, magnetic_run)
-        t = d.tally
-        assert (t.recounts, t.retries, t.fallbacks) == (0, 0, 0)
-        assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (calls["eigenpair"], 0)
-        assert calls["matrices"] == t.matrices()
+            _all_read_from_the_walk(*_count_frames_beyond_localization(
+                dumbbell, patch, magnetic_run))
 
 
 @pytest.mark.parametrize("magnetic_run", (False, True))
@@ -167,6 +172,7 @@ def test_resolved_frames_are_tallied(dumbbell, monkeypatch, magnetic_run):
     # left after the walk
     monkeypatch.setattr(spectrum, "POLE_LIMIT", 3.0)
     calls, d = _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run)
+    _all_read_from_the_walk(calls, d)
     assert d.tally.resolves == calls["walk resolves"] > 0
     assert calls["reconstruction resolves"] == 0
 
@@ -191,6 +197,15 @@ def test_levels_settled_afresh_take_one_frame_each(dumbbell, monkeypatch):
                                  + calls["reconstruction resolves"])
     assert [(r.n, r.sigma, r.omega, r.positions, r.iota) for r in d.records] \
         == [(r.n, r.sigma, r.omega, r.positions, r.iota) for r in ref.records]
+
+
+def _all_read_from_the_walk(calls, d):
+    """Check that the walk settled no level afresh and every eigenpair was
+    read from its frame, so no matrix was decomposed after the walk."""
+    t = d.tally
+    assert (t.recounts, t.retries, t.fallbacks) == (0, 0, 0)
+    assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (calls["eigenpair"], 0)
+    assert calls["matrices"] == t.matrices()
 
 
 def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
