@@ -37,6 +37,10 @@ class NonpositiveLength(GraphError):
     pass
 
 
+class NonfiniteLength(GraphError):
+    pass
+
+
 # ---- secular core ----
 
 class UndefinedPhase(QGLError):

@@ -14,12 +14,14 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
 from .errors import (
     DegreeTwoVertex,
     DisconnectedGraph,
+    NonfiniteLength,
     NonpositiveLength,
     TooFewEdges,
 )
@@ -66,6 +68,10 @@ class MetricGraph:
                 raise NonpositiveLength(f"edge {i} has length {e.length}")
         self.lengths = tuple(e.length for e in self.edges)
         self.total_length = float(sum(self.lengths))
+        if not math.isfinite(self.total_length):
+            i = next(i for i, t in enumerate(accumulate(self.lengths)) if not math.isfinite(t))
+            raise NonfiniteLength(f"edge {i} of length {self.lengths[i]} makes the "
+                                  "total length infinite")
         self.min_length = min(self.lengths) if self.edges else 0.0
         # pi / l_min: above it every Neumann domain at an interior vertex is a star
         self.star_threshold = math.pi / self.min_length if self.edges else math.inf
@@ -290,14 +296,13 @@ def validate(graph: MetricGraph) -> Topology:
 
 
 def load_graph(path_or_name: str | Path) -> MetricGraph:
-    """Load a graph JSON file; bare names fall back to the builtin catalog."""
-    p = Path(path_or_name)
-    if p.suffix == ".json" and p.exists():
-        with open(p) as fh:
+    """Load a graph JSON file (a path ending in .json; FileNotFoundError
+    when it does not exist) or a builtin graph by its bare name."""
+    if Path(path_or_name).suffix == ".json":
+        with open(path_or_name) as fh:
             return MetricGraph.from_json(json.load(fh))
-    name = p.stem if p.suffix == ".json" else str(path_or_name)
     try:
-        data = resources.files("qgl.data").joinpath(f"{name}.json").read_text()
+        data = resources.files("qgl.data").joinpath(f"{path_or_name}.json").read_text()
     except FileNotFoundError:
         raise FileNotFoundError(f"no such graph file or builtin graph: {path_or_name}")
     return MetricGraph.from_json(json.loads(data))

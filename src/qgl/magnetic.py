@@ -23,7 +23,7 @@ the eigenphases of the frame its kernel was read from and the couplings b
 of its kernel vector through every edge (`spectrum.edge_couplings`), of
 which the flux edges' rows are taken.  That frame is the walk's final
 Newton frame, within a quarter of the tolerance of the root, or for a level
-settled afresh the frame reconstruction took at the located k, so no
+settled afresh the frame the walk took at the located k, so no
 decomposition of U is taken here for such an eigenpair.  A bare kappa, or
 an eigenpair without couplings passed to `hessian_alpha`, takes one frame.
 A batch is handled as stacked arrays: the cot factors, the perturbation

@@ -62,27 +62,28 @@ bisection fallback are handled lane by lane.  A count that disagrees with an
 edge's count raises BracketAuditFailed.  The walk carries on from the last
 lane of a request, and tallies the sweeps, lockstep rounds, frames (by stack
 depth), matrices solved again with the pole moved, solves, lanes, spare
-edges, re-counts, retries and fallbacks it takes (`WalkTally`).
+edges, re-counts, retries, fallbacks and kernel frames it takes
+(`WalkTally`).
 
-An eigenfunction is read from the frame that certified its level: the
-eigenvector of the eigenphase at 0 spans the kernel of 1 - U(k).  A simple
-level off loop states that its final Newton frame certifies keeps that
-frame's eigenphases and that eigenvector (`LocatedLevel.phases`, `.kernel`);
-the frame lies within a quarter of the tolerance of the root.  A walk
-asked for couplings (`couplings=True`, which magnetic indices need) on a
-graph with cycles also keeps the vector's couplings to the frame's
-eigenvectors through each edge (`edge_couplings`, E x 2E complex numbers:
-288 B on `dumbbell`, 7.2 KB on `k6`), from which `magnetic` takes the flux
-Hessian.  A level settled afresh (a re-count, a close-pair retry or a
-bisection) keeps nothing and takes one more frame, with eigenvectors, at
-the located k, which gives its couplings too when they are asked for.
+An eigenfunction is read from a frame at its level: the eigenvector of the
+eigenphase at 0 spans the kernel of 1 - U(k).  Every simple level off loop
+states keeps a frame's eigenphases and that eigenvector
+(`LocatedLevel.phases`, `.kernel`): a level its final Newton frame
+certifies keeps that frame, which lies within a quarter of the tolerance of
+the root, and a level settled afresh (a re-count, a close-pair retry or a
+bisection) takes one more frame, with eigenvectors, at the located k, one
+stack over such levels of a step (`WalkTally.kernel_frames`).  A walk asked
+for couplings (`couplings=True`, which magnetic indices need) on a graph
+with cycles also keeps the vector's couplings to the frame's eigenvectors
+through each edge (`edge_couplings`, E x 2E complex numbers: 288 B on
+`dumbbell`, 7.2 KB on `k6`), from which `magnetic` takes the flux Hessian.
 Located levels are reconstructed in batches bounded by memory (about
-`secular.BATCH_ENTRIES` complex entries per stacked array): the levels
-without a kernel share one stacked `inv` and `eigh`, and the kernel check
-against `kernel_cutoff`, phase alignment, vertex trace, canonical sign,
-residual at the located k and classification are array operations over the
-batch, each row computed as it would be alone.  The eigenpair keeps its
-vertex trace as two arrays indexed by directed edge.
+`secular.BATCH_ENTRIES` complex entries per stacked array) from what they
+kept, with no decomposition: the kernel check against `kernel_cutoff`, phase
+alignment, vertex trace, canonical sign, residual at the located k and
+classification are array operations over the batch, each row computed as it
+would be alone.  The eigenpair keeps its vertex trace as two arrays indexed
+by directed edge.
 """
 from __future__ import annotations
 
@@ -263,11 +264,12 @@ class LocatedLevel:
     k: float
     multiplicity: int
     loop_dims: int        # kernel dimensions carried by loop factors
-    # a simple level off loop states certified from its final Newton frame
-    # keeps that frame's eigenphases, the eigenvector of the one nearest 0,
-    # from which it is reconstructed, and, when the walk was asked for them
-    # on a graph with cycles, that vector's `edge_couplings`; None for a
-    # level settled afresh
+    # a simple level off loop states keeps the eigenphases of a frame at
+    # its level (its final Newton frame, or one taken at k if it was
+    # settled afresh), the eigenvector of the one nearest 0, from which it
+    # is reconstructed, and, when the walk was asked for them on a graph
+    # with cycles, that vector's `edge_couplings`; None for a multiple
+    # level or one at a loop state
     phases: np.ndarray | None = field(default=None, compare=False, repr=False)
     kernel: np.ndarray | None = field(default=None, compare=False, repr=False)
     couplings: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -288,6 +290,7 @@ class WalkTally:
     fallbacks: int = 0    # levels bisected on the count
     resolves: int = 0     # matrices of a frame solved again with the pole moved
     spare_edges: int = 0  # lane edge frames at or past a request's count
+    kernel_frames: int = 0  # simple levels settled afresh, given a frame at k
 
     def matrices(self) -> int:
         """Matrices decomposed in all frames, re-solves included."""
@@ -300,7 +303,8 @@ class WalkTally:
                 "lanes": self.lanes, "requests": self.requests, "rounds": self.rounds,
                 "recounts": self.recounts,
                 "retries": self.retries, "fallbacks": self.fallbacks,
-                "resolves": self.resolves, "spare_edges": self.spare_edges}
+                "resolves": self.resolves, "spare_edges": self.spare_edges,
+                "kernel_frames": self.kernel_frames}
 
 
 class _Counter:
@@ -335,6 +339,12 @@ def edge_couplings(Z: np.ndarray, a: np.ndarray) -> np.ndarray:
     eigenphases these are all the flux Hessian of a's eigenphase needs."""
     product = Z.conj() * a[..., :, None]
     return product[..., 0::2, :] - product[..., 1::2, :]
+
+
+def _kernel_vectors(frame: CountingFrame) -> np.ndarray:
+    """The eigenvector of the eigenphase nearest 0 of each frame of a stack."""
+    theta = frame.eigenphases
+    return frame.vectors[np.arange(len(theta)), :, np.argmin(np.abs(_signed(theta)), axis=-1)]
 
 
 def _loop_dims(graph: MetricGraph, k: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -628,9 +638,10 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray,
     bracket, tracked Newton and certificate over the lanes, with the rare
     undecided or failed audits settled lane by lane.  Moves the lanes past
     their levels and returns those, one per lane.  A simple level off loop
-    states that its final Newton frame certifies keeps that frame's
-    eigenphases and kernel vector, and with `couplings` the vector's
-    couplings (one stacked product over the lanes)."""
+    states keeps the eigenphases and kernel vector of its final Newton
+    frame, or, settled afresh, of one stacked frame at the located k over
+    such levels, and with `couplings` the vector's couplings (one stacked
+    product over the lanes)."""
     ctr.tally.rounds += 1
     frame, n = lanes.frame.take(idx), lanes.n[idx]
     a, b, start, z = _phase_bracket(ctr, frame, lanes.phases[idx], lanes.lo[idx])
@@ -650,14 +661,18 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray,
         audit.put(i, settled)
     mult = audit.n_above - n
     loops = np.minimum(_loop_dims(ctr.graph, k_star, delta), mult)
-    # settled rows of `final` were overwritten; certified ones are as Newton left them
-    kept = passed & (mult == 1) & (loops == 0)
-    theta = final.eigenphases
-    vectors = final.vectors[np.arange(len(idx)), :, np.argmin(np.abs(_signed(theta)), axis=-1)]
-    b_kept = edge_couplings(final.vectors, vectors) if couplings else repeat(None)
     lanes.n[idx], lanes.lo[idx] = audit.n_above, k_star + delta
     lanes.frame.put(idx, audit.frame)
     lanes.phases[idx] = audit.phases
+    kept = (mult == 1) & (loops == 0)
+    # `_settle` left its audit frames, now copied to the lanes, in its rows
+    # of `final`; a simple level there takes a frame at its k instead
+    fresh = np.flatnonzero(kept & ~passed)
+    if fresh.size:
+        ctr.tally.kernel_frames += fresh.size
+        final.put(fresh, ctr.frame(k_star[fresh], vectors=True))
+    theta, vectors = final.eigenphases, _kernel_vectors(final)
+    b_kept = edge_couplings(final.vectors, vectors) if couplings else repeat(None)
     ctr.tally.levels += len(idx)
     return [LocatedLevel(n_i + 1, k_i, m_i, l_i, *((t, v, b) if keep else ()))
             for n_i, k_i, m_i, l_i, keep, t, v, b in zip(
@@ -738,28 +753,25 @@ class Walk:
     in lockstep (`_step`).  The walk carries on from where the last lane of
     a request stops.
 
-    `n_offset` is the count at k_min when known (it is measured otherwise).
-    With `couplings` the levels keep their kernel vector's `edge_couplings`
-    where they keep a kernel, on a graph with cycles (no flux acts on a
-    tree).  A request wider than LANES lanes of LANE_SPACINGS mean level
-    spacings is walked in several sweeps, each located in full before its
-    first level is yielded.  `tally` counts what the walk did.
+    The walk reads its start count from its frame at k_min, with which it
+    brackets its first level.  With `couplings` the levels keep their
+    kernel vector's `edge_couplings` where they keep a kernel, on a graph
+    with cycles (no flux acts on a tree).  A request wider than LANES lanes
+    of LANE_SPACINGS mean level spacings is walked in several sweeps, each
+    located in full before its first level is yielded.  `tally` counts what
+    the walk did.
     """
 
-    def __init__(self, graph: MetricGraph, k_min: float = 0.0,
-                 n_offset: int | None = None, couplings: bool = False):
+    def __init__(self, graph: MetricGraph, k_min: float = 0.0, couplings: bool = False):
         self.graph = graph
         self.couplings = couplings and graph.topology.betti > 0
         self.ctr = _Counter(graph)
         self.tally = self.ctr.tally
         self.lo = 1e-6 * np.pi / graph.total_length if k_min <= 0.0 else k_min
         self.frame = self.ctr.frame(np.array([self.lo]), vectors=True)
-        if k_min <= 0.0:
-            self.n = int(_exact_counts(self.frame)[0])
-            if self.n != 0:
-                raise BracketAuditFailed(f"counting at k->0+ gives {self.n}, not 0")
-        else:
-            self.n = int(_exact_counts(self.frame)[0]) if n_offset is None else n_offset
+        self.n = int(_exact_counts(self.frame)[0])
+        if k_min <= 0.0 and self.n != 0:
+            raise BracketAuditFailed(f"counting at k->0+ gives {self.n}, not 0")
         self.phases = self.frame.eigenphases
 
     def _lane_count(self, levels: float) -> int:
@@ -832,7 +844,6 @@ class Walk:
 
 def locate_spectrum(graph: MetricGraph, count: int | None = None,
                     k_max: float | None = None, k_min: float = 0.0,
-                    n_offset: int | None = None,
                     couplings: bool = False) -> list[LocatedLevel]:
     """Locate eigenvalues, either the first `count` of them or all in
     (k_min, k_max].  Indexing starts at n = 1 for the first positive
@@ -841,7 +852,7 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
     """
     if (count is None) == (k_max is None):
         raise ValueError("specify exactly one of count, k_max")
-    walk = Walk(graph, k_min, n_offset, couplings)
+    walk = Walk(graph, k_min, couplings)
     return list(walk.take(count) if count is not None else walk.until(k_max))
 
 
@@ -893,35 +904,20 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel],
-                 couplings: bool = False) -> list[Eigenpair]:
-    """Eigenpairs at located levels; NoKernel or NonSimple unless the kernel
-    of 1 - U is one-dimensional at every k.
+def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eigenpair]:
+    """Eigenpairs at located levels, from the eigenphases, kernel vector and
+    couplings each kept; NoKernel or NonSimple unless the kernel of 1 - U
+    is one-dimensional at every k.
 
-    A level that kept its certifying frame's eigenphases, kernel vector and
-    couplings reads them; the others take one stacked frame of U(kappa) at
-    their k, and with `couplings` (on a graph with cycles) the couplings of
-    its kernel vector, which a level walked with `couplings` kept.  Both
-    then pass the same kernel check, phase alignment, trace, sign and
-    residual at the located k, and the eigenpair keeps the eigenphases and
-    couplings.  Each row is computed as it would be alone: the stacked `inv`
-    and `eigh` solve each matrix separately, and every later step is
-    elementwise or reduces along a row.
+    Every level passes the same kernel check, phase alignment, trace, sign
+    and residual at the located k, and the eigenpair keeps the eigenphases
+    and couplings.  Nothing is decomposed, and each row is computed as it
+    would be alone: every step is elementwise or reduces along a row.
     """
     k = np.array([lv.k for lv in levels], dtype=float)
     kappa = k[:, None] * np.asarray(graph.lengths) % TWO_PI
     U = evolution_matrix(graph, kappa)
-    fresh = np.array([lv.kernel is None for lv in levels], dtype=bool)
-    kept = [lv for lv in levels if lv.kernel is not None]
-    kept_b = [lv.couplings for lv in levels]
-    theta = np.empty((len(k), 2 * graph.E))
-    a = np.empty((len(k), 2 * graph.E), dtype=complex)
-    if kept:
-        theta[~fresh] = [lv.phases for lv in kept]
-        a[~fresh] = [lv.kernel for lv in kept]
-    if np.any(fresh):
-        frame = unitary_frame(U[fresh], vectors=True)
-        theta[fresh] = frame.eigenphases
+    theta = stacked(levels, "phases")
     distance = np.abs(1.0 - np.exp(1j * theta))
     inside = distance < kernel_cutoff(graph, k)[:, None]
     dims = np.count_nonzero(inside, axis=1)
@@ -929,13 +925,8 @@ def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel],
         if dims[i] == 0:
             raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance[i]):.2e} at k={levels[i].k}")
         raise NonSimple(f"kernel dimension {dims[i]} at k={levels[i].k}")
-    if np.any(fresh):
-        a[fresh] = frame.vectors[np.arange(len(frame.vectors)), :,
-                                 np.argmax(inside[fresh], axis=1)]
-        if couplings and graph.topology.betti:
-            for i, b in zip(np.flatnonzero(fresh), edge_couplings(frame.vectors, a[fresh])):
-                kept_b[i] = b
     rows = np.arange(len(k))
+    a = stacked(levels, "kernel")
     a = a / _norm(a)[:, None]
 
     phase = np.repeat(np.exp(-1j * kappa), 2, axis=-1)
@@ -966,24 +957,28 @@ def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel],
     residual = np.maximum(_norm(a - (U @ a[:, :, None])[:, :, 0]), imag_res)
     return [Eigenpair(k=float(lv.k), n=lv.n, kappa=kappa[i], amplitudes=a[i],
                       values=values[i], derivatives=derivatives[i],
-                      residual=float(residual[i]), phases=theta[i], couplings=kept_b[i])
+                      residual=float(residual[i]), phases=theta[i], couplings=lv.couplings)
             for i, lv in enumerate(levels)]
 
 
 def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0) -> Eigenpair:
     """Reconstruct the (canonical, real) eigenfunction at a located k: the
-    batch of one of `eigenpairs`, for a level that kept no kernel.
+    batch of one of `eigenpairs`, from one spectral frame of U(k) and its
+    eigenvector of the eigenphase nearest 0, as a walk keeps them for a
+    level it settled afresh.
 
-    The kernel of 1 - U is spanned by the eigenvectors of one fresh spectral
-    frame of U whose eigenphases lie within `kernel_cutoff` of 0 (as
-    |1 - e^{i theta}|).  The vertex trace is the value and the outgoing
-    derivative at the tail of every directed edge, indexed by directed edge.
+    The kernel of 1 - U is spanned by the eigenvectors of the frame whose
+    eigenphases lie within `kernel_cutoff` of 0 (as |1 - e^{i theta}|).  The
+    vertex trace is the value and the outgoing derivative at the tail of
+    every directed edge, indexed by directed edge.
 
     A kernel of dimension 0 raises NoKernel, and one of dimension 2 or more
     raises NonSimple: multiple levels, at a loop resonance or not, are never
     reconstructed.
     """
-    return _reconstruct(graph, [LocatedLevel(n, float(k), 1, 0)])[0]
+    frame = counting(graph, np.array([float(k)]), vectors=True)
+    level = LocatedLevel(n, float(k), 1, 0, frame.eigenphases[0], _kernel_vectors(frame)[0])
+    return _reconstruct(graph, [level])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1040,9 +1035,9 @@ def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
     """The levels holding `count` eigenvalues, or those up to the exact
     count at k_max, in `workers` windows walked on a process pool.  The
     windows split the count at `_split`'s edges, as a sweep splits it into
-    lanes: each starts at its lower edge with that edge's exact count and
-    takes the eigenvalues up to the next edge's count, the last up to the
-    count asked for.  BracketAuditFailed unless the windows' levels run
+    lanes: each starts at its lower edge, where its walk reads the count,
+    and takes the eigenvalues up to the next edge's count, the last up to
+    the count asked for.  BracketAuditFailed unless the windows' levels run
     consecutively in n."""
     from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
 
@@ -1051,13 +1046,12 @@ def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
         count = walk._count_to(k_max)
     edges, _, counts = _split(walk.ctr, walk.lo, 0, count, workers)
     starts = [0.0, *edges.tolist()]
-    offsets = [0, *counts.tolist()]
-    shares = np.diff([*offsets, count]).tolist()
+    shares = np.diff([0, *counts.tolist(), count]).tolist()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # locate_spectrum(graph, count=share, k_max=None, k_min=start,
-        #                 n_offset=offset, couplings=couplings)
+        #                 couplings=couplings)
         windows = pool.map(locate_spectrum, repeat(graph), shares, repeat(None),
-                           starts, offsets, repeat(couplings))
+                           starts, repeat(couplings))
         levels = [lv for window in windows for lv in window]
     n = 1
     for lv in levels:
@@ -1091,18 +1085,16 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
 
 
 def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
-               thresholds: Thresholds = Thresholds(),
-               couplings: bool = False) -> list[tuple]:
-    """(level, eigenpair, generic, reason) per level, the simple levels off
-    every loop resonance reconstructed as one batch (`_reconstruct`: from
-    the kernel a level kept, else from a fresh frame) and classified by
-    `classify_batch`; other levels carry no eigenpair and are not generic
-    (at a resonance the loop state is the eigenfunction, so none is
-    reconstructed).  With `couplings` every eigenpair carries the flux
-    couplings magnetic indices need (see `_reconstruct`); levels walked with
-    `couplings` bring them.  The level's `loop_dims`, decided as it is
-    located, is the only loop decision.  NoKernel or NonSimple at any level is raised
-    for the whole batch.
+               thresholds: Thresholds = Thresholds()) -> list[tuple]:
+    """(level, eigenpair, generic, reason) per level of a walk, the simple
+    levels off every loop resonance reconstructed as one batch from the
+    kernels they kept (`_reconstruct`) and classified by `classify_batch`;
+    other levels carry no eigenpair and are not generic (at a resonance the
+    loop state is the eigenfunction, so none is reconstructed).  Levels
+    walked with `couplings` give their eigenpairs the flux couplings
+    magnetic indices need.  The level's `loop_dims`, decided as it is
+    located, is the only loop decision.  NoKernel or NonSimple at any level
+    is raised for the whole batch.
 
     `generic` is the verdict of `classify_batch`, a bool.  `reason` is None
     for a generic eigenpair that is not borderline, or else one of
@@ -1113,9 +1105,9 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
       non_generic         a vertex value or interior derivative is below its threshold
     """
     simple = [lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims]
-    eps = _reconstruct(graph, simple, couplings)
     built = iter(())
-    if eps:
+    if simple:
+        eps = _reconstruct(graph, simple)
         flags = classify_batch(graph, eps, thresholds)
         built = zip(eps, flags.generic.tolist(), flags.borderline.tolist())
     out = []
@@ -1137,12 +1129,12 @@ def stream_batches(graph: MetricGraph, count: int | None = None,
                    workers: int = 1, couplings: bool = False) -> Iterator[list[tuple]]:
     """`eigenpairs` of consecutive batches of `stack_size(graph)` levels of
     `stream_levels` (in-process, or in `workers` pool windows); a batch is
-    located in full before it is yielded.  With `couplings` the eigenpairs
-    carry what magnetic indices need."""
+    located in full before it is yielded.  With `couplings` the levels are
+    walked for what magnetic indices need."""
     levels = stream_levels(graph, count, k_max, workers, couplings)
     size = stack_size(graph)
     while batch := list(islice(levels, size)):
-        yield eigenpairs(graph, batch, thresholds, couplings)
+        yield eigenpairs(graph, batch, thresholds)
 
 
 def stream_eigenpairs(graph: MetricGraph, count: int | None = None,

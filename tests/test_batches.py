@@ -24,8 +24,7 @@ def _batch(graph, want=200):
     """The first `want` generic eigenpairs, reconstructed and classified as
     one batch, with the verdict the batch gave every eigenpair."""
     rows = spectrum.eigenpairs(
-        graph, spectrum.locate_spectrum(graph, count=3 * want, couplings=True),
-        couplings=True)
+        graph, spectrum.locate_spectrum(graph, count=3 * want, couplings=True))
     verdicts = [(ep, (generic, reason == "borderline"))
                 for _, ep, generic, reason in rows if ep is not None]
     generic = [ep for _, ep, _, reason in rows if reason is None][:want]

@@ -6,6 +6,7 @@ import pytest
 from qgl.errors import (
     DegreeTwoVertex,
     DisconnectedGraph,
+    NonfiniteLength,
     NonpositiveLength,
     TooFewEdges,
 )
@@ -43,6 +44,15 @@ def test_single_edge_rejected():
 def test_nonpositive_length_rejected():
     with pytest.raises(NonpositiveLength):
         MetricGraph(2, [(0, 1, 1.0), (0, 1, 0.0), (0, 1, 1.0)])
+
+
+@pytest.mark.parametrize("lengths, edge", [
+    ((1.0, float("inf"), 1.0), 1), ((1e308, 1e308, 1.0), 1), ((1.0, 1e308, 9e307), 2)])
+def test_nonfinite_length_rejected(lengths, edge):
+    # an infinite length, or lengths whose sum overflows, name the edge
+    # at which the total length stops being finite
+    with pytest.raises(NonfiniteLength, match=f"edge {edge} "):
+        MetricGraph(4, [(0, v, l) for v, l in enumerate(lengths, start=1)])
 
 
 def test_missing_vertex_rejected():
@@ -198,6 +208,14 @@ def test_caterpillar_builder():
     assert t.betti == 0
     assert len(t.interior) == 4
     assert "(3,1)-regular-tree" in t.families
+
+
+def test_missing_json_path_does_not_load_a_builtin(tmp_path):
+    # a .json path is a file or nothing; bare names load the catalog
+    for path in (tmp_path / "k6.json", "/nonexistent/dir/k6.json"):
+        with pytest.raises(FileNotFoundError):
+            load_graph(path)
+    assert load_graph("k6").E == 15
 
 
 def test_builtin_catalog_loads():

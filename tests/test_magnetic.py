@@ -9,6 +9,7 @@ import pytest
 
 import qgl
 import qgl.magnetic as magnetic
+import qgl.spectrum as spectrum
 
 from qgl.counts import counts
 from qgl.errors import CriticalPointViolated, DegenerateHessian
@@ -27,7 +28,15 @@ from qgl.secular import (
     reduce_torus,
     root_branch,
 )
-from qgl.spectrum import eigenfunction_at, eigenpairs, kernel_cutoff, locate_spectrum, stacked
+from qgl.spectrum import (
+    counting,
+    edge_couplings,
+    eigenfunction_at,
+    eigenpairs,
+    kernel_cutoff,
+    locate_spectrum,
+    stacked,
+)
 
 GRAPHS = ("lasso", "dumbbell", "mandarin3", "k4", "flower3", "chain4", "tree31_7")
 BUILTIN = ("chain2", "chain4", "chain8", "dumbbell", "flower3", "k4", "k6",
@@ -92,8 +101,7 @@ def fd_hessian(graph, kappa, tree=None, step=FD_STEP):
 
 
 def _generic_levels(graph, want):
-    rows = eigenpairs(graph, locate_spectrum(graph, count=4 * want, couplings=True),
-                      couplings=True)
+    rows = eigenpairs(graph, locate_spectrum(graph, count=4 * want, couplings=True))
     return [ep for _, ep, _, reason in rows if reason is None][:want]
 
 
@@ -210,17 +218,25 @@ def test_eigenpair_frame_gives_the_kappa_hessian(name):
         assert fresh.p == b.p
 
 
+def _fresh(g, lv):
+    """eigenfunction_at's eigenpair at a level, with its kernel vector's
+    couplings in the frame at the level's k, as the walk keeps them for a
+    level it settles afresh."""
+    frame = counting(g, np.array([lv.k]), vectors=True)
+    return replace(eigenfunction_at(g, lv.k, lv.n), couplings=edge_couplings(
+        frame.vectors[0], spectrum._kernel_vectors(frame)[0]))
+
+
 @pytest.mark.parametrize("name", [name for name in BUILTIN if load_graph(name).topology.betti])
 def test_walk_frame_hessians_agree_with_fresh_frames(name):
     # the first 300 levels: the Hessians from the couplings the walk kept
-    # against those of a fresh frame at each located kappa, and the indices
+    # against those of a fresh frame at each located k, and the indices
     # they give, degenerate rows included
     g = load_graph(name)
     levels = locate_spectrum(g, count=300, couplings=True)
-    fresh_levels = [replace(lv, phases=None, kernel=None, couplings=None) for lv in levels]
-    walked, fresh = ([ep for _, ep, _, _ in eigenpairs(g, lvs, couplings=True)
-                      if ep is not None]
-                     for lvs in (levels, fresh_levels))
+    rows = [row for row in eigenpairs(g, levels) if row[1] is not None]
+    walked = [ep for _, ep, _, _ in rows]
+    fresh = [_fresh(g, lv) for lv, _, _, _ in rows]
     assert any(lv.couplings is not None for lv in levels)
     assert [ep.n for ep in walked] == [ep.n for ep in fresh]
     layout = magnetic._flux_layout(g, None)
@@ -240,8 +256,7 @@ def test_walk_frame_hessians_agree_with_fresh_frames(name):
 def test_tree_batch_takes_no_frame(tree31, monkeypatch):
     # no flux acts on a tree: the walk keeps no couplings, and the batch's
     # indices are 0 and empty without a decomposition
-    rows = eigenpairs(tree31, locate_spectrum(tree31, count=60, couplings=True),
-                      couplings=True)
+    rows = eigenpairs(tree31, locate_spectrum(tree31, count=60, couplings=True))
     eps = [ep for _, ep, _, _ in rows if ep is not None]
     assert all(lv.couplings is None for lv, _, _, _ in rows)
     monkeypatch.setattr(np.linalg, "eigh", None)

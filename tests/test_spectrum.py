@@ -153,7 +153,7 @@ def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
     # the both-sides audit rejects it and Newton run again below it finds
     # the lower one
     steered = _steer_newton(monkeypatch, 914, high.k)
-    walk = spectrum.Walk(dumbbell, k_min=775.0, n_offset=913)
+    walk = spectrum.Walk(dumbbell, k_min=775.0)
     again = list(walk.until(775.2))
     assert steered == [914]
     assert (walk.tally.retries, walk.tally.fallbacks) == (1, 0)
@@ -457,9 +457,8 @@ def test_first_lasso_eigenvalue_bracket(lasso):
 
 def test_window_split_is_consistent(k4):
     full = locate_spectrum(k4, k_max=12.0)
-    n_mid = int(round(counting(k4, 6.0).N))
     first = locate_spectrum(k4, k_max=6.0)
-    second = locate_spectrum(k4, k_min=6.0, k_max=12.0, n_offset=n_mid)
+    second = locate_spectrum(k4, k_min=6.0, k_max=12.0)
     merged = first + second
     assert len(merged) == len(full)
     for a, b in zip(merged, full):
@@ -550,14 +549,14 @@ def test_walk_tallies(dumbbell):
     assert tally.lanes == spectrum.LANES + 100 // spectrum.LANE_LEVELS
     assert len(levels) <= tally.matrices() <= 1.2 * tally.levels
     assert tally.solves > tally.levels
-    assert tally.recounts == tally.retries == tally.fallbacks == 0
+    assert tally.recounts == tally.retries == tally.fallbacks == tally.kernel_frames == 0
     # one sweep per request; a lockstep round locates at most one level per lane
     assert tally.requests == 2
     assert tally.levels / spectrum.LANES <= tally.rounds < tally.levels
     assert set(tally.to_json()) == {"levels", "frames_by_depth", "matrices",
                                     "tracking_solves", "lanes", "requests", "rounds",
                                     "recounts", "retries", "fallbacks", "resolves",
-                                    "spare_edges"}
+                                    "spare_edges", "kernel_frames"}
 
 
 # rounds a request of m eigenvalues in L lanes may take beyond ceil(levels / L):
@@ -695,10 +694,10 @@ def test_doctored_window_edge_count_raises(dumbbell, shift, monkeypatch):
         list(stream_levels(dumbbell, count=200, workers=2))
 
 
-def _first_window_past_its_edge(graph, count, k_max, k_min, n_offset, couplings):
+def _first_window_past_its_edge(graph, count, k_max, k_min, couplings):
     """`locate_spectrum` as the pool calls it, with the first window taking
     one eigenvalue past its upper edge."""
-    return list(spectrum.Walk(graph, k_min, n_offset, couplings).take(count + (k_min == 0.0)))
+    return list(spectrum.Walk(graph, k_min, couplings).take(count + (k_min == 0.0)))
 
 
 def test_pool_window_past_its_edge_raises(dumbbell, monkeypatch):
@@ -819,10 +818,6 @@ def _assert_same_rows(got, want):
         assert (ep.k, ep.n, ep.residual) == (ep_w.k, ep_w.n, ep_w.residual)
 
 
-def _without_kernel(lv):
-    return dataclasses.replace(lv, phases=None, kernel=None)
-
-
 @pytest.mark.parametrize("name", ("star3", "lasso", "dumbbell", "k6", "tree31_7"))
 def test_eigenpairs_do_not_depend_on_the_batch_split(name):
     g = load_graph(name)
@@ -835,15 +830,25 @@ def test_eigenpairs_do_not_depend_on_the_batch_split(name):
                  for row in spectrum.eigenpairs(g, levels[i:i + size])]
         _assert_same_rows(split, whole)
     # the batch of one, and eigenfunction_at is the batch of one of a
-    # level with no kernel, fresh frames mixed with kept kernels or not
+    # level holding its frame at k, mixed with the walk's kept kernels or not
     lv, ep, generic, _ = next(row for row in whole if row[1] is not None)
     _assert_same_rows(spectrum.eigenpairs(g, [lv]), [(lv, ep, generic, None)])
-    bare = _without_kernel(lv)
-    fresh = spectrum.eigenpairs(g, [bare])
-    _assert_same_rows([(bare, eigenfunction_at(g, lv.k, n=lv.n), fresh[0][2], None)], fresh)
-    mixed = [_without_kernel(lv) if i % 3 == 0 else lv for i, lv in enumerate(levels)]
+    framed = _with_a_frame_at_k(g, lv)
+    fresh = spectrum.eigenpairs(g, [framed])
+    _assert_same_rows([(framed, eigenfunction_at(g, lv.k, n=lv.n), fresh[0][2], None)], fresh)
+    mixed = [_with_a_frame_at_k(g, lv) if i % 3 == 0 else lv for i, lv in enumerate(levels)]
     _assert_same_rows([row for lv in mixed for row in spectrum.eigenpairs(g, [lv])],
                       spectrum.eigenpairs(g, mixed))
+
+
+def _with_a_frame_at_k(g, lv):
+    """A simple level off loop states holding eigenfunction_at's frame at its
+    k in place of the walk's; other levels as they are."""
+    if lv.kernel is None:
+        return lv
+    frame = counting(g, np.array([lv.k]), vectors=True)
+    return dataclasses.replace(lv, phases=frame.eigenphases[0],
+                               kernel=spectrum._kernel_vectors(frame)[0])
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
@@ -854,19 +859,19 @@ def test_walk_kernel_agrees_with_a_fresh_frame(name):
     g = load_graph(name)
     walk = spectrum.Walk(g)
     levels = list(walk.take(300))
-    assert all(lv.kernel is None for lv in levels if lv.multiplicity > 1 or lv.loop_dims)
+    # every simple level off loop states keeps a kernel, settled afresh or not
+    assert all((lv.kernel is None) == (lv.multiplicity > 1 or lv.loop_dims > 0)
+               for lv in levels)
     simple = [lv for lv in levels if lv.kernel is not None]
-    t = walk.tally
-    assert len(simple) >= sum(lv.multiplicity == 1 and not lv.loop_dims
-                              for lv in levels) - (t.recounts + t.retries + t.fallbacks)
     kept_rows = spectrum.eigenpairs(g, simple)
-    fresh_rows = spectrum.eigenpairs(g, list(map(_without_kernel, simple)))
     kept = [ep for _, ep, _, _ in kept_rows]
-    fresh = [ep for _, ep, _, _ in fresh_rows]
+    fresh = [eigenfunction_at(g, lv.k, n=lv.n) for lv in simple]
     for a, b in zip(kept, fresh):
         assert 1.0 - abs(np.vdot(a.amplitudes, b.amplitudes)) <= 1e-14, (name, a.n)
         assert a.residual <= 1e-10 * max(1.0, a.k), (name, a.n)
-    assert [row[2:] for row in kept_rows] == [row[2:] for row in fresh_rows]
+    flags = spectrum.classify_batch(g, fresh)
+    assert [row[2] for row in kept_rows] == flags.generic.tolist()
+    assert [row[3] == "borderline" for row in kept_rows] == flags.borderline.tolist()
     generic = [i for i, row in enumerate(kept_rows) if row[2]]
     assert len(generic) >= 100
     want = counts_batch(g, [fresh[i] for i in generic])
@@ -893,11 +898,13 @@ def test_recounted_level_is_reconstructed_from_a_fresh_frame(dumbbell, monkeypat
     walk = spectrum.Walk(dumbbell)
     levels = list(walk.take(300))
     assert walk.tally.recounts == 1 and len(undecided) == 1
+    assert walk.tally.kernel_frames == 1
     lv = next(lv for lv in levels if lv.k == undecided[0])
     assert lv == target
-    assert lv.kernel is None and lv.phases is None
-    assert sum(x.kernel is None for x in levels) == 1 + sum(
-        x.multiplicity > 1 or x.loop_dims > 0 for x in levels)
+    # the walk gave it a frame at its k; only multiple levels and loop
+    # states keep no kernel
+    assert lv.kernel is not None and lv.phases is not None
+    assert all((x.kernel is None) == (x.multiplicity > 1 or x.loop_dims > 0) for x in levels)
     # in a batch with kept kernels it is bit for bit eigenfunction_at
     rows = spectrum.eigenpairs(dumbbell, levels)
     row = next(row for row in rows if row[0] is lv)

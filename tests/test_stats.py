@@ -179,9 +179,10 @@ def test_resolved_frames_are_tallied(dumbbell, monkeypatch, magnetic_run):
 
 def test_levels_settled_afresh_take_one_frame_each(dumbbell, monkeypatch):
     # certificates that decide nothing make the walk re-count every level,
-    # so every eigenpair takes a fresh frame at its k, which also gives its
-    # flux Hessian: a magnetic run decomposes that frame and nothing more
-    # after the walk, and finds the records a certified walk finds
+    # so every simple level takes one frame at its k in the walk, which also
+    # gives its flux Hessian: nothing is decomposed after the walk, each
+    # eigenpair and flux Hessian is bit for bit eigenfunction_at's and the
+    # kappa frame's, and the run finds the records a certified walk finds
     ref = run_experiment(dumbbell, 50, seed=7, magnetic=True)
     certified_counts = spectrum._certified_counts
 
@@ -190,27 +191,42 @@ def test_levels_settled_afresh_take_one_frame_each(dumbbell, monkeypatch):
         return audit._replace(decided=np.zeros_like(audit.decided))
 
     monkeypatch.setattr(spectrum, "_certified_counts", undecided)
+    eps, eigenpairs = [], spectrum.eigenpairs
+
+    def kept(*args):
+        rows = eigenpairs(*args)
+        eps.extend(ep for _, ep, _, _ in rows if ep is not None)
+        return rows
+
+    monkeypatch.setattr(spectrum, "eigenpairs", kept)
     calls, d = _count_frames_beyond_localization(dumbbell, monkeypatch, True)
-    assert d.tally.recounts == d.tally.levels
-    assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (0, calls["eigenpair"])
-    assert calls["matrices"] == (d.tally.matrices() + d.reconstruction.fresh
-                                 + calls["reconstruction resolves"])
+    t = d.tally
+    assert t.recounts == t.levels and t.kernel_frames == calls["eigenpair"] == len(eps)
+    assert calls["matrices"] == t.matrices() == d.report()["matrices"]
     assert [(r.n, r.sigma, r.omega, r.positions, r.iota) for r in d.records] \
         == [(r.n, r.sigma, r.omega, r.positions, r.iota) for r in ref.records]
+    monkeypatch.undo()
+    for ep in eps:
+        alone = spectrum.eigenfunction_at(d.graph, ep.k, ep.n)
+        for name in ("kappa", "amplitudes", "values", "derivatives", "phases"):
+            assert getattr(ep, name).tobytes() == getattr(alone, name).tobytes(), ep.n
+        assert ep.residual == alone.residual
+        got, want = magnetic.hessian_alpha(d.graph, ep), magnetic.hessian_alpha(d.graph, ep.kappa)
+        assert got.hessian.tobytes() == want.hessian.tobytes() and got.p == want.p, ep.n
 
 
 def _all_read_from_the_walk(calls, d):
-    """Check that the walk settled no level afresh and every eigenpair was
-    read from its frame, so no matrix was decomposed after the walk."""
+    """Check that the walk settled no level afresh, so that every eigenpair
+    was read from its certifying frame, and that no matrix was decomposed
+    after the walk."""
     t = d.tally
-    assert (t.recounts, t.retries, t.fallbacks) == (0, 0, 0)
-    assert (d.reconstruction.from_walk, d.reconstruction.fresh) == (calls["eigenpair"], 0)
+    assert (t.recounts, t.retries, t.fallbacks, t.kernel_frames) == (0, 0, 0, 0)
     assert calls["matrices"] == t.matrices()
 
 
 def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
     """(calls, run) of a short run, after checking that every matrix
-    decomposed is in the walk's tally or a fresh reconstruction frame."""
+    decomposed is in the walk's tally."""
     calls = Counter()
 
     def counted(name, fn, weight=lambda *args: 1):
@@ -260,12 +276,11 @@ def _count_frames_beyond_localization(dumbbell, monkeypatch, magnetic_run):
     d = run_experiment(dumbbell, 50, seed=7, magnetic=magnetic_run)
     t = d.tally
     assert calls["eigenpair"] >= d.K == 50
-    assert d.reconstruction.from_walk + d.reconstruction.fresh == calls["eigenpair"]
     assert calls["svd"] == 0
     assert calls["counting"] + calls["walk resolves"] == t.matrices()
     assert t.resolves == calls["walk resolves"]
-    assert calls["matrices"] == (t.matrices() + d.reconstruction.fresh
-                                 + calls["reconstruction resolves"])
+    assert calls["reconstruction resolves"] == 0
+    assert calls["matrices"] == t.matrices()
     if magnetic_run:
         assert calls["hessian"] >= d.K
     else:
