@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input or graph, 3 a requested assertion
 failed, 4 a computation failed one of its own checks (an audit, an identity,
-a kernel, a Hessian, an undecided count or the exclusion limit).  Results go
+a kernel, a Hessian, an undecided count or the exclusion limit) or a linear
+algebra routine failed.  Results go
 to --out as CSV or JSON; a short summary goes to stdout.
 """
 from __future__ import annotations
@@ -313,6 +314,10 @@ def main(argv=None) -> int:
             "stats": cmd_stats, "manifold": cmd_manifold,
         }[args.command]
         return handler(args, graph, thresholds, args.out)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but raised by the arithmetic, not by the input
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_COMPUTATION
     except (QGLError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ComputationFailed):

@@ -50,20 +50,27 @@ round per level.  Each lane edge costs a frame: below LANES eigenvalues
 short lanes are faster on every built-in graph, but above it they are
 slower where U is of order 30 (`k6`, `chain8`).  A request wider than
 LANES lanes of LANE_SPACINGS mean level spacings is walked in several such
-sweeps, each yielded as it is done.  One stacked frame at the edges gives each lane its start frame and the exact
-count at its upper edge, where it ends; an edge whose count reaches the
-count asked for ends no lane, so no lane but the last, which ends by count,
-passes it.  All lanes then advance in lockstep: each step brackets, tracks,
-iterates Newton on and certifies the next level of every lane still open
-with one stacked evolution matrix, solve or frame, and numpy decomposes each
-matrix of a stack alone, so a lane finds what it would find walked alone.  A
-singular solve, an undecided certificate, a close-pair retry and the
+sweeps, each yielded as it is done.  One stacked frame at the edges gives
+each lane its start frame and the exact count at its upper edge, where it
+ends; an edge whose count reaches the count asked for ends no lane, so no
+lane but the last, which ends by count, passes it.  All lanes then
+advance in lockstep: each step brackets, tracks, iterates Newton on and
+certifies the next level of every lane still open with one stacked
+evolution matrix, solve or frame, and numpy decomposes each matrix of a
+stack alone, so a lane finds what it would find walked alone.  A singular
+solve, an undecided certificate, a close-pair retry and the
 bisection fallback are handled lane by lane.  A count that disagrees with an
 edge's count raises BracketAuditFailed.  The walk carries on from the last
 lane of a request, and tallies the sweeps, lockstep rounds, frames (by stack
 depth), matrices solved again with the pole moved, solves, lanes, spare
 edges, re-counts, retries, fallbacks and kernel frames it takes
 (`WalkTally`).
+
+Several workers (`stream_levels`) split a request into windows with the
+same splitter.  The walk that counted and split it carries on through the
+first window in the calling process, a sweep at a time, while a process
+pool walks the others, one process each, and ships each window back as
+columns of numbers rather than as level objects.
 
 An eigenfunction is read from a frame at its level: the eigenvector of the
 eigenphase at 0 spans the kernel of 1 - U(k).  Every simple level off loop
@@ -90,7 +97,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -1030,37 +1037,88 @@ def classify(graph: MetricGraph, ep: Eigenpair,
 # parallel localization and the eigenpair stream
 
 
-def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
-                  workers: int, couplings: bool) -> Iterator[LocatedLevel]:
-    """The levels holding `count` eigenvalues, or those up to the exact
-    count at k_max, in `workers` windows walked on a process pool.  The
-    windows split the count at `_split`'s edges, as a sweep splits it into
-    lanes: each starts at its lower edge, where its walk reads the count,
-    and takes the eigenvalues up to the next edge's count, the last up to
-    the count asked for.  BracketAuditFailed unless the windows' levels run
-    consecutively in n."""
-    from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
+def _window_columns(graph: MetricGraph, count: int, k_min: float,
+                    couplings: bool) -> list[tuple]:
+    """The levels of a pool window, walked from its edge k_min until they
+    hold `count` eigenvalues, as columns, which pickle far faster than the
+    levels.  Each chunk of up to a widest sweep of levels is one tuple:
+    (n, multiplicity, loop_dims) and k per level, and the stacked phases,
+    kernels and couplings (None unless the walk keeps them) of its simple
+    levels off loop states, in order; so at most two chunks of levels are
+    held beside their columns."""
+    walk = Walk(graph, k_min, couplings)
+    levels, chunks = walk.take(count), []
+    while chunk := list(islice(levels, LANES * LANE_SPACINGS)):
+        kept = [lv for lv in chunk if lv.multiplicity == 1 and not lv.loop_dims]
+        chunks.append((
+            np.array([(lv.n, lv.multiplicity, lv.loop_dims) for lv in chunk], dtype=int),
+            np.array([lv.k for lv in chunk], dtype=float),
+            stacked(kept, "phases"), stacked(kept, "kernel"),
+            stacked(kept, "couplings") if walk.couplings else None))
+    return chunks
 
-    walk = Walk(graph)   # from k -> 0+, where the count is 0
-    if k_max is not None:
-        count = walk._count_to(k_max)
-    edges, _, counts = _split(walk.ctr, walk.lo, 0, count, workers)
-    starts = [0.0, *edges.tolist()]
-    shares = np.diff([0, *counts.tolist(), count]).tolist()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # locate_spectrum(graph, count=share, k_max=None, k_min=start,
-        #                 couplings=couplings)
-        windows = pool.map(locate_spectrum, repeat(graph), shares, repeat(None),
-                           starts, repeat(couplings))
-        levels = [lv for window in windows for lv in window]
-    n = 1
+
+def _window_levels(chunks: list[tuple]) -> Iterator[LocatedLevel]:
+    """The levels of a window from `_window_columns`."""
+    for ints, k, phases, kernels, couplings in chunks:
+        kept = zip(phases, kernels, repeat(None) if couplings is None else couplings)
+        for (n, m, l), k_i in zip(ints.tolist(), k.tolist()):
+            yield LocatedLevel(n, k_i, m, l, *(next(kept) if m == 1 and not l else ()))
+
+
+def _consecutive(levels: Iterable[LocatedLevel],
+                 n: int) -> Generator[LocatedLevel, None, int]:
+    """The levels, the first checked to start at index n and each next one
+    where the one before ends; returns the index past the last.
+    BracketAuditFailed where the run of n breaks."""
     for lv in levels:
         if lv.n != n:
             raise BracketAuditFailed(
                 f"level n={lv.n} at k={lv.k} follows count {n - 1} across the "
                 "pool's windows")
         n += lv.multiplicity
-    yield from levels
+        yield lv
+    return n
+
+
+def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
+                  workers: int, couplings: bool) -> Iterator[LocatedLevel]:
+    """The levels holding `count` eigenvalues, or those up to the exact
+    count at k_max, in at most `workers` windows.  The windows split the
+    count at `_split`'s edges, as a sweep splits it into lanes: each starts
+    at its lower edge, where its walk reads the count, and takes the
+    eigenvalues up to the next edge's count, the last up to the count asked
+    for.
+
+    This process walks the first window: it carries on the walk from
+    k -> 0+ that counted and split, and yields its levels a sweep at a
+    time.  A process pool walks the others meanwhile, one process each, and
+    ships each window back as columns (`_window_columns`); a split into one
+    window starts no pool.  The pool is shut down once their windows are
+    in, before their levels are yielded, or when the stream ends early.
+    BracketAuditFailed unless the levels run consecutively in n."""
+    from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
+
+    walk = Walk(graph, couplings=couplings)   # from k -> 0+, where the count is 0
+    if k_max is not None:
+        count = walk._count_to(k_max)
+    edges, _, counts = _split(walk.ctr, walk.lo, 0, count, workers)
+    if not edges.size:
+        yield from walk.take(count)
+        return
+    shares = np.diff([0, *counts.tolist(), count]).tolist()
+    pool = ProcessPoolExecutor(max_workers=edges.size)
+    try:
+        # _window_columns(graph, share, edge, couplings) for each window
+        # above the first
+        windows = pool.map(_window_columns, repeat(graph), shares[1:],
+                           edges.tolist(), repeat(couplings))
+        n = yield from _consecutive(walk.take(shares[0]), 1)
+        windows = list(windows)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for chunks in windows:
+        n = yield from _consecutive(_window_levels(chunks), n)
 
 
 def stream_levels(graph: MetricGraph, count: int | None = None,
@@ -1072,7 +1130,8 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
     One worker walks the spectrum in-process (`Walk`), a sweep of lanes at
     a time as the levels are asked for.  More split the count (for k_max,
     the exact count there) into `workers` windows with the lanes' splitter
-    and walk each in lanes on a process pool (`_pool_windows`).  Window and
+    (`_pool_windows`): this process walks the first, a sweep at a time,
+    while up to `workers - 1` pool processes walk the others.  Window and
     lane edges are moved clear of the spectrum and carry exact counts, so
     the levels do not depend on the split.  `couplings` is the `Walk`'s.
     """

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qgl
@@ -258,6 +259,20 @@ def test_exit_code_separates_failed_computation_from_bad_input(
     monkeypatch.setattr(qgl.spectrum, "stream_levels", fail)
     assert main(["spectrum", "--graph", "star3", "--K", "5",
                  "--out", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize("command", ("spectrum", "magnetic"))
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_linalg_failure_exits_4(tmp_path, capsys, monkeypatch, command, workers):
+    # numpy's LinAlgError is a ValueError, but a valid graph can raise it:
+    # lengths 1, 1e200 and 1.5 on star3 fail a solve in the walk
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(qgl.spectrum, "counting", singular)
+    assert main([command, "--graph", "dumbbell", "--K", "50", "--workers", workers,
+                 "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "error: numerical failure: Singular matrix\n"
 
 
 @pytest.mark.parametrize("argv", [

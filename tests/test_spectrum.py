@@ -1,5 +1,8 @@
+import concurrent.futures
 import dataclasses
+import functools
 import itertools
+import multiprocessing
 import os
 
 import numpy as np
@@ -694,17 +697,107 @@ def test_doctored_window_edge_count_raises(dumbbell, shift, monkeypatch):
         list(stream_levels(dumbbell, count=200, workers=2))
 
 
-def _first_window_past_its_edge(graph, count, k_max, k_min, couplings):
-    """`locate_spectrum` as the pool calls it, with the first window taking
-    one eigenvalue past its upper edge."""
-    return list(spectrum.Walk(graph, k_min, couplings).take(count + (k_min == 0.0)))
+_window_columns = spectrum._window_columns
 
 
-def test_pool_window_past_its_edge_raises(dumbbell, monkeypatch):
-    # a window whose levels pass its upper edge breaks the run of n
-    monkeypatch.setattr(spectrum, "locate_spectrum", _first_window_past_its_edge)
+def _child_window_past_its_edge(graph, count, k_min, couplings):
+    """`_window_columns` as the pool calls it, taking one eigenvalue past
+    its window's upper edge."""
+    return _window_columns(graph, count + 1, k_min, couplings)
+
+
+@pytest.mark.parametrize("window", ("caller", "child"))
+def test_pool_window_past_its_edge_raises(dumbbell, monkeypatch, window):
+    # a window whose levels pass its upper edge breaks the run of n: the
+    # first, which this process walks, or one a pool process walks (the
+    # second of three, as the last has no window above it)
+    if window == "caller":
+        take, parent = spectrum.Walk.take, os.getpid()
+
+        def past_its_edge(self, count):
+            return take(self, count + (os.getpid() == parent))
+
+        monkeypatch.setattr(spectrum.Walk, "take", past_its_edge)
+    else:
+        monkeypatch.setattr(spectrum, "_window_columns", _child_window_past_its_edge)
     with pytest.raises(BracketAuditFailed, match="pool's windows"):
-        list(stream_levels(dumbbell, count=200, workers=2))
+        list(stream_levels(dumbbell, count=200, workers=3))
+
+
+def test_pool_starts_a_process_per_window_above_the_first(dumbbell, monkeypatch):
+    # this process walks the first window and a pool process each other;
+    # a count that one window holds starts no pool
+    want = locate_spectrum(dumbbell, count=200)
+    pools, started, walked_here = [], [], []
+    parent, take = os.getpid(), spectrum.Walk.take
+    start = multiprocessing.process.BaseProcess.start
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def counted(self):
+        started.append(self.name)
+        return start(self)
+
+    def recorded(self, count):
+        for lv in take(self, count):
+            if os.getpid() == parent:
+                walked_here.append(lv)
+            yield lv
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    monkeypatch.setattr(spectrum.Walk, "take", recorded)
+    levels = list(stream_levels(dumbbell, count=200, workers=3))
+    _assert_same_levels(levels, want)
+    assert pools == [2] and len(started) == 2
+    first = len(walked_here)
+    assert 0 < first < len(levels) and walked_here[0].n == 1
+    assert all(a is b for a, b in zip(levels[:first], walked_here))
+    assert not any(lv in walked_here for lv in levels[first:])
+
+    for record in (pools, started, walked_here):
+        record.clear()
+    levels = list(stream_levels(dumbbell, count=1, workers=2))
+    assert pools == [] and started == []
+    assert len(levels) == 1 and levels[0] is walked_here[0]
+
+
+@pytest.mark.parametrize("name", ("dumbbell", "lasso"))
+def test_pool_under_spawn_matches_the_walk(name, monkeypatch):
+    # a spawned (or forkserver) process imports qgl afresh, so the window
+    # function and its arguments must pickle by reference and by value;
+    # its levels are those a forked pool returns, bit for bit
+    g = load_graph(name)
+    forked = list(stream_levels(g, count=300, workers=2, couplings=True))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context("spawn")))
+    spawned = list(stream_levels(g, count=300, workers=2, couplings=True))
+    _assert_same_levels(spawned, locate_spectrum(g, count=300))
+    assert spawned == forked
+    for a, b in zip(spawned, forked):
+        for kept in ("phases", "kernel", "couplings"):
+            x, y = getattr(a, kept), getattr(b, kept)
+            assert (x is None and y is None) or np.array_equal(x, y)
+    simple = [lv for lv in spawned if lv.multiplicity == 1 and not lv.loop_dims]
+    assert all(lv.kernel is not None and lv.couplings is not None for lv in simple)
+    if name == "lasso":
+        assert any(lv.multiplicity == 2 for lv in spawned)
+
+
+def test_pool_leaves_no_process(dumbbell):
+    # the pool is shut down before its windows' levels are yielded, and
+    # when the stream is closed while this process walks its window
+    list(stream_levels(dumbbell, count=300, workers=3))
+    assert not multiprocessing.active_children()
+    stream = stream_levels(dumbbell, count=300, workers=3)
+    next(stream)
+    assert multiprocessing.active_children()
+    stream.close()
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
