@@ -50,7 +50,7 @@ round per level.  Each lane edge costs a frame: below LANES eigenvalues
 short lanes are faster on every built-in graph, but above it they are
 slower where U is of order 30 (`k6`, `chain8`).  A request wider than
 LANES lanes of LANE_SPACINGS mean level spacings is walked in several such
-sweeps, each yielded as it is done.  One stacked frame at the edges gives
+sweeps, each yielded as one block.  One stacked frame at the edges gives
 each lane its start frame and the exact count at its upper edge, where it
 ends; an edge whose count reaches the count asked for ends no lane, so no
 lane but the last, which ends by count, passes it.  All lanes then
@@ -66,16 +66,18 @@ depth), matrices solved again with the pole moved, solves, lanes, spare
 edges, re-counts, retries, fallbacks and kernel frames it takes
 (`WalkTally`).
 
-Several workers (`stream_levels`) split a request into windows with the
-same splitter.  The walk that counted and split it carries on through the
-first window in the calling process, a sweep at a time, while a process
-pool walks the others, one process each, and ships each window back as
-columns of numbers rather than as level objects.
+Located levels travel in one format, a column block (`Levels`, a row per
+level, a block per sweep), from the lockstep rounds through the walk, the
+pool and the stream into reconstruction.  Several workers (`stream_levels`)
+split a request into windows with the same splitter.  The walk that counted
+and split it carries on through the first window in the calling process, a
+sweep at a time, while a process pool walks the others, one process each,
+and ships each window's blocks back as they are, as arrays.
 
 An eigenfunction is read from a frame at its level: the eigenvector of the
 eigenphase at 0 spans the kernel of 1 - U(k).  Every simple level off loop
-states keeps a frame's eigenphases and that eigenvector
-(`LocatedLevel.phases`, `.kernel`): a level its final Newton frame
+states (`Levels.kept`) keeps a frame's eigenphases and that eigenvector
+(`Levels.phases`, `.kernel`): a level its final Newton frame
 certifies keeps that frame, which lies within a quarter of the tolerance of
 the root, and a level settled afresh (a re-count, a close-pair retry or a
 bisection) takes one more frame, with eigenvectors, at the located k, one
@@ -84,19 +86,20 @@ for couplings (`couplings=True`, which magnetic indices need) on a graph
 with cycles also keeps the vector's couplings to the frame's eigenvectors
 through each edge (`edge_couplings`, E x 2E complex numbers: 288 B on
 `dumbbell`, 7.2 KB on `k6`), from which `magnetic` takes the flux Hessian.
-Located levels are reconstructed in batches bounded by memory (about
-`secular.BATCH_ENTRIES` complex entries per stacked array) from what they
-kept, with no decomposition: the kernel check against `kernel_cutoff`, phase
-alignment, vertex trace, canonical sign, residual at the located k and
-classification are array operations over the batch, each row computed as it
-would be alone.  The eigenpair keeps its vertex trace as two arrays indexed
-by directed edge.
+Batches of a block bounded by memory (about `secular.BATCH_ENTRIES` complex
+entries per stacked array) are reconstructed from their kept rows with no
+decomposition: the kernel check against `kernel_cutoff`, phase alignment,
+vertex trace, canonical sign, residual at the located k and classification
+are array operations over the batch, each row computed as it would be
+alone.  The eigenpair keeps its vertex trace as two arrays indexed by
+directed edge.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import islice, repeat
+from itertools import repeat
+from numbers import Integral, Real
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -265,21 +268,57 @@ def _exact_counts(frame: CountingFrame) -> np.ndarray:
     return np.round(frame.N).astype(int)
 
 
-@dataclass
-class LocatedLevel:
+class LocatedLevel(NamedTuple):
+    """A row of `Levels`."""
     n: int                # spectral index of the first eigenvalue at this k
     k: float
     multiplicity: int
     loop_dims: int        # kernel dimensions carried by loop factors
-    # a simple level off loop states keeps the eigenphases of a frame at
-    # its level (its final Newton frame, or one taken at k if it was
-    # settled afresh), the eigenvector of the one nearest 0, from which it
-    # is reconstructed, and, when the walk was asked for them on a graph
-    # with cycles, that vector's `edge_couplings`; None for a multiple
-    # level or one at a loop state
-    phases: np.ndarray | None = field(default=None, compare=False, repr=False)
-    kernel: np.ndarray | None = field(default=None, compare=False, repr=False)
-    couplings: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Levels:
+    """Located levels as columns, a row per level.  The simple levels off
+    loop states (`kept`) keep a frame's eigenphases and kernel vector, and
+    its `edge_couplings` if the walk keeps them (else `couplings` is None);
+    the rows of other levels are zero.  Iteration and an integer index give
+    `LocatedLevel` rows, any other index a block."""
+    n: np.ndarray
+    k: np.ndarray
+    multiplicity: np.ndarray
+    loop_dims: np.ndarray
+    phases: np.ndarray              # (levels, 2E)
+    kernel: np.ndarray              # (levels, 2E)
+    couplings: np.ndarray | None    # (levels, E, 2E)
+
+    @property
+    def kept(self) -> np.ndarray:
+        return (self.multiplicity == 1) & (self.loop_dims == 0)
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __iter__(self) -> Iterator[LocatedLevel]:
+        return map(LocatedLevel._make, zip(*(x.tolist() for x in self._columns()[:4])))
+
+    def __getitem__(self, rows) -> Levels | LocatedLevel:
+        if isinstance(rows, (int, np.integer)):
+            return next(iter(self[[rows]]))
+        return Levels(*(None if x is None else x[rows] for x in self._columns()))
+
+    def _columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    @staticmethod
+    def concat(blocks: Sequence[Levels]) -> Levels:
+        """The rows of `blocks` in order, as one block."""
+        blocks = [block for block in blocks if len(block)]
+        if not blocks:
+            none = np.zeros(0, dtype=int)
+            return Levels(none, np.zeros(0), none, none, np.zeros((0, 0)),
+                          np.zeros((0, 0), dtype=complex), None)
+        return Levels(*(None if xs[0] is None else np.concatenate(xs)
+                        for xs in zip(*(block._columns() for block in blocks))))
 
 
 @dataclass
@@ -639,12 +678,11 @@ class _Lanes:
     top: np.ndarray
 
 
-def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray,
-          couplings: bool) -> list[LocatedLevel]:
+def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray, couplings: bool) -> Levels:
     """Locate the next level of each lane in `idx` in lockstep: one stacked
     bracket, tracked Newton and certificate over the lanes, with the rare
     undecided or failed audits settled lane by lane.  Moves the lanes past
-    their levels and returns those, one per lane.  A simple level off loop
+    their levels and returns those, a row per lane.  A simple level off loop
     states keeps the eigenphases and kernel vector of its final Newton
     frame, or, settled afresh, of one stacked frame at the located k over
     such levels, and with `couplings` the vector's couplings (one stacked
@@ -679,12 +717,10 @@ def _step(ctr: _Counter, lanes: _Lanes, idx: np.ndarray,
         ctr.tally.kernel_frames += fresh.size
         final.put(fresh, ctr.frame(k_star[fresh], vectors=True))
     theta, vectors = final.eigenphases, _kernel_vectors(final)
-    b_kept = edge_couplings(final.vectors, vectors) if couplings else repeat(None)
+    theta[~kept], vectors[~kept] = 0.0, 0.0
+    b_kept = edge_couplings(final.vectors, vectors) if couplings else None
     ctr.tally.levels += len(idx)
-    return [LocatedLevel(n_i + 1, k_i, m_i, l_i, *((t, v, b) if keep else ()))
-            for n_i, k_i, m_i, l_i, keep, t, v, b in zip(
-                n.tolist(), k_star.tolist(), mult.tolist(), loops.tolist(), kept.tolist(),
-                theta, vectors, b_kept)]
+    return Levels(n + 1, k_star, mult, loops, theta, vectors, b_kept)
 
 
 def _lane_edges(ctr: _Counter, ks) -> tuple[np.ndarray, CountingFrame, np.ndarray]:
@@ -765,8 +801,7 @@ class Walk:
     kernel vector's `edge_couplings` where they keep a kernel, on a graph
     with cycles (no flux acts on a tree).  A request wider than LANES lanes
     of LANE_SPACINGS mean level spacings is walked in several sweeps, each
-    located in full before its first level is yielded.  `tally` counts what
-    the walk did.
+    yielded as one block.  `tally` counts what the walk did.
     """
 
     def __init__(self, graph: MetricGraph, k_min: float = 0.0, couplings: bool = False):
@@ -792,17 +827,17 @@ class Walk:
     def _most_lanes(self) -> int:
         return min(LANES, stack_size(self.graph))
 
-    def take(self, count: int) -> Iterator[LocatedLevel]:
-        """The next whole levels until they hold `count` eigenvalues; no
-        level is located once they do.  Each sweep of m eigenvalues is
-        split into lanes at `_split`'s edges: every lane but the last ends
-        at the exact count at its upper edge, and the last ends when its
-        levels reach the sweep's count."""
+    def take(self, count: int) -> Iterator[Levels]:
+        """The next whole levels until they hold `count` eigenvalues, a
+        block per sweep; no level is located once they do.  Each sweep of m
+        eigenvalues is split into lanes at `_split`'s edges: every lane but
+        the last ends at the exact count at its upper edge, and the last
+        ends when its levels reach the sweep's count."""
         goal = self.n + count
         while self.n < goal:
-            yield from self._sweep(min(goal - self.n, self._most_lanes() * LANE_SPACINGS))
+            yield self._sweep(min(goal - self.n, self._most_lanes() * LANE_SPACINGS))
 
-    def until(self, k_max: float) -> Iterator[LocatedLevel]:
+    def until(self, k_max: float) -> Iterator[Levels]:
         """The levels up to k_max: `take` of the eigenvalues up to the exact
         count at k_max."""
         yield from self.take(self._count_to(k_max))
@@ -812,13 +847,13 @@ class Walk:
         count there (none at or below the walk's start)."""
         return self.ctr.exact(k_max)[0] - self.n if k_max > self.lo else 0
 
-    def _sweep(self, m: int) -> list[LocatedLevel]:
+    def _sweep(self, m: int) -> Levels:
         """The levels holding the next m eigenvalues, from the walk's state:
         lanes split at `_split`'s edges, whose frames, one stack, give each
         lane its start and the exact count at its upper edge, where the
         lane below ends.  The last lane is open and ends by count.  Lanes
-        come in order, so the levels do too.  The walk carries on from the
-        last lane's last audit frame."""
+        come in order, so the levels, sorted by lane, do too.  The walk
+        carries on from the last lane's last audit frame."""
         goal = self.n + m
         edges, frames, counts = _split(self.ctr, self.lo, self.n, m, self._lane_count(m))
         lanes = _Lanes(
@@ -830,7 +865,7 @@ class Walk:
             top=np.append(edges, np.inf))
         self.tally.lanes += len(lanes.n)
         self.tally.requests += 1
-        out = [[] for _ in lanes.n]
+        rounds, lane = [], []
         while True:
             # no level passes a lane's upper edge
             passed = lanes.n[:-1] > lanes.end[:-1]
@@ -842,25 +877,36 @@ class Walk:
             idx = np.flatnonzero(lanes.n < lanes.end)
             if not idx.size:
                 break
-            for i, lv in zip(idx, _step(self.ctr, lanes, idx, self.couplings)):
-                out[i].append(lv)
+            rounds.append(_step(self.ctr, lanes, idx, self.couplings))
+            lane.append(idx)
         self.frame, self.phases = lanes.frame.take([-1]), lanes.phases[-1:]
         self.n, self.lo = int(lanes.n[-1]), float(lanes.lo[-1])
-        return [lv for lane in out for lv in lane]
+        # the sort is stable, so a lane's levels keep the order of its rounds
+        return Levels.concat(rounds)[np.argsort(np.concatenate(lane), kind="stable")]
+
+
+def _check_request(count: int | None, k_max: float | None):
+    """ValueError unless exactly one of a non-negative integer count and a
+    finite k_max is given."""
+    if (count is None) == (k_max is None):
+        raise ValueError("specify exactly one of count, k_max")
+    if count is not None and not (isinstance(count, Integral) and count >= 0):
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    if k_max is not None and not (isinstance(k_max, Real) and np.isfinite(k_max)):
+        raise ValueError(f"k_max must be a finite number, got {k_max!r}")
 
 
 def locate_spectrum(graph: MetricGraph, count: int | None = None,
                     k_max: float | None = None, k_min: float = 0.0,
-                    couplings: bool = False) -> list[LocatedLevel]:
+                    couplings: bool = False) -> Levels:
     """Locate eigenvalues, either the first `count` of them or all in
-    (k_min, k_max].  Indexing starts at n = 1 for the first positive
-    eigenvalue (n = 0, the constant eigenfunction, is never emitted).
-    `couplings` is the `Walk`'s.
+    (k_min, k_max], as one block.  Indexing starts at n = 1 for the first
+    positive eigenvalue (n = 0, the constant eigenfunction, is never
+    emitted).  ValueError as `stream_levels`.  `couplings` is the `Walk`'s.
     """
-    if (count is None) == (k_max is None):
-        raise ValueError("specify exactly one of count, k_max")
+    _check_request(count, k_max)
     walk = Walk(graph, k_min, couplings)
-    return list(walk.take(count) if count is not None else walk.until(k_max))
+    return Levels.concat(list(walk.take(count) if count is not None else walk.until(k_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -911,30 +957,29 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eigenpair]:
-    """Eigenpairs at located levels, from the eigenphases, kernel vector and
-    couplings each kept; NoKernel or NonSimple unless the kernel of 1 - U
-    is one-dimensional at every k.
+def _reconstruct(graph: MetricGraph, levels: Levels) -> list[Eigenpair]:
+    """Eigenpairs at every level of a block, from the eigenphases, kernel
+    vector and couplings each kept; NoKernel or NonSimple unless the kernel
+    of 1 - U is one-dimensional at every k.
 
     Every level passes the same kernel check, phase alignment, trace, sign
     and residual at the located k, and the eigenpair keeps the eigenphases
     and couplings.  Nothing is decomposed, and each row is computed as it
     would be alone: every step is elementwise or reduces along a row.
     """
-    k = np.array([lv.k for lv in levels], dtype=float)
+    k = levels.k
     kappa = k[:, None] * np.asarray(graph.lengths) % TWO_PI
     U = evolution_matrix(graph, kappa)
-    theta = stacked(levels, "phases")
+    theta = levels.phases
     distance = np.abs(1.0 - np.exp(1j * theta))
     inside = distance < kernel_cutoff(graph, k)[:, None]
     dims = np.count_nonzero(inside, axis=1)
     for i in np.flatnonzero(dims != 1):
         if dims[i] == 0:
-            raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance[i]):.2e} at k={levels[i].k}")
-        raise NonSimple(f"kernel dimension {dims[i]} at k={levels[i].k}")
+            raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance[i]):.2e} at k={k[i]}")
+        raise NonSimple(f"kernel dimension {dims[i]} at k={k[i]}")
     rows = np.arange(len(k))
-    a = stacked(levels, "kernel")
-    a = a / _norm(a)[:, None]
+    a = levels.kernel / _norm(levels.kernel)[:, None]
 
     phase = np.repeat(np.exp(-1j * kappa), 2, axis=-1)
     rev = a.reshape(len(k), graph.E, 2)[:, :, ::-1].reshape(a.shape)  # (d, d-hat) swapped
@@ -962,10 +1007,12 @@ def _reconstruct(graph: MetricGraph, levels: Sequence[LocatedLevel]) -> list[Eig
     a[flip], values[flip], derivatives[flip] = -a[flip], -values[flip], -derivatives[flip]
 
     residual = np.maximum(_norm(a - (U @ a[:, :, None])[:, :, 0]), imag_res)
-    return [Eigenpair(k=float(lv.k), n=lv.n, kappa=kappa[i], amplitudes=a[i],
+    couplings = repeat(None) if levels.couplings is None else levels.couplings
+    return [Eigenpair(k=k_i, n=n_i, kappa=kappa[i], amplitudes=a[i],
                       values=values[i], derivatives=derivatives[i],
-                      residual=float(residual[i]), phases=theta[i], couplings=lv.couplings)
-            for i, lv in enumerate(levels)]
+                      residual=r_i, phases=theta[i], couplings=b_i)
+            for i, (n_i, k_i, r_i, b_i) in enumerate(zip(
+                levels.n.tolist(), k.tolist(), residual.tolist(), couplings))]
 
 
 def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0) -> Eigenpair:
@@ -984,8 +1031,9 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0) -> Eigenpair:
     reconstructed.
     """
     frame = counting(graph, np.array([float(k)]), vectors=True)
-    level = LocatedLevel(n, float(k), 1, 0, frame.eigenphases[0], _kernel_vectors(frame)[0])
-    return _reconstruct(graph, [level])[0]
+    level = Levels(np.array([n]), frame.k, np.ones(1, dtype=int), np.zeros(1, dtype=int),
+                   frame.eigenphases, _kernel_vectors(frame), None)
+    return _reconstruct(graph, level)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1037,65 +1085,45 @@ def classify(graph: MetricGraph, ep: Eigenpair,
 # parallel localization and the eigenpair stream
 
 
-def _window_columns(graph: MetricGraph, count: int, k_min: float,
-                    couplings: bool) -> list[tuple]:
-    """The levels of a pool window, walked from its edge k_min until they
-    hold `count` eigenvalues, as columns, which pickle far faster than the
-    levels.  Each chunk of up to a widest sweep of levels is one tuple:
-    (n, multiplicity, loop_dims) and k per level, and the stacked phases,
-    kernels and couplings (None unless the walk keeps them) of its simple
-    levels off loop states, in order; so at most two chunks of levels are
-    held beside their columns."""
-    walk = Walk(graph, k_min, couplings)
-    levels, chunks = walk.take(count), []
-    while chunk := list(islice(levels, LANES * LANE_SPACINGS)):
-        kept = [lv for lv in chunk if lv.multiplicity == 1 and not lv.loop_dims]
-        chunks.append((
-            np.array([(lv.n, lv.multiplicity, lv.loop_dims) for lv in chunk], dtype=int),
-            np.array([lv.k for lv in chunk], dtype=float),
-            stacked(kept, "phases"), stacked(kept, "kernel"),
-            stacked(kept, "couplings") if walk.couplings else None))
-    return chunks
+def _walk_window(graph: MetricGraph, count: int, k_min: float,
+                 couplings: bool) -> list[Levels]:
+    """The blocks of a pool window, walked from its edge k_min until they
+    hold `count` eigenvalues; they pickle as arrays."""
+    return list(Walk(graph, k_min, couplings).take(count))
 
 
-def _window_levels(chunks: list[tuple]) -> Iterator[LocatedLevel]:
-    """The levels of a window from `_window_columns`."""
-    for ints, k, phases, kernels, couplings in chunks:
-        kept = zip(phases, kernels, repeat(None) if couplings is None else couplings)
-        for (n, m, l), k_i in zip(ints.tolist(), k.tolist()):
-            yield LocatedLevel(n, k_i, m, l, *(next(kept) if m == 1 and not l else ()))
-
-
-def _consecutive(levels: Iterable[LocatedLevel],
-                 n: int) -> Generator[LocatedLevel, None, int]:
-    """The levels, the first checked to start at index n and each next one
-    where the one before ends; returns the index past the last.
-    BracketAuditFailed where the run of n breaks."""
-    for lv in levels:
-        if lv.n != n:
+def _consecutive(blocks: Iterable[Levels], n: int) -> Generator[Levels, None, int]:
+    """The blocks, each checked to start at index n and each level where the
+    one before ends; returns the index past the last.  BracketAuditFailed
+    where the run of n breaks."""
+    for block in blocks:
+        starts = n + np.cumsum(block.multiplicity) - block.multiplicity
+        broken = block.n != starts
+        if np.any(broken):
+            i = int(np.argmax(broken))
             raise BracketAuditFailed(
-                f"level n={lv.n} at k={lv.k} follows count {n - 1} across the "
-                "pool's windows")
-        n += lv.multiplicity
-        yield lv
+                f"level n={block.n[i]} at k={block.k[i]} follows count {starts[i] - 1} "
+                "across the pool's windows")
+        n += int(np.sum(block.multiplicity))
+        yield block
     return n
 
 
 def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
-                  workers: int, couplings: bool) -> Iterator[LocatedLevel]:
-    """The levels holding `count` eigenvalues, or those up to the exact
-    count at k_max, in at most `workers` windows.  The windows split the
-    count at `_split`'s edges, as a sweep splits it into lanes: each starts
-    at its lower edge, where its walk reads the count, and takes the
-    eigenvalues up to the next edge's count, the last up to the count asked
-    for.
+                  workers: int, couplings: bool) -> Iterator[Levels]:
+    """The blocks of the levels holding `count` eigenvalues, or those up to
+    the exact count at k_max, in at most `workers` windows.  The windows
+    split the count at `_split`'s edges, as a sweep splits it into lanes:
+    each starts at its lower edge, where its walk reads the count, and takes
+    the eigenvalues up to the next edge's count, the last up to the count
+    asked for.
 
-    This process walks the first window: it carries on the walk from
-    k -> 0+ that counted and split, and yields its levels a sweep at a
-    time.  A process pool walks the others meanwhile, one process each, and
-    ships each window back as columns (`_window_columns`); a split into one
+    This process walks the first window, carrying on the walk from k -> 0+
+    that counted and split, and yields its blocks a sweep at a time.  A
+    process pool walks the others meanwhile, one process each, and ships
+    each window back as its walk's blocks (`_walk_window`); a split into one
     window starts no pool.  The pool is shut down once their windows are
-    in, before their levels are yielded, or when the stream ends early.
+    in, before their blocks are yielded, or when the stream ends early.
     BracketAuditFailed unless the levels run consecutively in n."""
     from concurrent.futures import ProcessPoolExecutor  # only a pool loads it
 
@@ -1109,45 +1137,44 @@ def _pool_windows(graph: MetricGraph, count: int | None, k_max: float | None,
     shares = np.diff([0, *counts.tolist(), count]).tolist()
     pool = ProcessPoolExecutor(max_workers=edges.size)
     try:
-        # _window_columns(graph, share, edge, couplings) for each window
-        # above the first
-        windows = pool.map(_window_columns, repeat(graph), shares[1:],
+        # _walk_window(graph, share, edge, couplings) per window above the first
+        windows = pool.map(_walk_window, repeat(graph), shares[1:],
                            edges.tolist(), repeat(couplings))
         n = yield from _consecutive(walk.take(shares[0]), 1)
         windows = list(windows)
     finally:
         pool.shutdown(cancel_futures=True)
-    for chunks in windows:
-        n = yield from _consecutive(_window_levels(chunks), n)
+    for blocks in windows:
+        n = yield from _consecutive(blocks, n)
 
 
 def stream_levels(graph: MetricGraph, count: int | None = None,
                   k_max: float | None = None, workers: int = 1,
-                  couplings: bool = False) -> Iterator[LocatedLevel]:
-    """Levels in order: whole levels up to the first `count` eigenvalues,
-    or all in (0, k_max]; ValueError unless exactly one of them is given.
+                  couplings: bool = False) -> Iterator[Levels]:
+    """Levels in order, a `Levels` block per sweep: whole levels up to the
+    first `count` eigenvalues, or all in (0, k_max].  ValueError unless
+    exactly one of a non-negative integer count and a finite k_max is given.
 
     One worker walks the spectrum in-process (`Walk`), a sweep of lanes at
-    a time as the levels are asked for.  More split the count (for k_max,
+    a time as the blocks are asked for.  More split the count (for k_max,
     the exact count there) into `workers` windows with the lanes' splitter
     (`_pool_windows`): this process walks the first, a sweep at a time,
     while up to `workers - 1` pool processes walk the others.  Window and
     lane edges are moved clear of the spectrum and carry exact counts, so
     the levels do not depend on the split.  `couplings` is the `Walk`'s.
     """
-    if (count is None) == (k_max is None):
-        raise ValueError("specify exactly one of count, k_max")
+    _check_request(count, k_max)
     if workers > 1 and (k_max is None or k_max > 0.0):
         return _pool_windows(graph, count, k_max, workers, couplings)
     walk = Walk(graph, couplings=couplings)
     return walk.take(count) if count is not None else walk.until(k_max)
 
 
-def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
+def eigenpairs(graph: MetricGraph, levels: Levels,
                thresholds: Thresholds = Thresholds()) -> list[tuple]:
-    """(level, eigenpair, generic, reason) per level of a walk, the simple
-    levels off every loop resonance reconstructed as one batch from the
-    kernels they kept (`_reconstruct`) and classified by `classify_batch`;
+    """(level, eigenpair, generic, reason) per row of a block, the simple
+    levels off every loop resonance (`kept`) reconstructed as one batch from
+    what they kept (`_reconstruct`) and classified by `classify_batch`;
     other levels carry no eigenpair and are not generic (at a resonance the
     loop state is the eigenfunction, so none is reconstructed).  Levels
     walked with `couplings` give their eigenpairs the flux couplings
@@ -1163,15 +1190,15 @@ def eigenpairs(graph: MetricGraph, levels: list[LocatedLevel],
       borderline          a classification within a factor 10 of a threshold
       non_generic         a vertex value or interior derivative is below its threshold
     """
-    simple = [lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims]
+    kept = levels.kept
     built = iter(())
-    if simple:
-        eps = _reconstruct(graph, simple)
+    if np.any(kept):
+        eps = _reconstruct(graph, levels[kept])
         flags = classify_batch(graph, eps, thresholds)
         built = zip(eps, flags.generic.tolist(), flags.borderline.tolist())
     out = []
-    for lv in levels:
-        if lv.multiplicity > 1 or lv.loop_dims:
+    for lv, keep in zip(levels, kept.tolist()):
+        if not keep:
             out.append((lv, None, False,
                         "loop_supported" if lv.loop_dims == lv.multiplicity
                         else "degenerate_at_loop" if lv.loop_dims else "non_simple"))
@@ -1186,14 +1213,14 @@ def stream_batches(graph: MetricGraph, count: int | None = None,
                    k_max: float | None = None,
                    thresholds: Thresholds = Thresholds(),
                    workers: int = 1, couplings: bool = False) -> Iterator[list[tuple]]:
-    """`eigenpairs` of consecutive batches of `stack_size(graph)` levels of
-    `stream_levels` (in-process, or in `workers` pool windows); a batch is
-    located in full before it is yielded.  With `couplings` the levels are
-    walked for what magnetic indices need."""
-    levels = stream_levels(graph, count, k_max, workers, couplings)
+    """`eigenpairs` of consecutive batches of at most `stack_size(graph)`
+    levels cut from each block of `stream_levels` (in-process, or in
+    `workers` pool windows), so no batch spans two sweeps.  With `couplings`
+    the levels are walked for what magnetic indices need."""
     size = stack_size(graph)
-    while batch := list(islice(levels, size)):
-        yield eigenpairs(graph, batch, thresholds)
+    for block in stream_levels(graph, count, k_max, workers, couplings):
+        for start in range(0, len(block), size):
+            yield eigenpairs(graph, block[start:start + size], thresholds)
 
 
 def stream_eigenpairs(graph: MetricGraph, count: int | None = None,

@@ -69,7 +69,7 @@ def test_pool_ships_kernels_and_keeps_the_tables(tmp_path, monkeypatch):
     eigenpairs = qgl.spectrum.eigenpairs
 
     def recorded(graph, levels, *args):
-        shipped[w].extend(lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims)
+        shipped[w].append(levels)
         return eigenpairs(graph, levels, *args)
 
     monkeypatch.setattr(qgl.spectrum, "eigenpairs", recorded)
@@ -78,8 +78,10 @@ def test_pool_ships_kernels_and_keeps_the_tables(tmp_path, monkeypatch):
             rc = main([cmd, "--graph", "dumbbell", "--K", "300", "--workers", w,
                        "--out", str(tmp_path / w)])
             assert rc == 0
-        assert len(shipped[w]) >= 600
-        assert sum(lv.kernel is None for lv in shipped[w]) <= 0.01 * len(shipped[w])
+        simple = qgl.spectrum.Levels.concat(shipped[w])
+        simple = simple[simple.kept]
+        assert len(simple) >= 600
+        assert np.count_nonzero(~np.any(simple.kernel != 0, axis=1)) <= 0.01 * len(simple)
     for table in ("spectrum", "counts", "domains", "magnetic"):
         assert (tmp_path / "1" / f"{table}.csv").read_text() \
             == (tmp_path / "2" / f"{table}.csv").read_text()

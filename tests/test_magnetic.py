@@ -237,7 +237,7 @@ def test_walk_frame_hessians_agree_with_fresh_frames(name):
     rows = [row for row in eigenpairs(g, levels) if row[1] is not None]
     walked = [ep for _, ep, _, _ in rows]
     fresh = [_fresh(g, lv) for lv, _, _, _ in rows]
-    assert any(lv.couplings is not None for lv in levels)
+    assert levels.couplings is not None and np.any(levels.couplings != 0)
     assert [ep.n for ep in walked] == [ep.n for ep in fresh]
     layout = magnetic._flux_layout(g, None)
     a, b = (magnetic._hessians(g, layout, stacked(eps, "kappa"), stacked(eps, "phases"),
@@ -256,9 +256,9 @@ def test_walk_frame_hessians_agree_with_fresh_frames(name):
 def test_tree_batch_takes_no_frame(tree31, monkeypatch):
     # no flux acts on a tree: the walk keeps no couplings, and the batch's
     # indices are 0 and empty without a decomposition
-    rows = eigenpairs(tree31, locate_spectrum(tree31, count=60, couplings=True))
-    eps = [ep for _, ep, _, _ in rows if ep is not None]
-    assert all(lv.couplings is None for lv, _, _, _ in rows)
+    levels = locate_spectrum(tree31, count=60, couplings=True)
+    eps = [ep for _, ep, _, _ in eigenpairs(tree31, levels) if ep is not None]
+    assert levels.couplings is None and all(ep.couplings is None for ep in eps)
     monkeypatch.setattr(np.linalg, "eigh", None)
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     m = magnetic.indices_batch(tree31, eps)
@@ -270,8 +270,9 @@ def test_couplings_only_when_asked(dumbbell):
     # a walk keeps no flux couplings unless asked, as a magnetic run asks:
     # eigenpairs without them are refused by indices_batch, and
     # hessian_alpha takes a frame at their kappa
-    rows = eigenpairs(dumbbell, locate_spectrum(dumbbell, count=40))
-    assert all(lv.couplings is None for lv, _, _, _ in rows)
+    levels = locate_spectrum(dumbbell, count=40)
+    rows = eigenpairs(dumbbell, levels)
+    assert levels.couplings is None
     eps = [ep for _, ep, _, reason in rows if reason is None]
     assert eps and all(ep.couplings is None for ep in eps)
     with pytest.raises(ValueError, match="couplings"):

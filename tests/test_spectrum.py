@@ -28,6 +28,7 @@ from qgl.spectrum import (
 from conftest import star_relation_roots
 
 TWO_PI = 2.0 * np.pi
+Levels = spectrum.Levels
 ALL_GRAPHS = ("chain2", "chain4", "chain8", "dumbbell", "flower3", "k4", "k6",
               "lasso", "mandarin3", "star3", "tree31_7")
 
@@ -157,7 +158,7 @@ def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
     # the lower one
     steered = _steer_newton(monkeypatch, 914, high.k)
     walk = spectrum.Walk(dumbbell, k_min=775.0)
-    again = list(walk.until(775.2))
+    again = _walked(walk.until(775.2))
     assert steered == [914]
     assert (walk.tally.retries, walk.tally.fallbacks) == (1, 0)
     assert [(lv.n, lv.multiplicity) for lv in again] == [(914, 1), (915, 1)]
@@ -462,10 +463,15 @@ def test_window_split_is_consistent(k4):
     full = locate_spectrum(k4, k_max=12.0)
     first = locate_spectrum(k4, k_max=6.0)
     second = locate_spectrum(k4, k_min=6.0, k_max=12.0)
-    merged = first + second
+    merged = Levels.concat([first, second])
     assert len(merged) == len(full)
     for a, b in zip(merged, full):
         assert a.n == b.n and a.k == pytest.approx(b.k, abs=1e-10)
+
+
+def _walked(blocks):
+    """The blocks a walk or stream yields, as one block."""
+    return Levels.concat(list(blocks))
 
 
 def _assert_same_levels(got, want):
@@ -485,7 +491,7 @@ def test_lanes_do_not_change_the_levels(name, monkeypatch):
     # lane and the full lane count give the same levels
     g = load_graph(name)
     walk = spectrum.Walk(g)
-    laned = list(walk.take(1000))
+    laned = _walked(walk.take(1000))
     assert walk.tally.lanes == min(spectrum.LANES, stack_size(g))
     monkeypatch.setattr(spectrum, "LANES", 1)
     _assert_same_levels(laned, locate_spectrum(g, count=1000))
@@ -544,8 +550,8 @@ def test_singular_solve_stops_its_lane_only(dumbbell, monkeypatch):
 
 def test_walk_tallies(dumbbell):
     walk = spectrum.Walk(dumbbell)
-    levels = list(walk.take(1000))
-    again = list(walk.take(100))
+    levels = _walked(walk.take(1000))
+    again = _walked(walk.take(100))
     tally = walk.tally
     assert again[0].n == levels[-1].n + levels[-1].multiplicity
     assert tally.levels == len(levels) + len(again)
@@ -587,8 +593,8 @@ def test_requests_take_whole_levels(name):
     g = load_graph(name)
     for count in (1, 7, 100, 1000):
         walk = spectrum.Walk(g)
-        first = list(walk.take(count))
-        second = list(walk.take(count))
+        first = _walked(walk.take(count))
+        second = _walked(walk.take(count))
         assert second[0].n == first[-1].n + first[-1].multiplicity
         for levels in (first, second):
             held = [lv.multiplicity for lv in levels]
@@ -608,7 +614,7 @@ def test_edge_past_the_goal_is_spare(dumbbell, monkeypatch):
 
     monkeypatch.setattr(spectrum, "_lane_edges", past)
     walk = spectrum.Walk(dumbbell)
-    _assert_same_levels(list(walk.take(200)), want)
+    _assert_same_levels(_walked(walk.take(200)), want)
     assert walk.tally.spare_edges == 1
     assert walk.tally.lanes == walk._lane_count(200) - 1
 
@@ -635,8 +641,8 @@ def test_window_split_on_eigenvalues(name):
         assert min(abs(lv.k - split) for lv in full) < 1e-9 * split
         edge = _clear_edge(g, split)
         assert 0.0 < abs(edge - split) < 1e-6 * split
-        merged = (locate_spectrum(g, k_max=edge)
-                  + locate_spectrum(g, k_min=edge, k_max=k_top))
+        merged = Levels.concat([locate_spectrum(g, k_max=edge),
+                                locate_spectrum(g, k_min=edge, k_max=k_top)])
         _assert_same_levels(merged, full)
 
 
@@ -660,7 +666,7 @@ def test_lane_edge_on_a_double_eigenvalue_moves_clear(lasso, monkeypatch):
 
     monkeypatch.setattr(spectrum, "_lane_edges", on_the_double)
     walk = spectrum.Walk(lasso)
-    _assert_same_levels(list(walk.take(40)), want)
+    _assert_same_levels(_walked(walk.take(40)), want)
     edge, found = moved[0]
     assert found and 0.0 < abs(edge - double) < 1e-6 * double
     assert walk.tally.lanes == walk._lane_count(40)
@@ -674,7 +680,7 @@ def test_workers_split_on_eigenvalues(name):
     full = locate_spectrum(g, k_max=k_top)
     for workers in (1, 2, 3):
         _assert_same_levels(
-            list(stream_levels(g, k_max=k_top, workers=workers)), full)
+            _walked(stream_levels(g, k_max=k_top, workers=workers)), full)
         _assert_same_levels(
             [lv for lv, *_ in stream_eigenpairs(g, k_max=k_top, workers=workers)],
             full)
@@ -697,13 +703,13 @@ def test_doctored_window_edge_count_raises(dumbbell, shift, monkeypatch):
         list(stream_levels(dumbbell, count=200, workers=2))
 
 
-_window_columns = spectrum._window_columns
+_walk_window = spectrum._walk_window
 
 
 def _child_window_past_its_edge(graph, count, k_min, couplings):
-    """`_window_columns` as the pool calls it, taking one eigenvalue past
-    its window's upper edge."""
-    return _window_columns(graph, count + 1, k_min, couplings)
+    """`_walk_window` as the pool calls it, taking one eigenvalue past its
+    window's upper edge."""
+    return _walk_window(graph, count + 1, k_min, couplings)
 
 
 @pytest.mark.parametrize("window", ("caller", "child"))
@@ -719,7 +725,7 @@ def test_pool_window_past_its_edge_raises(dumbbell, monkeypatch, window):
 
         monkeypatch.setattr(spectrum.Walk, "take", past_its_edge)
     else:
-        monkeypatch.setattr(spectrum, "_window_columns", _child_window_past_its_edge)
+        monkeypatch.setattr(spectrum, "_walk_window", _child_window_past_its_edge)
     with pytest.raises(BracketAuditFailed, match="pool's windows"):
         list(stream_levels(dumbbell, count=200, workers=3))
 
@@ -742,27 +748,28 @@ def test_pool_starts_a_process_per_window_above_the_first(dumbbell, monkeypatch)
         return start(self)
 
     def recorded(self, count):
-        for lv in take(self, count):
+        for block in take(self, count):
             if os.getpid() == parent:
-                walked_here.append(lv)
-            yield lv
+                walked_here.append(block)
+            yield block
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
     monkeypatch.setattr(spectrum.Walk, "take", recorded)
-    levels = list(stream_levels(dumbbell, count=200, workers=3))
-    _assert_same_levels(levels, want)
+    blocks = list(stream_levels(dumbbell, count=200, workers=3))
+    _assert_same_levels(_walked(blocks), want)
     assert pools == [2] and len(started) == 2
     first = len(walked_here)
-    assert 0 < first < len(levels) and walked_here[0].n == 1
-    assert all(a is b for a, b in zip(levels[:first], walked_here))
-    assert not any(lv in walked_here for lv in levels[first:])
+    assert 0 < first < len(blocks) and walked_here[0].n[0] == 1
+    assert all(a is b for a, b in zip(blocks[:first], walked_here))
+    # blocks compare by identity
+    assert not any(block in walked_here for block in blocks[first:])
 
     for record in (pools, started, walked_here):
         record.clear()
-    levels = list(stream_levels(dumbbell, count=1, workers=2))
+    blocks = list(stream_levels(dumbbell, count=1, workers=2))
     assert pools == [] and started == []
-    assert len(levels) == 1 and levels[0] is walked_here[0]
+    assert len(blocks) == 1 and blocks[0] is walked_here[0] and len(blocks[0]) == 1
 
 
 @pytest.mark.parametrize("name", ("dumbbell", "lasso"))
@@ -776,14 +783,18 @@ def test_pool_under_spawn_matches_the_walk(name, monkeypatch):
         concurrent.futures.ProcessPoolExecutor,
         mp_context=multiprocessing.get_context("spawn")))
     spawned = list(stream_levels(g, count=300, workers=2, couplings=True))
-    _assert_same_levels(spawned, locate_spectrum(g, count=300))
-    assert spawned == forked
+    _assert_same_levels(_walked(spawned), locate_spectrum(g, count=300))
+    assert len(spawned) == len(forked)
     for a, b in zip(spawned, forked):
+        assert list(a) == list(b)
         for kept in ("phases", "kernel", "couplings"):
             x, y = getattr(a, kept), getattr(b, kept)
-            assert (x is None and y is None) or np.array_equal(x, y)
-    simple = [lv for lv in spawned if lv.multiplicity == 1 and not lv.loop_dims]
-    assert all(lv.kernel is not None and lv.couplings is not None for lv in simple)
+            assert x is not None and y is not None and np.array_equal(x, y)
+    # the simple levels off loop states, and only those, ship a kernel and
+    # its couplings
+    spawned = _walked(spawned)
+    assert np.array_equal(np.any(spawned.kernel != 0, axis=1), spawned.kept)
+    assert np.array_equal(np.any(spawned.couplings != 0, axis=(1, 2)), spawned.kept)
     if name == "lasso":
         assert any(lv.multiplicity == 2 for lv in spawned)
 
@@ -807,7 +818,26 @@ def test_pool_windows_take_the_count(name):
     g = load_graph(name)
     for count in (1, 7, 100):
         want = locate_spectrum(g, count=count)
-        _assert_same_levels(list(stream_levels(g, count=count, workers=2)), want)
+        _assert_same_levels(_walked(stream_levels(g, count=count, workers=2)), want)
+
+
+def test_levels_block_rows_and_slices(lasso):
+    # a block iterates and indexes as rows, slices and masks into blocks,
+    # and concatenates only through Levels.concat
+    levels = locate_spectrum(lasso, count=40, couplings=True)
+    rows = list(levels)
+    assert all(type(lv) is spectrum.LocatedLevel for lv in rows)
+    assert (levels[0], levels[-1]) == (rows[0], rows[-1])
+    head, tail = levels[:10], levels[10:]
+    assert isinstance(head, Levels) and list(Levels.concat([head, tail])) == rows
+    assert list(levels[levels.kept]) == [lv for lv in rows
+                                         if lv.multiplicity == 1 and not lv.loop_dims]
+    assert levels.couplings.shape == (len(levels), lasso.E, 2 * lasso.E)
+    with pytest.raises(TypeError):
+        head + tail
+    empty = Levels.concat([])
+    assert len(empty) == 0 and list(empty) == []
+    assert list(Levels.concat([empty, head])) == rows[:10]
 
 
 def test_count_mode_counts_multiplicity(lasso):
@@ -825,6 +855,46 @@ def test_locate_rejects_conflicting_arguments(star3):
         locate_spectrum(star3, count=5, k_max=10.0)
     with pytest.raises(ValueError):
         locate_spectrum(star3)
+
+
+@pytest.mark.parametrize("bad", (
+    {"k_max": float("nan")}, {"k_max": float("inf")}, {"count": 2.5}, {"count": -3},
+), ids=("nan k_max", "inf k_max", "fractional count", "negative count"))
+@pytest.mark.parametrize("workers", (1, 2))
+def test_requests_reject_a_bad_count_or_k_max(dumbbell, bad, workers):
+    # a NaN k_max located nothing, an infinite one failed in eigvalsh, 2.5
+    # located 3 eigenvalues and -3 none: each is refused before any walk
+    with pytest.raises(ValueError):
+        locate_spectrum(dumbbell, **bad)
+    for stream in (stream_levels, spectrum.stream_batches, stream_eigenpairs):
+        with pytest.raises(ValueError):
+            next(iter(stream(dumbbell, **bad, workers=workers)))
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_zero_count_locates_nothing(dumbbell, workers):
+    assert len(locate_spectrum(dumbbell, count=0)) == 0
+    assert list(stream_levels(dumbbell, count=0, workers=workers)) == []
+    assert list(spectrum.stream_batches(dumbbell, count=0, workers=workers)) == []
+
+
+@pytest.mark.parametrize("name", ("dumbbell", "k6"))
+@pytest.mark.parametrize("workers", (1, 2))
+def test_stream_batches(name, workers):
+    # batches of at most stack_size levels, which together are the walk's
+    # levels; only a walk asked for couplings gives its eigenpairs couplings
+    g = load_graph(name)
+    count = 2 * stack_size(g) + 50
+    want = locate_spectrum(g, count=count)
+    for couplings in (True, False):
+        batches = list(spectrum.stream_batches(g, count=count, workers=workers,
+                                               couplings=couplings))
+        assert all(0 < len(batch) <= stack_size(g) for batch in batches)
+        rows = [row for batch in batches for row in batch]
+        _assert_same_levels([lv for lv, *_ in rows], want)
+        generic = [ep for _, ep, generic, _ in rows if generic]
+        assert len(generic) >= count // 2
+        assert all((ep.couplings is not None) == couplings for ep in generic)
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +955,7 @@ def test_kernel_matches_svd_oracle(name, k_min):
         edge = _clear_edge(g, k_min)
         levels = locate_spectrum(g, k_max=edge + 50.0, k_min=edge)
     else:
-        levels = spectrum.Walk(g).take(1000)
+        levels = itertools.chain.from_iterable(spectrum.Walk(g).take(1000))
     simple = (lv for lv in levels if lv.multiplicity == 1 and not lv.loop_dims)
     checked = 0
     for lv in itertools.islice(simple, 100):
@@ -924,24 +994,26 @@ def test_eigenpairs_do_not_depend_on_the_batch_split(name):
         _assert_same_rows(split, whole)
     # the batch of one, and eigenfunction_at is the batch of one of a
     # level holding its frame at k, mixed with the walk's kept kernels or not
-    lv, ep, generic, _ = next(row for row in whole if row[1] is not None)
-    _assert_same_rows(spectrum.eigenpairs(g, [lv]), [(lv, ep, generic, None)])
-    framed = _with_a_frame_at_k(g, lv)
-    fresh = spectrum.eigenpairs(g, [framed])
-    _assert_same_rows([(framed, eigenfunction_at(g, lv.k, n=lv.n), fresh[0][2], None)], fresh)
-    mixed = [_with_a_frame_at_k(g, lv) if i % 3 == 0 else lv for i, lv in enumerate(levels)]
-    _assert_same_rows([row for lv in mixed for row in spectrum.eigenpairs(g, [lv])],
+    i, (lv, ep, generic, _) = next((i, row) for i, row in enumerate(whole)
+                                   if row[1] is not None)
+    _assert_same_rows(spectrum.eigenpairs(g, levels[i:i + 1]), [(lv, ep, generic, None)])
+    fresh = spectrum.eigenpairs(g, _with_a_frame_at_k(g, levels[i:i + 1]))
+    _assert_same_rows([(lv, eigenfunction_at(g, lv.k, n=lv.n), fresh[0][2], None)], fresh)
+    mixed = _with_a_frame_at_k(g, levels, np.arange(len(levels)) % 3 == 0)
+    _assert_same_rows([row for i in range(len(mixed))
+                       for row in spectrum.eigenpairs(g, mixed[i:i + 1])],
                       spectrum.eigenpairs(g, mixed))
 
 
-def _with_a_frame_at_k(g, lv):
-    """A simple level off loop states holding eigenfunction_at's frame at its
-    k in place of the walk's; other levels as they are."""
-    if lv.kernel is None:
-        return lv
-    frame = counting(g, np.array([lv.k]), vectors=True)
-    return dataclasses.replace(lv, phases=frame.eigenphases[0],
-                               kernel=spectrum._kernel_vectors(frame)[0])
+def _with_a_frame_at_k(g, levels, rows=True):
+    """The block with each simple level off loop states among `rows` (a
+    mask, all by default) holding eigenfunction_at's frame at its k in place
+    of the walk's; other levels as they are."""
+    phases, kernel = levels.phases.copy(), levels.kernel.copy()
+    for i in np.flatnonzero(levels.kept & rows):
+        frame = counting(g, levels.k[i:i + 1], vectors=True)
+        phases[i], kernel[i] = frame.eigenphases[0], spectrum._kernel_vectors(frame)[0]
+    return dataclasses.replace(levels, phases=phases, kernel=kernel)
 
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
@@ -951,11 +1023,13 @@ def test_walk_kernel_agrees_with_a_fresh_frame(name):
     # read from either agree
     g = load_graph(name)
     walk = spectrum.Walk(g)
-    levels = list(walk.take(300))
-    # every simple level off loop states keeps a kernel, settled afresh or not
-    assert all((lv.kernel is None) == (lv.multiplicity > 1 or lv.loop_dims > 0)
-               for lv in levels)
-    simple = [lv for lv in levels if lv.kernel is not None]
+    levels = _walked(walk.take(300))
+    # every simple level off loop states keeps a kernel, settled afresh or
+    # not, and the rows of the others are zero
+    assert np.array_equal(levels.kept, (levels.multiplicity == 1) & (levels.loop_dims == 0))
+    assert np.array_equal(np.any(levels.kernel != 0, axis=1), levels.kept)
+    assert np.array_equal(np.any(levels.phases != 0, axis=1), levels.kept)
+    simple = levels[levels.kept]
     kept_rows = spectrum.eigenpairs(g, simple)
     kept = [ep for _, ep, _, _ in kept_rows]
     fresh = [eigenfunction_at(g, lv.k, n=lv.n) for lv in simple]
@@ -989,18 +1063,19 @@ def test_recounted_level_is_reconstructed_from_a_fresh_frame(dumbbell, monkeypat
 
     monkeypatch.setattr(spectrum, "_certified_counts", doctored)
     walk = spectrum.Walk(dumbbell)
-    levels = list(walk.take(300))
+    levels = _walked(walk.take(300))
     assert walk.tally.recounts == 1 and len(undecided) == 1
     assert walk.tally.kernel_frames == 1
-    lv = next(lv for lv in levels if lv.k == undecided[0])
+    i = next(i for i, lv in enumerate(levels) if lv.k == undecided[0])
+    lv = levels[i]
     assert lv == target
     # the walk gave it a frame at its k; only multiple levels and loop
     # states keep no kernel
-    assert lv.kernel is not None and lv.phases is not None
-    assert all((x.kernel is None) == (x.multiplicity > 1 or x.loop_dims > 0) for x in levels)
+    assert np.any(levels.kernel[i] != 0) and np.any(levels.phases[i] != 0)
+    assert np.array_equal(np.any(levels.kernel != 0, axis=1), levels.kept)
     # in a batch with kept kernels it is bit for bit eigenfunction_at
-    rows = spectrum.eigenpairs(dumbbell, levels)
-    row = next(row for row in rows if row[0] is lv)
+    row = spectrum.eigenpairs(dumbbell, levels)[i]
+    assert row[0] == lv
     _assert_same_rows([(lv, eigenfunction_at(dumbbell, lv.k, n=lv.n), *row[2:])], [row])
 
 
