@@ -263,10 +263,6 @@ class BridgeFactorization:
     phase2: complex
 
     @property
-    def theta1(self) -> float:
-        return float(np.angle(self.phase1))
-
-    @property
     def theta2(self) -> float:
         return float(np.angle(self.phase2))
 

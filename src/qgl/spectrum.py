@@ -86,9 +86,9 @@ for couplings (`couplings=True`, which magnetic indices need) on a graph
 with cycles also keeps the vector's couplings to the frame's eigenvectors
 through each edge (`edge_couplings`, E x 2E complex numbers: 288 B on
 `dumbbell`, 7.2 KB on `k6`), from which `magnetic` takes the flux Hessian.
-Batches of a block bounded by memory (about `secular.BATCH_ENTRIES` complex
-entries per stacked array) are reconstructed from their kept rows with no
-decomposition: the kernel check against `kernel_cutoff`, phase alignment,
+Batches of levels bounded by memory (`batches` of about
+`secular.BATCH_ENTRIES` complex entries per stacked array, across blocks)
+are reconstructed from their kept rows with no decomposition: the kernel check against `kernel_cutoff`, phase alignment,
 vertex trace, canonical sign, residual at the located k and classification
 are array operations over the batch, each row computed as it would be
 alone.  The eigenpair keeps its vertex trace as two arrays indexed by
@@ -281,8 +281,8 @@ class Levels:
     """Located levels as columns, a row per level.  The simple levels off
     loop states (`kept`) keep a frame's eigenphases and kernel vector, and
     its `edge_couplings` if the walk keeps them (else `couplings` is None);
-    the rows of other levels are zero.  Iteration and an integer index give
-    `LocatedLevel` rows, any other index a block."""
+    the rows of other levels are zero.  Iteration gives `LocatedLevel`
+    rows, and a slice, mask or index array a block."""
     n: np.ndarray
     k: np.ndarray
     multiplicity: np.ndarray
@@ -301,9 +301,7 @@ class Levels:
     def __iter__(self) -> Iterator[LocatedLevel]:
         return map(LocatedLevel._make, zip(*(x.tolist() for x in self._columns()[:4])))
 
-    def __getitem__(self, rows) -> Levels | LocatedLevel:
-        if isinstance(rows, (int, np.integer)):
-            return next(iter(self[[rows]]))
+    def __getitem__(self, rows) -> Levels:
         return Levels(*(None if x is None else x[rows] for x in self._columns()))
 
     def _columns(self) -> list:
@@ -311,7 +309,8 @@ class Levels:
 
     @staticmethod
     def concat(blocks: Sequence[Levels]) -> Levels:
-        """The rows of `blocks` in order, as one block."""
+        """The rows of `blocks` in order, as one block; no rows give an
+        empty block with no couplings."""
         blocks = [block for block in blocks if len(block)]
         if not blocks:
             none = np.zeros(0, dtype=int)
@@ -1209,18 +1208,37 @@ def eigenpairs(graph: MetricGraph, levels: Levels,
     return out
 
 
+def batches(blocks: Iterable[Levels], size: int) -> Iterator[Levels]:
+    """The rows of `blocks` in consecutive batches of `size` levels, the
+    last one shorter, each yielded once its last level is located; a block
+    that ends inside a batch passes its rows on to the next one's."""
+    held = None
+    for block in blocks:
+        if held is not None:
+            fill = size - len(held)
+            held, block = Levels.concat([held, block[:fill]]), block[fill:]
+            if len(held) < size:
+                continue
+            yield held
+        whole = len(block) - len(block) % size
+        for start in range(0, whole, size):
+            yield block[start:start + size]
+        held = block[whole:] if whole < len(block) else None
+    if held is not None:
+        yield held
+
+
 def stream_batches(graph: MetricGraph, count: int | None = None,
                    k_max: float | None = None,
                    thresholds: Thresholds = Thresholds(),
                    workers: int = 1, couplings: bool = False) -> Iterator[list[tuple]]:
-    """`eigenpairs` of consecutive batches of at most `stack_size(graph)`
-    levels cut from each block of `stream_levels` (in-process, or in
-    `workers` pool windows), so no batch spans two sweeps.  With `couplings`
-    the levels are walked for what magnetic indices need."""
-    size = stack_size(graph)
-    for block in stream_levels(graph, count, k_max, workers, couplings):
-        for start in range(0, len(block), size):
-            yield eigenpairs(graph, block[start:start + size], thresholds)
+    """`eigenpairs` of consecutive `batches` of `stack_size(graph)` levels
+    of `stream_levels` (in-process, or in `workers` pool windows); a batch
+    is located in full before it is yielded.  With `couplings` the levels
+    are walked for what magnetic indices need."""
+    for batch in batches(stream_levels(graph, count, k_max, workers, couplings),
+                         stack_size(graph)):
+        yield eigenpairs(graph, batch, thresholds)
 
 
 def stream_eigenpairs(graph: MetricGraph, count: int | None = None,

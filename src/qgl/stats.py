@@ -101,10 +101,10 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
     """Fold the eigenpair stream until K_target generic eigenpairs
     accumulate.  One walk (`spectrum.Walk`) is asked for the levels holding
     the K_target - K eigenvalues still needed, which are reconstructed and
-    folded in batches of at most `stack_size` levels of each block the
-    walk's sweeps yield, so no level past the one that gives the last
-    record is located, and thresholds that exclude nearly everything end
-    the run after the first batch.  Only a magnetic run asks the walk for the flux couplings
+    folded in `batches` of `stack_size` levels as the walk's sweeps yield
+    them, so no level past the one that gives the last record is located,
+    and thresholds that exclude nearly everything end the run after the
+    first batch.  Only a magnetic run asks the walk for the flux couplings
     its indices are read from.  The walk's tallies are kept on `tally`, and
     the largest eigenpair residual on `worst_residual`.  `chunk` has no
     effect: the lanes are set by the constants of `spectrum`.
@@ -118,14 +118,12 @@ def run_experiment(graph: MetricGraph, K_target: int, seed: int | None = None,
 
     walk = spectrum_mod.Walk(graph, couplings=magnetic)
     dist = SurplusDistribution(graph=graph, tally=walk.tally)
-    size = stack_size(graph)
     while dist.K < K_target:
         # each level gives at most one record, so the levels holding the
         # next K_target - K eigenvalues locate none past the last record
-        for block in walk.take(K_target - dist.K):
-            for start in range(0, len(block), size):
-                _fold_levels(dist, block[start:start + size], thresholds, magnetic,
-                             check_identities)
+        blocks = walk.take(K_target - dist.K)
+        for batch in spectrum_mod.batches(blocks, stack_size(graph)):
+            _fold_levels(dist, batch, thresholds, magnetic, check_identities)
 
     # exclusions that indicate threshold trouble: borderline cases and
     # unexplained near-degeneracies away from loop points

@@ -53,7 +53,7 @@ def test_counting_is_integer_off_spectrum(dumbbell):
 
 
 def test_counting_jumps_by_one_at_simple_eigenvalue(star3):
-    k = locate_spectrum(star3, count=1)[0].k
+    k = locate_spectrum(star3, count=1).k[0]
     below = counting(star3, k - 1e-6).N
     above = counting(star3, k + 1e-6).N
     assert round(above) - round(below) == 1
@@ -311,7 +311,7 @@ def test_loop_state_decided_over_the_audited_interval(monkeypatch):
         levels = locate_spectrum(g, k_min=8984.9, k_max=8985.3)
         assert steered == [14550]
         assert [(lv.n, lv.multiplicity, lv.loop_dims) for lv in levels] == [(14550, 2, 1)]
-        assert levels[0].k == root
+        assert levels.k[0] == root
 
 
 def test_forced_certificate_failure_recounts(dumbbell, monkeypatch):
@@ -455,7 +455,7 @@ def test_lasso_unit_lengths_against_oracle(lasso):
 
 
 def test_first_lasso_eigenvalue_bracket(lasso):
-    k1 = locate_spectrum(lasso, count=1)[0].k
+    k1 = locate_spectrum(lasso, count=1).k[0]
     assert np.pi / 2 < k1 < np.pi
 
 
@@ -553,7 +553,7 @@ def test_walk_tallies(dumbbell):
     levels = _walked(walk.take(1000))
     again = _walked(walk.take(100))
     tally = walk.tally
-    assert again[0].n == levels[-1].n + levels[-1].multiplicity
+    assert again.n[0] == levels.n[-1] + levels.multiplicity[-1]
     assert tally.levels == len(levels) + len(again)
     assert tally.lanes == spectrum.LANES + 100 // spectrum.LANE_LEVELS
     assert len(levels) <= tally.matrices() <= 1.2 * tally.levels
@@ -822,12 +822,12 @@ def test_pool_windows_take_the_count(name):
 
 
 def test_levels_block_rows_and_slices(lasso):
-    # a block iterates and indexes as rows, slices and masks into blocks,
-    # and concatenates only through Levels.concat
+    # a block iterates as rows, slices and masks into blocks, and
+    # concatenates only through Levels.concat
     levels = locate_spectrum(lasso, count=40, couplings=True)
     rows = list(levels)
     assert all(type(lv) is spectrum.LocatedLevel for lv in rows)
-    assert (levels[0], levels[-1]) == (rows[0], rows[-1])
+    assert list(levels[[0, -1]]) == [rows[0], rows[-1]]
     head, tail = levels[:10], levels[10:]
     assert isinstance(head, Levels) and list(Levels.concat([head, tail])) == rows
     assert list(levels[levels.kept]) == [lv for lv in rows
@@ -881,20 +881,50 @@ def test_zero_count_locates_nothing(dumbbell, workers):
 @pytest.mark.parametrize("name", ("dumbbell", "k6"))
 @pytest.mark.parametrize("workers", (1, 2))
 def test_stream_batches(name, workers):
-    # batches of at most stack_size levels, which together are the walk's
-    # levels; only a walk asked for couplings gives its eigenpairs couplings
+    # batches of stack_size levels, the last one shorter, which together
+    # are the walk's levels; only a walk asked for couplings gives its
+    # eigenpairs couplings
     g = load_graph(name)
     count = 2 * stack_size(g) + 50
     want = locate_spectrum(g, count=count)
     for couplings in (True, False):
         batches = list(spectrum.stream_batches(g, count=count, workers=workers,
                                                couplings=couplings))
-        assert all(0 < len(batch) <= stack_size(g) for batch in batches)
+        assert [len(batch) for batch in batches[:-1]] == [stack_size(g)] * (len(batches) - 1)
+        assert 0 < len(batches[-1]) <= stack_size(g)
         rows = [row for batch in batches for row in batch]
         _assert_same_levels([lv for lv, *_ in rows], want)
         generic = [ep for _, ep, generic, _ in rows if generic]
         assert len(generic) >= count // 2
         assert all((ep.couplings is not None) == couplings for ep in generic)
+
+
+def test_batches_span_blocks(lasso):
+    # batches of `size` rows carry on across blocks, and each is yielded as
+    # soon as the block holding its last row is in
+    levels = locate_spectrum(lasso, count=40, couplings=True)
+    cuts = [0, 3, 8, 9, 20, 27, len(levels)]
+    assert len(levels) > 28
+    blocks = [levels[a:b] for a, b in zip(cuts, cuts[1:])]
+    taken = []
+
+    def yielded():
+        for block in blocks:
+            taken.append(len(block))
+            yield block
+
+    got = []
+    for batch in spectrum.batches(yielded(), 4):
+        assert sum(taken[:-1]) < len(got) * 4 + len(batch) <= sum(taken)
+        got.append(batch)
+    assert [len(batch) for batch in got[:-1]] == [4] * (len(got) - 1)
+    assert 0 < len(got[-1]) <= 4
+    joined = Levels.concat(got)
+    assert list(joined) == list(levels)
+    for name in ("phases", "kernel", "couplings"):
+        assert np.array_equal(getattr(joined, name), getattr(levels, name))
+    assert [len(batch) for batch in spectrum.batches(iter(blocks), 100)] == [len(levels)]
+    assert list(spectrum.batches(iter(()), 4)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +955,7 @@ def test_eigenfunction_invariants(name):
 
 def test_eigenfunction_energy_split(star3):
     # f^2 + (f'/k)^2 = 2(|a_d|^2 + |a_d-hat|^2) along every edge
-    lv = locate_spectrum(star3, count=3)[-1]
+    *_, lv = locate_spectrum(star3, count=3)
     ep = eigenfunction_at(star3, lv.k, n=lv.n)
     for i in range(star3.E):
         lhs = ep.values[2 * i] ** 2 + ep.derivatives[2 * i] ** 2
@@ -1066,8 +1096,7 @@ def test_recounted_level_is_reconstructed_from_a_fresh_frame(dumbbell, monkeypat
     levels = _walked(walk.take(300))
     assert walk.tally.recounts == 1 and len(undecided) == 1
     assert walk.tally.kernel_frames == 1
-    i = next(i for i, lv in enumerate(levels) if lv.k == undecided[0])
-    lv = levels[i]
+    i, lv = next((i, lv) for i, lv in enumerate(levels) if lv.k == undecided[0])
     assert lv == target
     # the walk gave it a frame at its k; only multiple levels and loop
     # states keep no kernel
@@ -1080,7 +1109,7 @@ def test_recounted_level_is_reconstructed_from_a_fresh_frame(dumbbell, monkeypat
 
 
 def test_canonical_sign_is_deterministic(dumbbell):
-    lv = locate_spectrum(dumbbell, count=1)[0]
+    lv, = locate_spectrum(dumbbell, count=1)
     a = eigenfunction_at(dumbbell, lv.k)
     b = eigenfunction_at(dumbbell, lv.k)
     assert np.allclose(a.amplitudes, b.amplitudes)
