@@ -73,20 +73,20 @@ def _batches(args, graph, thresholds, couplings=False):
         workers=args.workers, couplings=couplings)
 
 
-def _generic(batch) -> tuple[list, int]:
-    """The (level, eigenpair) pairs of the generic items of a batch, and the
-    number of eigenvalues skipped."""
-    kept = [(lv, ep) for lv, ep, generic, _ in batch if generic]
-    skipped = sum(lv.multiplicity for lv, _, generic, _ in batch if not generic)
-    return kept, skipped
+def _generic(batch) -> tuple[spectrum_mod.Eigenpairs, int]:
+    """The eigenpairs of the generic levels of a batch, and the number of
+    eigenvalues skipped."""
+    skipped = int(np.sum(batch.levels.multiplicity[~batch.generic]))
+    return batch.eigenpairs[batch.generic[batch.levels.kept]], skipped
 
 
 def cmd_spectrum(args, graph, thresholds, out_dir) -> int:
     rows = []
-    for lv, _, generic, _ in chain.from_iterable(_batches(args, graph, thresholds)):
-        for j in range(lv.multiplicity):
-            bits = (lv.multiplicity == 1, generic, j < lv.loop_dims)
-            rows.append([lv.n + j, _fmt_k(lv.k), *map(int, bits)])
+    for batch in _batches(args, graph, thresholds):
+        for lv, generic in zip(batch.levels, batch.generic.tolist()):
+            for j in range(lv.multiplicity):
+                bits = (lv.multiplicity == 1, generic, j < lv.loop_dims)
+                rows.append([lv.n + j, _fmt_k(lv.k), *map(int, bits)])
     path = _write_rows(out_dir, "spectrum", args.format,
                        ["n", "k", "simple", "generic", "loop_supported"], rows)
     total = len(rows)
@@ -105,13 +105,10 @@ def cmd_spectrum(args, graph, thresholds, out_dir) -> int:
 def cmd_counts(args, graph, thresholds, out_dir) -> int:
     rows, skipped = [], 0
     for batch in _batches(args, graph, thresholds):
-        kept, skip = _generic(batch)
+        eps, skip = _generic(batch)
         skipped += skip
-        if not kept:
-            continue
-        c = counts_mod.counts_batch(graph, [ep for _, ep in kept])
-        rows += [[lv.n, _fmt_k(lv.k), *rec] for (lv, _), rec in
-                 zip(kept, np.stack([c.phi, c.mu, c.sigma, c.omega], axis=1).tolist())]
+        c = counts_mod.counts_batch(graph, eps)
+        rows += [[n, _fmt_k(k), *rec] for n, k, *rec in zip(*(x.tolist() for x in c))]
     path = _write_rows(out_dir, "counts", args.format,
                        ["n", "k", "phi", "mu", "sigma", "omega"], rows)
     print(f"counts for {len(rows)} generic eigenpairs ({skipped} skipped)")
@@ -148,19 +145,16 @@ def cmd_magnetic(args, graph, thresholds, out_dir) -> int:
               + [f"iota_{j + 1}" for j in range(n_blocks)])
     rows, skipped, agree = [], 0, True
     for batch in _batches(args, graph, thresholds, couplings=True):
-        kept, skip = _generic(batch)
+        eps, skip = _generic(batch)
         skipped += skip
-        if not kept:
-            continue
-        eps = [ep for _, ep in kept]
         c = counts_mod.counts_batch(graph, eps)
         m = magnetic_mod.indices_batch(graph, eps)
         if np.any(m.degenerate):
             raise DegenerateHessian(
-                f"{eps[int(np.argmax(m.degenerate))].label()}: degenerate flux Hessian")
+                f"{eps.label(int(np.argmax(m.degenerate)))}: degenerate flux Hessian")
         agree = agree and bool(np.all(m.sigma == c.sigma))
-        rows += [[lv.n, _fmt_k(lv.k), sigma, sigma_m] + iota for (lv, _), sigma, sigma_m, iota
-                 in zip(kept, c.sigma.tolist(), m.sigma.tolist(), m.iota.tolist())]
+        rows += [[n, _fmt_k(k), sigma, sigma_m] + iota for n, k, sigma, sigma_m, iota
+                 in zip(*(x.tolist() for x in (c.n, c.k, c.sigma, m.sigma, m.iota)))]
     path = _write_rows(out_dir, "magnetic", args.format, header, rows)
     print(f"magnetic indices for {len(rows)} generic eigenpairs "
           f"({skipped} skipped); counting/magnetic agree: {agree}")
@@ -233,13 +227,6 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
-def finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qgl",
@@ -255,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--K", "--count", dest="K", type=positive_int,
                            help="number of eigenvalues to locate")
             if kmax:
-                g.add_argument("--kmax", type=finite_float,
+                g.add_argument("--kmax", type=float,
                                help="locate all eigenvalues up to this k")
             sp.add_argument("--seed", type=int, default=None,
                             help="redraw edge lengths uniformly from [1, 2]")

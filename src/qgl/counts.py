@@ -2,8 +2,8 @@
 
 Counts are computed from vertex trace data and the torus point only; no
 profile sampling happens here (a dense-sampling oracle lives in the tests).
-Every rule is elementwise over (eigenpair, edge) of a batch of eigenpairs,
-and the one-eigenpair functions are its batch of one.
+Every rule reads the columns of a `spectrum.Eigenpairs` block elementwise
+over (eigenpair, edge); the one-eigenpair functions are its block of one.
 
 Genericity is decided once, by `spectrum.classify_batch`, with thresholds
 never below TRACE_FLOOR; the counts take it as given.  An eigenpair passed in
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import IdentityViolated, NotGeneric
 from .graphs import MetricGraph
 from .secular import TWO_PI
-from .spectrum import TRACE_FLOOR, Eigenpair, stacked
+from .spectrum import TRACE_FLOOR, Eigenpair, Eigenpairs
 
 
 class Counts(NamedTuple):
@@ -40,17 +40,17 @@ def _edges(graph: MetricGraph, edges: Sequence[int] | None) -> np.ndarray:
     return np.arange(graph.E) if edges is None else np.asarray(edges, dtype=int)
 
 
-def _endpoint_traces(eps: Sequence[Eigenpair], name: str, edges: np.ndarray,
+def _endpoint_traces(eps: Eigenpairs, name: str, edges: np.ndarray,
                      what: str) -> tuple[np.ndarray, np.ndarray]:
     """(tail, head) traces on each edge; NotGeneric naming the first
     eigenpair with one below TRACE_FLOOR."""
     # directed edge 2i leaves the tail of edge i, 2i + 1 its head
-    trace = stacked(eps, name)
+    trace = getattr(eps, name)
     tail, head = trace[:, 2 * edges], trace[:, 2 * edges + 1]
     low = (np.abs(tail) < TRACE_FLOOR) | (np.abs(head) < TRACE_FLOOR)
     if np.any(low):
         i, j = np.argwhere(low)[0]
-        raise NotGeneric(f"{eps[i].label()}: edge {edges[j]}: endpoint {what} "
+        raise NotGeneric(f"{eps.label(i)}: edge {edges[j]}: endpoint {what} "
                          f"within {TRACE_FLOOR} of 0")
     return tail, head
 
@@ -70,11 +70,11 @@ def _parity_rule(kl: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return np.where(odd, base + 1, np.where(r0 < np.pi, base, base + 2))
 
 
-def _kl(graph: MetricGraph, eps: Sequence[Eigenpair], edges: np.ndarray) -> np.ndarray:
-    return stacked(eps, "k")[:, None] * np.asarray(graph.lengths)[edges]
+def _kl(graph: MetricGraph, eps: Eigenpairs, edges: np.ndarray) -> np.ndarray:
+    return eps.k[:, None] * np.asarray(graph.lengths)[edges]
 
 
-def nodal_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
+def nodal_counts(graph: MetricGraph, eps: Eigenpairs,
                  edges: Sequence[int] | None = None) -> np.ndarray:
     """Interior zeros per (eigenpair, edge), over every edge by default."""
     edges = _edges(graph, edges)
@@ -82,7 +82,7 @@ def nodal_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
     return _parity_rule(_kl(graph, eps, edges), tail * head < 0)
 
 
-def neumann_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
+def neumann_counts(graph: MetricGraph, eps: Eigenpairs,
                    edges: Sequence[int] | None = None) -> np.ndarray:
     """Interior critical points per (eigenpair, edge), over every edge by
     default."""
@@ -99,26 +99,26 @@ def neumann_counts(graph: MetricGraph, eps: Sequence[Eigenpair],
     return out
 
 
-def vertex_sign_sums(graph: MetricGraph, eps: Sequence[Eigenpair]) -> np.ndarray:
+def vertex_sign_sums(graph: MetricGraph, eps: Eigenpairs) -> np.ndarray:
     """Per eigenpair, the sum over interior vertices and incident directed
     edges of sign(f(v) * outgoing derivative)."""
     dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
-    signs = np.sign(stacked(eps, "values")[:, dirs] * stacked(eps, "derivatives")[:, dirs])
+    signs = np.sign(eps.values[:, dirs] * eps.derivatives[:, dirs])
     zero = signs == 0
     if np.any(zero):
         i, j = np.argwhere(zero)[0]
-        raise NotGeneric(f"{eps[i].label()}: vertex {graph.tail_of(dirs[j])}, "
+        raise NotGeneric(f"{eps.label(i)}: vertex {graph.tail_of(dirs[j])}, "
                          f"directed edge {dirs[j]}: zero value or derivative")
     return np.sum(signs, axis=1).astype(int)
 
 
-def counts_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> Counts:
-    """The counts of each eigenpair of a batch, with the surplus ranges and
+def counts_batch(graph: MetricGraph, eps: Eigenpairs) -> Counts:
+    """The counts of each eigenpair of a block, with the surplus ranges and
     the difference identity checked row by row; errors name the eigenpair."""
-    n = stacked(eps, "n")
+    n = eps.n
     phi = np.sum(nodal_counts(graph, eps), axis=1)
     mu = np.sum(neumann_counts(graph, eps), axis=1)
-    c = Counts(n=n, k=stacked(eps, "k"), phi=phi, mu=mu, sigma=phi - n, omega=mu - n)
+    c = Counts(n=n, k=eps.k, phi=phi, mu=mu, sigma=phi - n, omega=mu - n)
     # hard range checks; violations would falsify the computation
     topo = graph.topology
     beta = topo.betti
@@ -131,22 +131,23 @@ def counts_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> Counts:
             (2 * (phi - mu) != nb - vertex_sign_sums(graph, eps),
              "2(phi - mu) != boundary - vertex signs")):
         if np.any(bad):
-            raise IdentityViolated(f"{what}: {c.record(int(np.argmax(bad)))}")
+            i = int(np.argmax(bad))
+            raise IdentityViolated(f"{eps.label(i)}: {what}: {c.record(i)}")
     return c
 
 
 def nodal_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> int:
-    return int(nodal_counts(graph, [ep], [edge])[0, 0])
+    return int(nodal_counts(graph, Eigenpairs.of([ep]), [edge])[0, 0])
 
 
 def neumann_count_edge(graph: MetricGraph, ep: Eigenpair, edge: int) -> int:
-    return int(neumann_counts(graph, [ep], [edge])[0, 0])
+    return int(neumann_counts(graph, Eigenpairs.of([ep]), [edge])[0, 0])
 
 
 def vertex_sign_sum(graph: MetricGraph, ep: Eigenpair) -> int:
-    return int(vertex_sign_sums(graph, [ep])[0])
+    return int(vertex_sign_sums(graph, Eigenpairs.of([ep]))[0])
 
 
 def counts(graph: MetricGraph, ep: Eigenpair) -> Counts:
     """The counts of one eigenpair: the batch of one of `counts_batch`."""
-    return counts_batch(graph, [ep]).record(0)
+    return counts_batch(graph, Eigenpairs.of([ep])).record(0)

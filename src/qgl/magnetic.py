@@ -26,11 +26,12 @@ Newton frame, within a quarter of the tolerance of the root, or for a level
 settled afresh the frame the walk took at the located k, so no
 decomposition of U is taken here for such an eigenpair.  A bare kappa, or
 an eigenpair without couplings passed to `hessian_alpha`, takes one frame.
-A batch is handled as stacked arrays: the cot factors, the perturbation
-sums and p are array operations over the batch, and the Morse indices come
-from one stacked `eigvalsh` of the stability matrices and one per block
-order.  Each row comes out as it would alone, and the one-point functions
-(`hessian_alpha`, `local_indices`, `morse_index`) are the batch of one.
+A batch is a `spectrum.Eigenpairs` block, read by columns: the cot factors,
+the perturbation sums and p are array operations over it, and the Morse
+indices come from one stacked `eigvalsh` of the stability matrices and one
+per block order.  Each row comes out as it would alone, and the one-point
+functions (`hessian_alpha`, `local_indices`, `morse_index`) are the batch
+of one; `hessian_alpha` reads an `Eigenpair` row.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import CriticalPointViolated, DegenerateHessian, IdentityViolated
 from .graphs import MetricGraph
 from .secular import KERNEL_TOL, evolution_matrix, reduce_torus, root_branch
-from .spectrum import Eigenpair, edge_couplings, kernel_cutoff, stacked, unitary_frame
+from .spectrum import Eigenpair, Eigenpairs, edge_couplings, kernel_cutoff, unitary_frame
 
 GRADIENT_TOL = 1e-9      # max |d theta_0| per unit of max |cot|: roundoff only
 # 50x the worst error of the smallest relative eigenvalue against 50-digit
@@ -233,14 +234,14 @@ class MagneticIndices(NamedTuple):
     degenerate: np.ndarray
 
 
-def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndices:
-    """Magnetic and local indices of a batch of eigenpairs, stacked, from
-    the eigenphases and couplings each eigenpair carries (each needs an
+def indices_batch(graph: MetricGraph, eps: Eigenpairs) -> MagneticIndices:
+    """Magnetic and local indices of a block of eigenpairs, stacked, from
+    the eigenphases and couplings columns (each eigenpair needs an
     eigenphase within `kernel_cutoff` of 0 there): one product for the
     perturbation sums, one `eigvalsh` for the stability matrices and one per
     block order.  No decomposition of U is taken, and on a graph without
-    fluxes (a tree) nothing is computed: every index is 0 and iota empty.
-    Elsewhere an eigenpair streamed without couplings raises ValueError.
+    fluxes (a tree) or for no eigenpairs nothing is computed: every index is
+    0.  Elsewhere eigenpairs streamed without couplings raise ValueError.
 
     Fluxes sit on the canonical spanning tree.  A row whose Hessian has an
     off-block entry or a (block) eigenvalue too close to 0 is marked
@@ -249,21 +250,20 @@ def indices_batch(graph: MetricGraph, eps: Sequence[Eigenpair]) -> MagneticIndic
     local-index sum (IdentityViolated) raise, naming the eigenpair.
     """
     layout = _flux_layout(graph, None)
-    if not layout.fluxes:
-        return MagneticIndices(np.zeros(len(eps), dtype=int), np.zeros((len(eps), 0), dtype=int),
+    if not layout.fluxes or not len(eps):
+        return MagneticIndices(np.zeros(len(eps), dtype=int),
+                               np.zeros((len(eps), len(layout.block_fluxes)), dtype=int),
                                np.zeros(len(eps), dtype=bool))
-    for ep in eps:
-        if ep.couplings is None:
-            raise ValueError(f"{ep.label()} carries no flux couplings; stream it "
-                             "with couplings=True")
-    kappa = stacked(eps, "kappa")
-    h = _hessians(graph, layout, kappa, stacked(eps, "phases"), stacked(eps, "couplings"),
-                  kernel_cutoff(graph, stacked(eps, "k")), lambda i: eps[i].label())
+    if eps.couplings is None:
+        raise ValueError(f"{eps.label(0)} carries no flux couplings; stream it "
+                         "with couplings=True")
+    h = _hessians(graph, layout, eps.kappa, eps.phases, eps.couplings,
+                  kernel_cutoff(graph, eps.k), eps.label)
     A = -h.hessian / h.p[:, None, None]
     sigma, singular = _morse_indices(A)
     iota, block_singular = _block_indices(A, layout.block_fluxes)
     degenerate = h.off_block | singular | block_singular
-    _check_block_sums(iota, sigma, degenerate, lambda i: eps[i].label())
+    _check_block_sums(iota, sigma, degenerate, eps.label)
     return MagneticIndices(sigma, iota, degenerate)
 
 

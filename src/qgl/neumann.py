@@ -16,7 +16,7 @@ import numpy as np
 from .counts import Counts
 from .errors import IdentityViolated, NotGeneric, NotStarRegime
 from .graphs import MetricGraph
-from .spectrum import Eigenpair, stacked
+from .spectrum import Eigenpair, Eigenpairs
 
 
 def offset_atan(x):
@@ -73,19 +73,19 @@ class NeumannPartition:
         return len(self.stars) + self.segment_count
 
 
-def stars_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
+def stars_batch(graph: MetricGraph, eps: Eigenpairs,
                 vertices: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(N, rho): the spectral positions and wavelength capacities of the star
     domains around interior vertices (columns; every interior vertex in
-    order by default) for each eigenpair of a batch (rows), from vertex trace
+    order by default) for each eigenpair of a block (rows), from vertex trace
     data alone, with their bounds checked row by row."""
     star_threshold = graph.star_threshold
-    for ep in eps:
-        if ep.k <= star_threshold:
-            raise NotStarRegime(f"{ep.label()}: k below pi/l_min={star_threshold}")
+    below = np.flatnonzero(eps.k <= star_threshold)
+    if below.size:
+        raise NotStarRegime(f"{eps.label(below[0])}: k below pi/l_min={star_threshold}")
     if vertices is None:
         vertices = graph.topology.interior
-    values, derivatives = stacked(eps, "values"), stacked(eps, "derivatives")
+    values, derivatives = eps.values, eps.derivatives
     N = np.empty((len(eps), len(vertices)), dtype=int)
     rho = np.empty((len(eps), len(vertices)))
     for j, v in enumerate(vertices):
@@ -97,7 +97,7 @@ def stars_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
         prod = value * derivatives[:, dirs]
         if np.any(prod == 0.0):
             i, m = np.argwhere(prod == 0.0)[0]
-            raise NotGeneric(f"{eps[i].label()}: vertex {v}: trace vanishes "
+            raise NotGeneric(f"{eps.label(i)}: vertex {v}: trace vanishes "
                              f"on edge {dirs[m] // 2}")
         # deg and the sign sum share parity, so this is exact integer arithmetic
         N[:, j] = (deg - np.sum(np.where(prod > 0, 1, -1), axis=1)) // 2
@@ -112,7 +112,7 @@ def stars_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
         bad = (N[:, j] < 1) | (N[:, j] > deg - 1)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise IdentityViolated(f"{eps[i].label()}: vertex {v}: spectral "
+            raise IdentityViolated(f"{eps.label(i)}: vertex {v}: spectral "
                                    f"position {N[i, j]} outside [1, {deg - 1}]")
         # the bounds are attained in the limit of extreme trace ratios, so
         # allow a small numerical margin around them
@@ -120,7 +120,7 @@ def stars_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
         if np.any(bad):
             i = int(np.argmax(bad))
             raise IdentityViolated(
-                f"{eps[i].label()}: vertex {v}: capacity {rho[i, j]} outside "
+                f"{eps.label(i)}: vertex {v}: capacity {rho[i, j]} outside "
                 f"[{lo[i]}, {hi[i]}] for position {N[i, j]}")
     return N, rho
 
@@ -128,7 +128,7 @@ def stars_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
 def star_observables(graph: MetricGraph, ep: Eigenpair, vertex: int) -> tuple[int, float]:
     """(spectral position, wavelength capacity) of the star domain around an
     interior vertex: the batch of one of `stars_batch`."""
-    N, rho = stars_batch(graph, [ep], [vertex])
+    N, rho = stars_batch(graph, Eigenpairs.of([ep]), [vertex])
     return N.item(), rho.item()
 
 
@@ -158,7 +158,7 @@ def partition(graph: MetricGraph, ep: Eigenpair) -> NeumannPartition:
 
     stars: dict[int, StarDomain] = {}
     if star_regime:
-        N, rho = stars_batch(graph, [ep])
+        N, rho = stars_batch(graph, Eigenpairs.of([ep]))
         for v, N_v, rho_v in zip(graph.topology.interior, N[0].tolist(), rho[0].tolist()):
             stubs: dict[int, float] = {}
             for d in graph.outgoing[v]:

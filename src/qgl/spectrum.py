@@ -91,8 +91,9 @@ Batches of levels bounded by memory (`batches` of about
 are reconstructed from their kept rows with no decomposition: the kernel check against `kernel_cutoff`, phase alignment,
 vertex trace, canonical sign, residual at the located k and classification
 are array operations over the batch, each row computed as it would be
-alone.  The eigenpair keeps its vertex trace as two arrays indexed by
-directed edge.
+alone.  The eigenpairs come as an `Eigenpairs` column block (the vertex
+trace as two arrays indexed by directed edge) in a `Batch`; every later
+layer reads its columns, and iterating a block gives `Eigenpair` rows.
 """
 from __future__ import annotations
 
@@ -276,13 +277,29 @@ class LocatedLevel(NamedTuple):
     loop_dims: int        # kernel dimensions carried by loop factors
 
 
+class _Block:
+    """The columns of a frozen dataclass, arrays with a row per item (or
+    None): a slice, mask or index array gives a block of the same type, and
+    an integer index TypeError, since iteration gives the rows."""
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, Integral):
+            raise TypeError(f"{type(self).__name__} takes no integer index; iterate for rows")
+        return type(self)(*(None if x is None else x[rows] for x in self._columns()))
+
+    def _columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+
 @dataclass(frozen=True, eq=False)
-class Levels:
+class Levels(_Block):
     """Located levels as columns, a row per level.  The simple levels off
     loop states (`kept`) keep a frame's eigenphases and kernel vector, and
     its `edge_couplings` if the walk keeps them (else `couplings` is None);
-    the rows of other levels are zero.  Iteration gives `LocatedLevel`
-    rows, and a slice, mask or index array a block."""
+    the rows of other levels are zero.  Iteration gives `LocatedLevel` rows."""
     n: np.ndarray
     k: np.ndarray
     multiplicity: np.ndarray
@@ -295,17 +312,8 @@ class Levels:
     def kept(self) -> np.ndarray:
         return (self.multiplicity == 1) & (self.loop_dims == 0)
 
-    def __len__(self) -> int:
-        return len(self.n)
-
     def __iter__(self) -> Iterator[LocatedLevel]:
         return map(LocatedLevel._make, zip(*(x.tolist() for x in self._columns()[:4])))
-
-    def __getitem__(self, rows) -> Levels:
-        return Levels(*(None if x is None else x[rows] for x in self._columns()))
-
-    def _columns(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
 
     @staticmethod
     def concat(blocks: Sequence[Levels]) -> Levels:
@@ -914,6 +922,7 @@ def locate_spectrum(graph: MetricGraph, count: int | None = None,
 
 @dataclass
 class Eigenpair:
+    """A row of `Eigenpairs`."""
     k: float
     n: int
     kappa: np.ndarray
@@ -932,10 +941,37 @@ class Eigenpair:
         return f"eigenpair n={self.n}, k={self.k!r}"
 
 
-def stacked(eps: Sequence[Eigenpair], name: str) -> np.ndarray:
-    """One field of a batch of eigenpairs as an array with a row per
-    eigenpair."""
-    return np.array([getattr(ep, name) for ep in eps])
+@dataclass(frozen=True, eq=False)
+class Eigenpairs(_Block):
+    """Eigenpairs as columns, a row per eigenpair, with the fields of
+    `Eigenpair` (`couplings` None unless the levels kept them).  Iteration
+    gives `Eigenpair` rows; `of` stacks rows into a block."""
+    k: np.ndarray
+    n: np.ndarray
+    kappa: np.ndarray               # (eigenpairs, E)
+    amplitudes: np.ndarray          # (eigenpairs, 2E), as are values and derivatives
+    values: np.ndarray
+    derivatives: np.ndarray
+    residual: np.ndarray
+    phases: np.ndarray              # (eigenpairs, 2E)
+    couplings: np.ndarray | None    # (eigenpairs, E, 2E)
+
+    def __iter__(self) -> Iterator[Eigenpair]:
+        couplings = repeat(None) if self.couplings is None else self.couplings
+        return map(Eigenpair, self.k.tolist(), self.n.tolist(), self.kappa, self.amplitudes,
+                   self.values, self.derivatives, self.residual.tolist(), self.phases,
+                   couplings)
+
+    def label(self, i: int) -> str:
+        """How an error names eigenpair i, as `Eigenpair.label` does."""
+        return f"eigenpair n={self.n[i]}, k={float(self.k[i])!r}"
+
+    @staticmethod
+    def of(eps: Sequence[Eigenpair]) -> Eigenpairs:
+        """Eigenpair rows as a block; a column that a row lacks (None) is None."""
+        columns = ([getattr(ep, f.name) for ep in eps] for f in fields(Eigenpairs))
+        return Eigenpairs(*(None if any(x is None for x in xs) else np.array(xs)
+                            for xs in columns))
 
 
 def kernel_cutoff(graph: MetricGraph, k: float | np.ndarray) -> float | np.ndarray:
@@ -956,10 +992,10 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _reconstruct(graph: MetricGraph, levels: Levels) -> list[Eigenpair]:
-    """Eigenpairs at every level of a block, from the eigenphases, kernel
-    vector and couplings each kept; NoKernel or NonSimple unless the kernel
-    of 1 - U is one-dimensional at every k.
+def _reconstruct(graph: MetricGraph, levels: Levels) -> Eigenpairs:
+    """The eigenpairs at the levels of a block, as a block, from the
+    eigenphases, kernel vector and couplings each kept; NoKernel or
+    NonSimple unless the kernel of 1 - U is one-dimensional at every k.
 
     Every level passes the same kernel check, phase alignment, trace, sign
     and residual at the located k, and the eigenpair keeps the eigenphases
@@ -978,7 +1014,9 @@ def _reconstruct(graph: MetricGraph, levels: Levels) -> list[Eigenpair]:
             raise NoKernel(f"nearest |1 - e^(i theta)| {np.min(distance[i]):.2e} at k={k[i]}")
         raise NonSimple(f"kernel dimension {dims[i]} at k={k[i]}")
     rows = np.arange(len(k))
-    a = levels.kernel / _norm(levels.kernel)[:, None]
+    # `Levels.concat` of no blocks holds (0, 0) kernels
+    kernel = levels.kernel.reshape(len(k), 2 * graph.E)
+    a = kernel / _norm(kernel)[:, None]
 
     phase = np.repeat(np.exp(-1j * kappa), 2, axis=-1)
     rev = a.reshape(len(k), graph.E, 2)[:, :, ::-1].reshape(a.shape)  # (d, d-hat) swapped
@@ -1006,12 +1044,8 @@ def _reconstruct(graph: MetricGraph, levels: Levels) -> list[Eigenpair]:
     a[flip], values[flip], derivatives[flip] = -a[flip], -values[flip], -derivatives[flip]
 
     residual = np.maximum(_norm(a - (U @ a[:, :, None])[:, :, 0]), imag_res)
-    couplings = repeat(None) if levels.couplings is None else levels.couplings
-    return [Eigenpair(k=k_i, n=n_i, kappa=kappa[i], amplitudes=a[i],
-                      values=values[i], derivatives=derivatives[i],
-                      residual=r_i, phases=theta[i], couplings=b_i)
-            for i, (n_i, k_i, r_i, b_i) in enumerate(zip(
-                levels.n.tolist(), k.tolist(), residual.tolist(), couplings))]
+    return Eigenpairs(k, levels.n, kappa, a, values, derivatives, residual, theta,
+                      levels.couplings)
 
 
 def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0) -> Eigenpair:
@@ -1032,7 +1066,7 @@ def eigenfunction_at(graph: MetricGraph, k: float, n: int = 0) -> Eigenpair:
     frame = counting(graph, np.array([float(k)]), vectors=True)
     level = Levels(np.array([n]), frame.k, np.ones(1, dtype=int), np.zeros(1, dtype=int),
                    frame.eigenphases, _kernel_vectors(frame), None)
-    return _reconstruct(graph, level)[0]
+    return next(iter(_reconstruct(graph, level)))
 
 
 # ---------------------------------------------------------------------------
@@ -1050,24 +1084,23 @@ def _band(q: np.ndarray, eps: float) -> np.ndarray:
     return (eps / 10.0 <= q) & (q <= eps * 10.0)
 
 
-def classify_batch(graph: MetricGraph, eps: Sequence[Eigenpair],
+def classify_batch(graph: MetricGraph, eps: Eigenpairs,
                    thresholds: Thresholds = Thresholds()) -> Flags:
-    """The classification of each eigenpair of a batch, from reductions over
-    the stacked vertex traces: the only place genericity is decided.  The
-    counts and star observables take a generic eigenpair as given; their
-    own guards only catch eigenpairs passed to them unclassified."""
+    """The classification of each eigenpair of a block, from reductions over
+    its vertex traces: the only place genericity is decided.  The counts and
+    star observables take a generic eigenpair as given; their own guards
+    only catch eigenpairs passed to them unclassified."""
     interior_dirs = [d for v in graph.topology.interior for d in graph.outgoing[v]]
-    min_val = np.min(np.abs(stacked(eps, "values")), axis=1)
-    min_der = np.min(np.abs(stacked(eps, "derivatives")[:, interior_dirs]), axis=1,
-                     initial=np.inf)
+    min_val = np.min(np.abs(eps.values), axis=1)
+    min_der = np.min(np.abs(eps.derivatives[:, interior_dirs]), axis=1, initial=np.inf)
     borderline = _band(min_val, thresholds.value) | _band(min_der, thresholds.derivative)
     loops = list(graph.topology.loops)
     if loops:
-        mass = np.abs(stacked(eps, "amplitudes")) ** 2
+        mass = np.abs(eps.amplitudes) ** 2
         total = np.sum(mass, axis=1)
         outside = np.stack([total - mass[:, 2 * i] - mass[:, 2 * i + 1] for i in loops], axis=1)
         # only ambiguous when the resonance condition is in play as well
-        borderline |= np.any((np.abs(np.exp(1j * stacked(eps, "kappa")[:, loops]) - 1.0) < 1e-3)
+        borderline |= np.any((np.abs(np.exp(1j * eps.kappa[:, loops]) - 1.0) < 1e-3)
                              & _band(outside, thresholds.support), axis=1)
     return Flags(generic=(min_val > thresholds.value) & (min_der > thresholds.derivative),
                  borderline=borderline)
@@ -1077,7 +1110,7 @@ def classify(graph: MetricGraph, ep: Eigenpair,
              thresholds: Thresholds = Thresholds()) -> Flags:
     """The classification of one eigenpair, as Python bools: the batch of
     one of `classify_batch`."""
-    return Flags(*(x[0].item() for x in classify_batch(graph, [ep], thresholds)))
+    return Flags(*(x[0].item() for x in classify_batch(graph, Eigenpairs.of([ep]), thresholds)))
 
 
 # ---------------------------------------------------------------------------
@@ -1169,20 +1202,37 @@ def stream_levels(graph: MetricGraph, count: int | None = None,
     return walk.take(count) if count is not None else walk.until(k_max)
 
 
-def eigenpairs(graph: MetricGraph, levels: Levels,
-               thresholds: Thresholds = Thresholds()) -> list[tuple]:
-    """(level, eigenpair, generic, reason) per row of a block, the simple
-    levels off every loop resonance (`kept`) reconstructed as one batch from
-    what they kept (`_reconstruct`) and classified by `classify_batch`;
-    other levels carry no eigenpair and are not generic (at a resonance the
-    loop state is the eigenfunction, so none is reconstructed).  Levels
-    walked with `couplings` give their eigenpairs the flux couplings
-    magnetic indices need.  The level's `loop_dims`, decided as it is
-    located, is the only loop decision.  NoKernel or NonSimple at any level
-    is raised for the whole batch.
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """A block of levels, the `Eigenpairs` of its kept rows, and per level
+    the `generic` verdict and `reason` (str or None) of `eigenpairs`.
+    Iteration gives (level, eigenpair or None, generic, reason) per level."""
+    levels: Levels
+    eigenpairs: Eigenpairs
+    generic: np.ndarray
+    reason: np.ndarray
 
-    `generic` is the verdict of `classify_batch`, a bool.  `reason` is None
-    for a generic eigenpair that is not borderline, or else one of
+    def __iter__(self) -> Iterator[tuple]:
+        built = iter(self.eigenpairs)
+        return ((lv, next(built) if keep else None, generic, reason)
+                for lv, keep, generic, reason in zip(self.levels, self.levels.kept.tolist(),
+                                                     self.generic.tolist(),
+                                                     self.reason.tolist()))
+
+
+def eigenpairs(graph: MetricGraph, levels: Levels,
+               thresholds: Thresholds = Thresholds()) -> Batch:
+    """The `Batch` of a block: the simple levels off every loop resonance
+    (`kept`) reconstructed as one block from what they kept (`_reconstruct`)
+    and classified by `classify_batch`; other levels carry no eigenpair and
+    are not generic (at a resonance the loop state is the eigenfunction, so
+    none is reconstructed).  Levels walked with `couplings` give their
+    eigenpairs the flux couplings magnetic indices need.  The level's
+    `loop_dims`, decided as it is located, is the only loop decision.
+    NoKernel or NonSimple at any level is raised for the whole batch.
+
+    `generic` is the verdict of `classify_batch`.  `reason` is None for a
+    generic eigenpair that is not borderline, or else one of
       loop_supported      every kernel direction is a loop state
       degenerate_at_loop  a multiple level holding loop states and more
       non_simple          a multiple level away from loop resonances
@@ -1190,22 +1240,15 @@ def eigenpairs(graph: MetricGraph, levels: Levels,
       non_generic         a vertex value or interior derivative is below its threshold
     """
     kept = levels.kept
-    built = iter(())
-    if np.any(kept):
-        eps = _reconstruct(graph, levels[kept])
-        flags = classify_batch(graph, eps, thresholds)
-        built = zip(eps, flags.generic.tolist(), flags.borderline.tolist())
-    out = []
-    for lv, keep in zip(levels, kept.tolist()):
-        if not keep:
-            out.append((lv, None, False,
-                        "loop_supported" if lv.loop_dims == lv.multiplicity
-                        else "degenerate_at_loop" if lv.loop_dims else "non_simple"))
-            continue
-        ep, generic, borderline = next(built)
-        out.append((lv, ep, generic,
-                    "borderline" if borderline else None if generic else "non_generic"))
-    return out
+    eps = _reconstruct(graph, levels[kept])
+    generic, borderline = np.zeros((2, len(levels)), dtype=bool)
+    generic[kept], borderline[kept] = classify_batch(graph, eps, thresholds)
+    reason = np.select(
+        [levels.loop_dims == levels.multiplicity, levels.loop_dims > 0, ~kept, borderline,
+         ~generic],
+        ["loop_supported", "degenerate_at_loop", "non_simple", "borderline", "non_generic"],
+        None)
+    return Batch(levels, eps, generic, reason)
 
 
 def batches(blocks: Iterable[Levels], size: int) -> Iterator[Levels]:
@@ -1231,7 +1274,7 @@ def batches(blocks: Iterable[Levels], size: int) -> Iterator[Levels]:
 def stream_batches(graph: MetricGraph, count: int | None = None,
                    k_max: float | None = None,
                    thresholds: Thresholds = Thresholds(),
-                   workers: int = 1, couplings: bool = False) -> Iterator[list[tuple]]:
+                   workers: int = 1, couplings: bool = False) -> Iterator[Batch]:
     """`eigenpairs` of consecutive `batches` of `stack_size(graph)` levels
     of `stream_levels` (in-process, or in `workers` pool windows); a batch
     is located in full before it is yielded.  With `couplings` the levels

@@ -138,22 +138,18 @@ def _fold_levels(dist: SurplusDistribution, batch: spectrum_mod.Levels,
                  thresholds: spectrum_mod.Thresholds, magnetic: bool,
                  check_identities: bool):
     """Reconstruct, classify and fold one batch of located levels."""
-    graph = dist.graph
-    generic = []
-    for lv, ep, _, reason in spectrum_mod.eigenpairs(graph, batch, thresholds):
-        dist.N_raw += lv.multiplicity
-        if ep is not None:
-            dist.worst_residual = max(dist.worst_residual, ep.residual)
-        if reason == "loop_supported":
-            dist.loop_count += lv.multiplicity
-            continue
-        dist.loop_count += lv.loop_dims
-        if reason is not None:
-            dist.excluded[reason] += lv.multiplicity - lv.loop_dims
-            continue
-        generic.append(ep)
-    if generic:
-        _fold(dist, generic, magnetic, check_identities)
+    out = spectrum_mod.eigenpairs(dist.graph, batch, thresholds)
+    dist.N_raw += int(np.sum(batch.multiplicity))
+    # a loop-supported level holds loop states alone (loop_dims = multiplicity)
+    dist.loop_count += int(np.sum(batch.loop_dims))
+    dist.worst_residual = float(np.max(out.eigenpairs.residual, initial=dist.worst_residual))
+    tallied = np.not_equal(out.reason, None) & (out.reason != "loop_supported")
+    # reasons tallied in the order they first occur, as the summary lists them
+    for reason in dict.fromkeys(out.reason[tallied].tolist()):
+        dist.excluded[reason] += int(np.sum((batch.multiplicity - batch.loop_dims)
+                                            [out.reason == reason]))
+    _fold(dist, out.eigenpairs[np.equal(out.reason, None)[batch.kept]], magnetic,
+          check_identities)
     # thresholds that exclude (nearly) every eigenpair would keep the
     # stream going forever
     excluded = sum(dist.excluded.values())
@@ -163,24 +159,22 @@ def _fold_levels(dist: SurplusDistribution, batch: spectrum_mod.Levels,
             f"excluded: {dict(dist.excluded)}")
 
 
-def _fold(dist: SurplusDistribution, eps: list, magnetic: bool,
+def _fold(dist: SurplusDistribution, eps: spectrum_mod.Eigenpairs, magnetic: bool,
           check_identities: bool):
-    """Add a batch of generic eigenpairs to `dist`, each layer (counts, star
+    """Add a block of generic eigenpairs to `dist`, each layer (counts, star
     observables, magnetic indices) and each tally computed over the whole
-    batch; an eigenpair with a degenerate flux Hessian is excluded alone."""
+    block; an eigenpair with a degenerate flux Hessian is excluded alone."""
     graph = dist.graph
     interior = graph.topology.interior
     c = counts_mod.counts_batch(graph, eps)
     regime = c.k > graph.star_threshold
     N = np.zeros((len(eps), len(interior)), dtype=int)
     rho = np.zeros(N.shape)
-    if np.any(regime):
-        N[regime], rho[regime] = neumann_mod.stars_batch(
-            graph, [ep for ep, star in zip(eps, regime) if star])
-        if check_identities:
-            rules = neumann_mod.sum_rules(graph, counts_mod.Counts(*(x[regime] for x in c)),
-                                          N[regime], rho[regime])
-            dist.identity_failures += int(np.count_nonzero(~rules.ok))
+    N[regime], rho[regime] = neumann_mod.stars_batch(graph, eps[regime])
+    if check_identities:
+        rules = neumann_mod.sum_rules(graph, counts_mod.Counts(*(x[regime] for x in c)),
+                                      N[regime], rho[regime])
+        dist.identity_failures += int(np.count_nonzero(~rules.ok))
 
     keep = np.ones(len(eps), dtype=bool)
     iotas = [None] * len(eps)

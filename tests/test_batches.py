@@ -5,12 +5,23 @@ flux Hessians and Morse indices) runs over a whole batch; each row must come
 out bit for bit as the one-eigenpair function gives it, and a failure in one
 row must name that row's eigenpair or exclude it alone.
 """
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import qgl.magnetic as magnetic
 import qgl.spectrum as spectrum
-from qgl.counts import counts, counts_batch
+import qgl.stats as stats
+from qgl.cli import main
+from qgl.counts import (
+    counts,
+    counts_batch,
+    neumann_counts,
+    nodal_counts,
+    vertex_sign_sums,
+)
 from qgl.errors import DegenerateHessian, IdentityViolated
 from qgl.graphs import load_graph
 from qgl.neumann import star_observables, stars_batch
@@ -27,7 +38,7 @@ def _batch(graph, want=200):
         graph, spectrum.locate_spectrum(graph, count=3 * want, couplings=True))
     verdicts = [(ep, (generic, reason == "borderline"))
                 for _, ep, generic, reason in rows if ep is not None]
-    generic = [ep for _, ep, _, reason in rows if reason is None][:want]
+    generic = spectrum.Eigenpairs.of([ep for _, ep, _, reason in rows if reason is None][:want])
     return generic, verdicts
 
 
@@ -43,7 +54,7 @@ def test_batch_rows_equal_the_batch_of_one(name):
     for i, ep in enumerate(eps):
         assert counts(g, ep) == c.record(i), ep.n
 
-    star = [ep for ep in eps if ep.k > np.pi / g.min_length]
+    star = eps[eps.k > np.pi / g.min_length]
     N, rho = stars_batch(g, star)
     for i, ep in enumerate(star):
         for j, v in enumerate(g.topology.interior):
@@ -52,9 +63,8 @@ def test_batch_rows_equal_the_batch_of_one(name):
     if g.topology.betti == 0:
         return
     m = magnetic.indices_batch(g, eps)
-    h = magnetic._hessians(g, magnetic._flux_layout(g, None), spectrum.stacked(eps, "kappa"),
-                           spectrum.stacked(eps, "phases"), spectrum.stacked(eps, "couplings"),
-                           spectrum.kernel_cutoff(g, spectrum.stacked(eps, "k")), str)
+    h = magnetic._hessians(g, magnetic._flux_layout(g, None), eps.kappa, eps.phases,
+                           eps.couplings, spectrum.kernel_cutoff(g, eps.k), str)
     for i, ep in enumerate(eps):
         if m.degenerate[i]:
             with pytest.raises(DegenerateHessian):
@@ -69,10 +79,13 @@ def test_batch_rows_equal_the_batch_of_one(name):
 def test_broken_identity_mid_batch_names_its_eigenpair(dumbbell):
     eps, _ = _batch(dumbbell, 40)
     counts_batch(dumbbell, eps)
-    # an index past the count puts the nodal surplus out of its range
-    bad = spectrum.Eigenpair(**{**vars(eps[20]), "n": eps[20].n + 7})
-    with pytest.raises(IdentityViolated, match=f"n={bad.n},"):
-        counts_batch(dumbbell, eps[:20] + [bad] + eps[21:])
+    # an index past the count puts the nodal surplus out of its range; the
+    # error names the eigenpair with k as a Python float prints
+    n = eps.n.copy()
+    n[20] += 7
+    with pytest.raises(IdentityViolated,
+                       match=re.escape(f"eigenpair n={n[20]}, k={float(eps.k[20])!r}:")):
+        counts_batch(dumbbell, dataclasses.replace(eps, n=n))
 
 
 def test_degenerate_hessian_mid_batch_excludes_only_it(dumbbell, monkeypatch):
@@ -96,3 +109,46 @@ def test_degenerate_hessian_mid_batch_excludes_only_it(dumbbell, monkeypatch):
     assert d.identity_failures == 0
     assert d.records[:59] == [r for r in ref.records if r.n != target]
     assert d.records[59].n > ref.records[-1].n
+
+
+@pytest.mark.parametrize("name", ("dumbbell", "lasso", "tree31_7"))
+def test_batch_functions_take_an_empty_block(name):
+    # an empty block, sliced from a walk with couplings or of no blocks at
+    # all (no couplings), gives every layer empty results, and the fold
+    # adds nothing, not even a tally or histogram key
+    g = load_graph(name)
+    levels = spectrum.locate_spectrum(g, count=20, couplings=True)
+    interior, E = len(g.topology.interior), g.E
+    for empty in (levels[:0], spectrum.locate_spectrum(g, count=0)):
+        batch = spectrum.eigenpairs(g, empty)
+        eps = batch.eigenpairs
+        assert len(batch.levels) == len(eps) == 0 and list(batch) == list(eps) == []
+        assert batch.generic.shape == batch.reason.shape == (0,)
+        assert all(x.shape == (0,) for x in spectrum.classify_batch(g, eps))
+        assert all(x.shape == (0,) for x in counts_batch(g, eps))
+        assert nodal_counts(g, eps).shape == neumann_counts(g, eps).shape == (0, E)
+        assert vertex_sign_sums(g, eps).shape == (0,)
+        N, rho = stars_batch(g, eps)
+        assert N.shape == rho.shape == (0, interior)
+        m = magnetic.indices_batch(g, eps)
+        assert m.sigma.shape == m.degenerate.shape == (0,) and len(m.iota) == 0
+        dist = stats.SurplusDistribution(graph=g)
+        stats._fold_levels(dist, empty, spectrum.Thresholds(), True, True)
+        assert dist == stats.SurplusDistribution(graph=g)
+
+
+def test_fold_and_cli_build_no_eigenpair_row(dumbbell, tmp_path, monkeypatch):
+    # reconstruction, every batch layer, the fold and the counts, magnetic
+    # and spectrum subcommands read the columns of the block: no
+    # `Eigenpair` row is built
+    def refused(*args, **kwargs):
+        raise AssertionError("an Eigenpair row was built")
+
+    monkeypatch.setattr(spectrum, "Eigenpair", refused)
+    d = run_experiment(dumbbell, 300, magnetic=True, check_identities=True)
+    assert d.K == 300 and d.identity_failures == 0 and d.iota_hist
+    for command in ("counts", "magnetic", "spectrum"):
+        assert main([command, "--graph", "dumbbell", "--K", "300",
+                     "--out", str(tmp_path)]) == 0
+    with pytest.raises(AssertionError, match="row was built"):
+        next(spectrum.stream_eigenpairs(dumbbell, count=1))

@@ -29,13 +29,13 @@ from qgl.secular import (
     root_branch,
 )
 from qgl.spectrum import (
+    Eigenpairs,
     counting,
     edge_couplings,
     eigenfunction_at,
     eigenpairs,
     kernel_cutoff,
     locate_spectrum,
-    stacked,
 )
 
 GRAPHS = ("lasso", "dumbbell", "mandarin3", "k4", "flower3", "chain4", "tree31_7")
@@ -235,14 +235,13 @@ def test_walk_frame_hessians_agree_with_fresh_frames(name):
     g = load_graph(name)
     levels = locate_spectrum(g, count=300, couplings=True)
     rows = [row for row in eigenpairs(g, levels) if row[1] is not None]
-    walked = [ep for _, ep, _, _ in rows]
-    fresh = [_fresh(g, lv) for lv, _, _, _ in rows]
+    walked = Eigenpairs.of([ep for _, ep, _, _ in rows])
+    fresh = Eigenpairs.of([_fresh(g, lv) for lv, _, _, _ in rows])
     assert levels.couplings is not None and np.any(levels.couplings != 0)
     assert [ep.n for ep in walked] == [ep.n for ep in fresh]
     layout = magnetic._flux_layout(g, None)
-    a, b = (magnetic._hessians(g, layout, stacked(eps, "kappa"), stacked(eps, "phases"),
-                               stacked(eps, "couplings"),
-                               kernel_cutoff(g, stacked(eps, "k")), str)
+    a, b = (magnetic._hessians(g, layout, eps.kappa, eps.phases, eps.couplings,
+                               kernel_cutoff(g, eps.k), str)
             for eps in (walked, fresh))
     scale = np.maximum(1.0, np.max(np.abs(b.hessian), axis=(1, 2)))
     assert np.all(np.max(np.abs(a.hessian - b.hessian), axis=(1, 2))
@@ -257,7 +256,7 @@ def test_tree_batch_takes_no_frame(tree31, monkeypatch):
     # no flux acts on a tree: the walk keeps no couplings, and the batch's
     # indices are 0 and empty without a decomposition
     levels = locate_spectrum(tree31, count=60, couplings=True)
-    eps = [ep for _, ep, _, _ in eigenpairs(tree31, levels) if ep is not None]
+    eps = eigenpairs(tree31, levels).eigenpairs
     assert levels.couplings is None and all(ep.couplings is None for ep in eps)
     monkeypatch.setattr(np.linalg, "eigh", None)
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
@@ -276,7 +275,7 @@ def test_couplings_only_when_asked(dumbbell):
     eps = [ep for _, ep, _, reason in rows if reason is None]
     assert eps and all(ep.couplings is None for ep in eps)
     with pytest.raises(ValueError, match="couplings"):
-        magnetic.indices_batch(dumbbell, eps)
+        magnetic.indices_batch(dumbbell, Eigenpairs.of(eps))
     a, b = hessian_alpha(dumbbell, eps[0]), hessian_alpha(dumbbell, eps[0].kappa)
     assert np.array_equal(a.hessian, b.hessian) and a.p == b.p
 

@@ -162,8 +162,8 @@ def test_close_pair_located_as_two_simple_levels(dumbbell, monkeypatch):
     assert steered == [914]
     assert (walk.tally.retries, walk.tally.fallbacks) == (1, 0)
     assert [(lv.n, lv.multiplicity) for lv in again] == [(914, 1), (915, 1)]
-    assert again[0].k == pytest.approx(low.k, rel=1e-12)
-    assert again[1].k == pytest.approx(high.k, rel=1e-12)
+    assert again.k[0] == pytest.approx(low.k, rel=1e-12)
+    assert again.k[1] == pytest.approx(high.k, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +595,7 @@ def test_requests_take_whole_levels(name):
         walk = spectrum.Walk(g)
         first = _walked(walk.take(count))
         second = _walked(walk.take(count))
-        assert second[0].n == first[-1].n + first[-1].multiplicity
+        assert second.n[0] == first.n[-1] + first.multiplicity[-1]
         for levels in (first, second):
             held = [lv.multiplicity for lv in levels]
             assert sum(held[:-1]) < count <= sum(held), count
@@ -840,6 +840,23 @@ def test_levels_block_rows_and_slices(lasso):
     assert list(Levels.concat([empty, head])) == rows[:10]
 
 
+def test_blocks_refuse_an_integer_index(lasso):
+    # an integer index gave a block of 0-d arrays, whose len() failed later;
+    # rows are read by iteration, and `Eigenpairs.of` stacks them back
+    levels = locate_spectrum(lasso, count=40, couplings=True)
+    eps = spectrum.eigenpairs(lasso, levels).eigenpairs
+    for block in (levels, eps):
+        for i in (0, -1, np.int64(2)):
+            with pytest.raises(TypeError, match="integer"):
+                block[i]
+        assert type(block[1:3]) is type(block) and len(block[1:3]) == 2
+    rows = list(eps)
+    assert all(type(ep) is spectrum.Eigenpair for ep in rows)
+    assert [ep.label() for ep in rows] == [eps.label(i) for i in range(len(eps))]
+    for a, b in zip(spectrum.Eigenpairs.of(rows)._columns(), eps._columns()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_count_mode_counts_multiplicity(lasso):
     levels = locate_spectrum(lasso, count=12)
     assert sum(lv.multiplicity for lv in levels) >= 12
@@ -890,8 +907,9 @@ def test_stream_batches(name, workers):
     for couplings in (True, False):
         batches = list(spectrum.stream_batches(g, count=count, workers=workers,
                                                couplings=couplings))
-        assert [len(batch) for batch in batches[:-1]] == [stack_size(g)] * (len(batches) - 1)
-        assert 0 < len(batches[-1]) <= stack_size(g)
+        assert [len(batch.levels) for batch in batches[:-1]] \
+            == [stack_size(g)] * (len(batches) - 1)
+        assert 0 < len(batches[-1].levels) <= stack_size(g)
         rows = [row for batch in batches for row in batch]
         _assert_same_levels([lv for lv, *_ in rows], want)
         generic = [ep for _, ep, generic, _ in rows if generic]
@@ -999,6 +1017,7 @@ def test_kernel_matches_svd_oracle(name, k_min):
 
 def _assert_same_rows(got, want):
     """Bit for bit: level, verdict, reason and every array of the eigenpair."""
+    got, want = list(got), list(want)
     assert len(got) == len(want)
     for (lv, ep, generic, reason), (lv_w, ep_w, generic_w, reason_w) in zip(got, want):
         assert (lv, generic, reason) == (lv_w, generic_w, reason_w)
@@ -1028,7 +1047,7 @@ def test_eigenpairs_do_not_depend_on_the_batch_split(name):
                                    if row[1] is not None)
     _assert_same_rows(spectrum.eigenpairs(g, levels[i:i + 1]), [(lv, ep, generic, None)])
     fresh = spectrum.eigenpairs(g, _with_a_frame_at_k(g, levels[i:i + 1]))
-    _assert_same_rows([(lv, eigenfunction_at(g, lv.k, n=lv.n), fresh[0][2], None)], fresh)
+    _assert_same_rows([(lv, eigenfunction_at(g, lv.k, n=lv.n), fresh.generic[0], None)], fresh)
     mixed = _with_a_frame_at_k(g, levels, np.arange(len(levels)) % 3 == 0)
     _assert_same_rows([row for i in range(len(mixed))
                        for row in spectrum.eigenpairs(g, mixed[i:i + 1])],
@@ -1066,13 +1085,13 @@ def test_walk_kernel_agrees_with_a_fresh_frame(name):
     for a, b in zip(kept, fresh):
         assert 1.0 - abs(np.vdot(a.amplitudes, b.amplitudes)) <= 1e-14, (name, a.n)
         assert a.residual <= 1e-10 * max(1.0, a.k), (name, a.n)
-    flags = spectrum.classify_batch(g, fresh)
+    flags = spectrum.classify_batch(g, spectrum.Eigenpairs.of(fresh))
     assert [row[2] for row in kept_rows] == flags.generic.tolist()
     assert [row[3] == "borderline" for row in kept_rows] == flags.borderline.tolist()
     generic = [i for i, row in enumerate(kept_rows) if row[2]]
     assert len(generic) >= 100
-    want = counts_batch(g, [fresh[i] for i in generic])
-    got = counts_batch(g, [kept[i] for i in generic])
+    want = counts_batch(g, spectrum.Eigenpairs.of([fresh[i] for i in generic]))
+    got = counts_batch(g, spectrum.Eigenpairs.of([kept[i] for i in generic]))
     assert np.array_equal(got.sigma, want.sigma) and np.array_equal(got.omega, want.omega)
 
 
@@ -1103,7 +1122,7 @@ def test_recounted_level_is_reconstructed_from_a_fresh_frame(dumbbell, monkeypat
     assert np.any(levels.kernel[i] != 0) and np.any(levels.phases[i] != 0)
     assert np.array_equal(np.any(levels.kernel != 0, axis=1), levels.kept)
     # in a batch with kept kernels it is bit for bit eigenfunction_at
-    row = spectrum.eigenpairs(dumbbell, levels)[i]
+    row = list(spectrum.eigenpairs(dumbbell, levels))[i]
     assert row[0] == lv
     _assert_same_rows([(lv, eigenfunction_at(dumbbell, lv.k, n=lv.n), *row[2:])], [row])
 
